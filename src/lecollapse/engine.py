@@ -66,7 +66,7 @@ class AggregationError(ValueError):
 
 
 class SmallNumbersWarning(RuntimeWarning):
-    """A Poisson mean left the rare-event regime (mu > 0.1)."""
+    """A per-cell Poisson mean left the rare-event regime (mu > 0.1)."""
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -207,6 +207,90 @@ def _cell_fractions(fields: ScalarFieldSet, params: SlipParams):
     return f_cells, np.clip(f0_cells, 0.0, 1.0)
 
 
+def _slip_rates(f_cells, f0_cells, params: SlipParams, dt: float):
+    """Poisson mean per sign and per-slip kick of every cell.
+
+    ``f_cells`` is (..., K, cells) and ``f0_cells`` (..., cells). The mean
+    is collision_rate_per_cell * rate_calibration * dt * f_j f_0 * W/2;
+    one slip of sign s on channel j adds s * W f_j f_0 / (2 N_c) to the
+    kick g_j that ``_slip_step`` applies.
+    """
+    rate = (
+        params.rate_calibration
+        * params.collision_rate_per_cell
+        * dt
+        * (params.w / 2.0)
+    )
+    f0 = f0_cells[..., None, :]
+    return rate * f_cells * f0, params.w * f_cells * f0 / (2.0 * params.n_c)
+
+
+def _grouped_rates(f_cells, f0_cells, params: SlipParams, dt: float):
+    """Poisson means and per-slip kicks per group of identical cells.
+
+    Cells whose (f_cells[:, c], f0_cells[c]) columns are equal give slips
+    of the same amplitude, and a sum of independent Poisson counts is
+    Poisson with the summed mean, so a group takes one draw whose mean is
+    the per-cell mean times the group's multiplicity. This is exact in
+    distribution (the superposition step of tau-leaping). Returns
+    (mu, amp, multiplicity) with mu and amp of shape (K, groups).
+    """
+    cols, mult = np.unique(
+        np.vstack([f_cells, f0_cells]), axis=1, return_counts=True
+    )
+    mu, amp = _slip_rates(cols[:-1], cols[-1], params, dt)
+    return mu * mult, amp, mult
+
+
+def _draw_kicks(rng: np.random.Generator, mu, amp):
+    """Poisson slip counts and the net kick g of every (row, channel).
+
+    ``mu`` is (rows, K, cells or groups) and ``amp`` broadcasts against it.
+    Both signs come from one draw, all plus counts before all minus counts;
+    returns (counts of shape (2,) + mu.shape, g of shape (rows, K)).
+    """
+    counts = rng.poisson(mu, (2,) + mu.shape)
+    return counts, ((counts[0] - counts[1]) * amp).sum(axis=-1)
+
+
+def _slip_step(p, g, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one step of slips to every row of ``p``.
+
+    ``g[r, j]`` is row r's net kick on channel j: signed slip counts times
+    their per-slip kicks, summed over cells. The increment
+    delta = p * (g - sum_k g_k p_k) is the count-weighted sum of
+    ``slip_delta`` terms at the incoming p. Each row is closed on its last
+    live channel, as ``slip_delta`` does, so it sums to exactly 0.0.
+    Channels at 0 stay at 0. A live channel driven to or below ``floor``
+    becomes exactly 0 and its row is renormalized. Returns (q, delta),
+    delta being the increment before absorption.
+    """
+    live = p > 0.0
+    delta = p * (g - (g * p).sum(axis=1, keepdims=True))
+    rows = np.arange(p.shape[0])
+    last = p.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    delta[rows, last] = 0.0
+    # numpy sums short rows left to right, so one pass cancels them
+    # exactly; long rows are summed pairwise and may need a few more
+    for _ in range(8):
+        resid = delta.sum(axis=1)
+        if not resid.any():
+            break
+        delta[rows, last] -= resid
+    q = p + delta
+    hit = (q <= floor) & live
+    if hit.any():
+        q[hit] = 0.0
+        hit_rows = hit.any(axis=1)
+        totals = q[hit_rows].sum(axis=1)
+        if (totals <= 0.0).any():
+            raise DegenerateStateError(
+                "every channel was absorbed in one update"
+            )
+        q[hit_rows] /= totals[:, None]
+    return q, delta
+
+
 def sample_slips(
     fields: ScalarFieldSet,
     p,
@@ -229,14 +313,7 @@ def sample_slips(
     if not 0.0 < dt <= params.tau:
         raise ValueError(f"dt must lie in (0, tau], got {dt}")
     f_cells, f0_cells = _cell_fractions(fields, params)
-    mu = (
-        params.rate_calibration
-        * params.collision_rate_per_cell
-        * dt
-        * (params.w / 2.0)
-        * f_cells
-        * f0_cells[None, :]
-    )
+    mu, _ = _slip_rates(f_cells, f0_cells, params, dt)
     mu[p == 0.0, :] = 0.0
     if mu.size and mu.max() > 0.1:
         warnings.warn(
@@ -265,35 +342,22 @@ def apply_slips(
 ) -> np.ndarray:
     """Accumulate count-weighted slip deltas into ``p``.
 
-    All deltas are evaluated at the incoming ``p``. A channel driven to or
-    below the absorption floor becomes exactly 0 and the survivors are
-    renormalized; without an absorption the sum is already preserved to
-    well below 1e-12 and no renormalization is applied. Channels at 0 stay
-    at 0 exactly.
+    All deltas are evaluated at the incoming ``p``, through the same
+    update as the trajectory loop (``_slip_step``): the summed delta is
+    exactly zero-sum, a channel driven to or below the absorption floor
+    becomes exactly 0 and the survivors are renormalized, and channels at
+    0 stay at 0 exactly.
     """
     p = probability_vector(p)
     if not events:
         return p.copy()
     f_cells, f0_cells = _cell_fractions(fields, params)
-    delta = np.zeros_like(p)
+    _, amp = _slip_rates(f_cells, f0_cells, params, dt=0.0)
+    g = np.zeros_like(p)
     for ev in events:
-        delta += ev.count * slip_delta(
-            p, ev.channel, f_cells[ev.channel, ev.cell], f0_cells[ev.cell],
-            params, ev.sign,
-        )
-    q = p + delta
-    q[p == 0.0] = 0.0
-    hit = (q <= params.absorb_floor) & (p > 0.0)
-    if hit.any():
-        q[hit] = 0.0
-        q = np.clip(q, 0.0, None)
-        total = q.sum()
-        if total <= 0.0:
-            raise DegenerateStateError(
-                "every channel was absorbed in one update"
-            )
-        q /= total
-    return q
+        g[ev.channel] += ev.sign * ev.count * amp[ev.channel, ev.cell]
+    q, _ = _slip_step(p[None], g[None], params.absorb_floor)
+    return q[0]
 
 
 def theoretical_moments(
@@ -436,6 +500,15 @@ class EnsembleResult:
     checkpoint_p: np.ndarray | None = None  # (len(steps), runs, channels)
 
 
+def _cell_means(f, p, grid: Grid, lam: float):
+    """Cell means of the channel fields and of the unentangled fraction."""
+    f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
+    return (
+        cell_averages(f, grid, lam),
+        np.clip(cell_averages(f0, grid, lam), 0.0, 1.0),
+    )
+
+
 def _evolve_batch(
     setup: CollapseSetup,
     seed: int,
@@ -444,6 +517,13 @@ def _evolve_batch(
     record: bool,
 ) -> EnsembleResult:
     """Shared trajectory loop; active runs are compacted as they absorb.
+
+    With advancing fields every (run, channel, cell, sign) takes its own
+    Poisson draw. With frozen fields the per-cell rates never change, so
+    they are worked out once and cells with identical (f_cell, f0_cell)
+    share one draw per (run, channel, sign) (``_grouped_rates``): a uniform
+    background needs one draw instead of one per cell, with the same law.
+    Both paths update p through ``_slip_step``.
 
     Dropping absorbed rows changes the shapes of later Poisson draws, so
     the stream of random numbers depends on (setup, seed, n_runs) as a
@@ -459,20 +539,13 @@ def _evolve_batch(
     t_abs = np.full(n_runs, np.nan)
     slip_counts = np.zeros(n_runs, dtype=np.int64)
     spatial = tuple(range(2, 2 + grid.dims))
-    rate = (
-        slips.rate_calibration
-        * slips.collision_rate_per_cell
-        * setup.dt
-        * (slips.w / 2.0)
-    )
     if setup.advance_fields:
         f = np.broadcast_to(base[None], (n_runs,) + base.shape).copy()
+        mult = 1
     else:
-        f = base[None]  # shared, never written
-        f_cells_frozen = cell_averages(f, grid, slips.lam)
-        f0_frozen = 1.0 - np.einsum("k,rk...->r...", np.asarray(setup.p0), f)
-        f0_cells_frozen = np.clip(
-            cell_averages(f0_frozen, grid, slips.lam), 0.0, 1.0
+        f_cells, f0_cells = _cell_means(base[None], p[:1], grid, slips.lam)
+        mu_base, amp, mult = _grouped_rates(
+            f_cells[0], f0_cells[0], slips, setup.dt
         )
     checkpoints = sorted(set(int(s) for s in checkpoint_steps))
     snaps = [] if checkpoints else None
@@ -496,42 +569,25 @@ def _evolve_batch(
                 keep = frozen.reshape(frozen.shape + (1,) * grid.dims)
                 new_f = np.where(keep, f, new_f)
             f = new_f
-            f_cells = cell_averages(f, grid, slips.lam)
-            f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
-            f0_cells = np.clip(cell_averages(f0, grid, slips.lam), 0.0, 1.0)
-        else:
-            f_cells = f_cells_frozen
-            f0_cells = f0_cells_frozen
-        mu = rate * f_cells * f0_cells[:, None, :]
-        mu = np.where((p == 0.0)[:, :, None], 0.0, mu)
-        if not warned and mu.size and mu.max() > 0.1:
+            f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
+            mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
+        mu = np.where((p == 0.0)[:, :, None], 0.0, mu_base)
+        # the rare-event threshold applies per cell, not per merged group
+        if not warned and (mu > 0.1 * mult).any():
             warnings.warn(
-                f"Poisson mean {mu.max():.3g} at step {step}: slips are "
-                f"aggregated per step, not individually resolved (the "
-                f"update stays an exact martingale either way)",
+                f"Poisson mean {(mu / mult).max():.3g} per cell at step "
+                f"{step}: slips are aggregated per step, not individually "
+                f"resolved (each step's update stays exactly zero-sum)",
                 SmallNumbersWarning,
                 stacklevel=3,
             )
             warned = True
-        plus = rng.poisson(mu)
-        minus = rng.poisson(mu)
-        slip_counts[gids] += (plus + minus).sum(axis=(1, 2))
-        amp = slips.w * f_cells * f0_cells[:, None, :] / (2.0 * slips.n_c)
-        g = ((plus - minus) * amp).sum(axis=2)
-        q = p + p * (g - (g * p).sum(axis=1, keepdims=True))
-        q[p == 0.0] = 0.0
-        hit = (q <= slips.absorb_floor) & (p > 0.0)
-        rows = hit.any(axis=1)
-        if rows.any():
-            q[hit] = 0.0
-            qr = np.clip(q[rows], 0.0, None)
-            totals = qr.sum(axis=1)
-            if (totals <= 0.0).any():
-                raise DegenerateStateError(
-                    f"every channel absorbed at step {step}"
-                )
-            q[rows] = qr / totals[:, None]
-        p = q
+        counts, g = _draw_kicks(rng, mu, amp)
+        slip_counts[gids] += counts.sum(axis=(0, 2, 3))
+        try:
+            p, _ = _slip_step(p, g, slips.absorb_floor)
+        except DegenerateStateError as exc:
+            raise DegenerateStateError(f"{exc} at step {step}") from None
         done = (p > 0.0).sum(axis=1) == 1
         if done.any():
             ids = gids[done]
@@ -604,8 +660,12 @@ def run_ensemble(
     """Vectorized batch of independent trajectories from one seed.
 
     The batch draws all runs' Poisson counts from a single Philox stream
-    in a fixed order; ``checkpoint_steps`` requests ensemble snapshots of
-    p after the given steps (absorbed runs hold their terminal value).
+    in a fixed order. On a frozen background (``advance_fields=False``)
+    cells with identical field values share one draw per run, channel and
+    sign, so a uniform background costs one draw per step instead of one
+    per cell; the law of every trajectory is the same either way.
+    ``checkpoint_steps`` requests ensemble snapshots of p after the given
+    steps (absorbed runs hold their terminal value).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")

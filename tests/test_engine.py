@@ -1,5 +1,8 @@
 """Slip mechanics, Poisson sampling and the collapse random walk."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,10 @@ from lecollapse.engine import (
     SlipParams,
     SmallNumbersWarning,
     W_CEILING,
+    _cell_means,
+    _grouped_rates,
+    _slip_rates,
+    _slip_step,
     apply_slips,
     born_statistics,
     estimate_collapse_time,
@@ -222,6 +229,21 @@ def test_absorption_is_permanent():
     assert p[0] == 0.0 and p[1] == 1.0
 
 
+def test_slip_step_rows_sum_to_exactly_zero():
+    rng = np.random.default_rng(17)
+    p = rng.dirichlet(np.ones(3), size=2000)
+    p[::7, 1] = 0.0  # some rows carry an absorbed channel
+    p /= p.sum(axis=1, keepdims=True)
+    g = rng.normal(scale=0.5, size=p.shape)
+    q, delta = _slip_step(p, g, 1e-9)
+    assert (delta.sum(axis=1) == 0.0).all()
+    unclosed = p * (g - (g * p).sum(axis=1, keepdims=True))
+    assert (unclosed.sum(axis=1) != 0.0).any()  # the closure is needed
+    assert np.allclose(delta, unclosed, rtol=0, atol=1e-15)
+    assert (q[p == 0.0] == 0.0).all() and (q >= 0.0).all()
+    assert np.allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
 def test_no_events_is_the_identity():
     params = desk_params()
     fields = uniform_fields((0.5, 0.5))
@@ -347,6 +369,55 @@ def test_timeout_reports_partial_state():
     assert out.status == "timeout"
     assert out.winner is None and out.collapse_time is None
     assert out.trajectory is not None
+
+
+def test_frozen_cells_are_grouped_exactly():
+    setup = frozen_setup(f_init=None, seed_regions=((0, 2), (30, 32)),
+                         p0=(0.3, 0.7))
+    f_cells, f0_cells = _cell_means(
+        setup.initial_fields()[None], np.array(setup.p0)[None], setup.grid,
+        setup.slips.lam,
+    )
+    f_cells, f0_cells = f_cells[0], f0_cells[0]
+    mu_cell, amp_cell = _slip_rates(f_cells, f0_cells, setup.slips, setup.dt)
+    mu, amp, mult = _grouped_rates(f_cells, f0_cells, setup.slips, setup.dt)
+    _, member = np.unique(np.vstack([f_cells, f0_cells]), axis=1,
+                          return_inverse=True)
+    assert 1 < mult.size < f0_cells.size
+    assert np.array_equal(mult, np.bincount(member))
+    # every cell of a group slips with the group's amplitude
+    assert np.array_equal(amp[:, member], amp_cell)
+    # the group means add up to the per-cell means, group by group and in
+    # total for each channel
+    summed = np.zeros_like(mu)
+    np.add.at(summed, (slice(None), member), mu_cell)
+    assert np.allclose(mu, summed, rtol=1e-12, atol=0)
+    assert np.allclose(mu.sum(axis=1), mu_cell.sum(axis=1), rtol=1e-12,
+                       atol=0)
+
+    uniform = frozen_setup()
+    f_cells, f0_cells = _cell_means(
+        uniform.initial_fields()[None], np.array(uniform.p0)[None],
+        uniform.grid, uniform.slips.lam,
+    )
+    mu, amp, mult = _grouped_rates(f_cells[0], f0_cells[0], uniform.slips,
+                                   uniform.dt)
+    assert mu.shape == (2, 1) and mult.tolist() == [f0_cells.size]
+
+
+@pytest.mark.parametrize("advance_fields", [False, True])
+def test_small_numbers_warning_tests_the_per_cell_mean(advance_fields):
+    # the default box has a per-cell mean of 0.083 (0.087 at most once
+    # fields advance); on the frozen background its 32 cells merge into
+    # one draw of mean 2.7, which is no reason to warn
+    setup = frozen_setup(max_steps=20, advance_fields=advance_fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SmallNumbersWarning)
+        run_ensemble(setup, seed=3, n_runs=4)
+    hot = dataclasses.replace(setup, slips=dataclasses.replace(
+        setup.slips, rate_calibration=2 * setup.slips.rate_calibration))
+    with pytest.warns(SmallNumbersWarning, match="mean 0.167 per cell"):
+        run_ensemble(hot, seed=3, n_runs=4)
 
 
 def test_setup_validation():
