@@ -7,9 +7,14 @@ text whose hash identifies the experiment.
 
 Every mode has its own key table with defaults, so ``mode = collapse`` on
 its own is already a complete runnable config. Validation happens wholly
-at load time: cross-field relations are checked (and derived values like
-N_c = n_a*lam^3 filled in), then the actual domain objects are built once
-and thrown away, so a config that loads cannot fail construction later.
+at load time, and each check lives in one place. The domain constructors
+(KineticParams, SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel
+and the like) own every check on a single value: load_config builds the
+mode's objects once and turns their ValueErrors into ConfigErrors, so a
+config that loads cannot fail construction later. This module owns what
+no constructor sees: the key tables and per-channel key names, defaults
+and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3), the keys only
+the run loops read, and each mode's cross-field rules.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from lecollapse.engine import CollapseSetup, SlipParams
-from lecollapse.exact import LatticeModel
+from lecollapse.exact import LatticeModel, check_basis_size
 from lecollapse.fokker_planck import (
     FieldSummary,
     FPDensity,
@@ -393,11 +398,17 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             raise ConfigError(f"{seed_loc}: seed: {exc}") from None
 
     trajectory_raw, traj_loc = take("trajectory")
-    if trajectory_raw is not None and mode not in ("collapse", "sweep"):
-        raise ConfigError(
-            f"{traj_loc}: trajectory logging applies to collapse and "
-            f"sweep, not {mode}"
-        )
+    trajectory = False
+    if trajectory_raw is not None:
+        if mode not in ("collapse", "sweep"):
+            raise ConfigError(
+                f"{traj_loc}: trajectory logging applies to collapse and "
+                f"sweep, not {mode}"
+            )
+        try:
+            trajectory = _bool(trajectory_raw)
+        except ValueError as exc:
+            raise ConfigError(f"{traj_loc}: trajectory: {exc}") from None
 
     table = _MODE_KEYS[mode]
     dynamic = _DYNAMIC.get(mode)
@@ -419,34 +430,45 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
                 raise ConfigError(f"mode {mode} requires key {key!r}")
             params[key] = spec.default
 
-    if trajectory_raw is not None and _bool(trajectory_raw):
+    if trajectory:
         params["record_every"] = max(1, params["record_every"])
 
-    params = _VALIDATORS[mode](params)
-    source = _canonical(mode, seeds, formats, params)
+    _MODE_RULES[mode](params)
     config = ExperimentConfig(
         mode=mode,
         seeds=seeds,
         out_dir=out_dir,
         formats=formats,
         params=params,
-        source=source,
+        source="",
     )
-    _BUILDERS[mode](config)  # prove constructibility now, not mid-run
-    return config
+    # Build the mode's objects once: the constructors check every single
+    # value now, not mid-run. This comes before _derive, which divides by
+    # tau and overwrites n_c; a given n_c reaches SlipParams as written
+    # and is compared with N_c = n_a*lam^3 there.
+    _BUILDERS[mode](config)
+    _derive(params)
+    return replace(config, source=_canonical(mode, seeds, formats, params))
 
 
-# ----------------------------------------------------------- validation
+# ----------------------------------------------------------- mode rules
+#
+# Only what no constructor sees lives here: per-channel key names,
+# defaults that depend on other keys, the keys only the run loops read,
+# and the rules a mode adds on top of its objects.
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
-def _check_kinetics(params: dict) -> None:
-    """Positivity plus the D = lam^2/(6*tau) consistency relation."""
-    _require(params["lam"] > 0, "lam must be positive")
-    _require(params["tau"] > 0, "tau must be positive")
+def _derive(params: dict) -> None:
+    """Fill in D = lam^2/(6*tau) and N_c = n_a*lam^3; check a given D.
+
+    Runs after the load-time build, so lam and tau are known positive.
+    """
+    if "lam" not in params:
+        return
     derived = params["lam"] ** 2 / (6.0 * params["tau"])
     given = params["d_coeff"]
     if given is not None:
@@ -456,64 +478,44 @@ def _check_kinetics(params: dict) -> None:
                 f"D = lam^2/(6*tau) gives {derived}"
             )
     params["d_coeff"] = derived
+    if "n_a" in params:
+        params["n_c"] = params["n_a"] * params["lam"] ** 3
 
 
-def _check_slips(params: dict) -> None:
-    _check_kinetics(params)
-    _require(params["w"] > 0, "w must be positive")
-    _require(params["n_a"] > 0, "n_a must be positive")
-    _require(params["rate_calibration"] > 0,
-             "rate_calibration must be positive")
-    _require(0 < params["absorb_floor"] < 1,
-             "absorb_floor must lie strictly between 0 and 1")
-    derived = params["n_a"] * params["lam"] ** 3
-    given = params["n_c"]
-    if given is not None:
-        if abs(given - derived) > 1e-9 * max(abs(given), derived):
-            raise ConfigError(
-                f"n_c = {given} is inconsistent with n_a and lam: "
-                f"N_c = n_a*lam^3 gives {derived}"
-            )
-    params["n_c"] = derived
-
-
-def _check_p0(params: dict) -> None:
-    p0 = params["p0"]
-    _require(len(p0) >= 2, "p0 needs at least two channels")
-    _require(all(x >= 0 for x in p0), "p0 entries must be nonnegative")
-    _require(abs(sum(p0) - 1.0) <= 1e-9, "p0 must sum to 1")
-
-
-def _seed_region_keys(params: dict) -> list[str]:
+def _numbered_keys(params: dict, prefix: str) -> list[str]:
+    """``prefix_1``, ``prefix_2``, ... present in params, in numeric order."""
     return sorted(
-        (k for k in params if re.fullmatch(r"seed_region_\d+", k)),
+        (k for k in params if re.fullmatch(rf"{prefix}_\d+", k)),
         key=lambda k: int(k.rsplit("_", 1)[1]),
     )
 
 
-def _check_regions(params: dict, dims: int) -> None:
+def _check_box(key: str, box: tuple, extent: tuple) -> None:
+    # pairing the numbers per axis would silently drop an unpaired one
+    if len(box) != 2 * len(extent):
+        raise ConfigError(
+            f"{key} needs {2 * len(extent)} numbers "
+            f"(lo,hi per extent axis), got {len(box)}"
+        )
+
+
+def _check_regions(params: dict) -> None:
     """Seed-region bookkeeping for the collapse-style modes.
 
-    Exactly one of {seed regions, f_init} survives; with neither given
-    the run falls back to a uniform f_init = 0.4 background. An
-    advance_fields of None resolves here: seeded fronts advance, a
+    With neither seed regions nor f_init given the run falls back to a
+    uniform f_init = 0.4 background; CollapseSetup rejects both together.
+    An advance_fields of None resolves here: seeded fronts advance, a
     uniform background stays frozen. Letting growth run on a uniform
     background would saturate f at 1 in a few tau, drive f0 to zero and
     freeze the walk mid-flight, so that combination must be opted into.
     """
     channels = len(params["p0"])
-    region_keys = _seed_region_keys(params)
+    region_keys = _numbered_keys(params, "seed_region")
     if params["f_init"] is None and not region_keys:
         params["f_init"] = 0.4
     if params["advance_fields"] is None:
         params["advance_fields"] = bool(region_keys)
-    if params["f_init"] is not None:
-        _require(
-            not region_keys,
-            "give either seed_region_k or f_init, not both",
-        )
-        _require(0.0 <= params["f_init"] <= 1.0,
-                 "f_init must lie in [0, 1]")
+    if not region_keys:
         return
     expected = [f"seed_region_{k}" for k in range(1, channels + 1)]
     if region_keys != expected:
@@ -521,42 +523,24 @@ def _check_regions(params: dict, dims: int) -> None:
             f"need exactly seed_region_1..seed_region_{channels}, "
             f"got {', '.join(region_keys)}"
         )
+    extent = params["extent"]
     for key in region_keys:
         box = params[key]
-        if len(box) != 2 * dims:
-            raise ConfigError(
-                f"{key} needs {2 * dims} numbers "
-                f"(lo,hi per axis), got {len(box)}"
-            )
-        for axis in range(dims):
-            lo, hi = box[2 * axis], box[2 * axis + 1]
-            if not 0.0 <= lo < hi <= params["extent"][axis]:
+        _check_box(key, box, extent)
+        for axis, (lo, hi) in enumerate(_box_pairs(box)):
+            if not (0.0 <= lo and hi <= extent[axis]):
                 raise ConfigError(
                     f"{key}: interval ({lo}, {hi}) does not fit in "
-                    f"axis {axis} extent {params['extent'][axis]}"
+                    f"axis {axis} extent {extent[axis]}"
                 )
 
 
-def _check_grid(params: dict) -> None:
-    _require(params["spacing"] > 0, "spacing must be positive")
-    _require(all(e > 0 for e in params["extent"]),
-             "extent entries must be positive")
-    _require(1 <= len(params["extent"]) <= 3,
-             "extent needs one to three axes")
-
-
-def _validate_exact(params: dict) -> dict:
-    _require(params["sites"] >= 1, "sites must be at least 1")
-    _require(params["atoms"] >= 1, "atoms must be at least 1")
-    _require(params["channels"] >= 1, "channels must be at least 1")
+def _exact_rules(params: dict) -> None:
     _require(params["t_final"] > 0, "t_final must be positive")
     _require(params["record_every"] >= 1, "record_every must be at least 1")
     if params["dt"] is not None:
         _require(params["dt"] > 0, "dt must be positive")
-    track_keys = sorted(
-        (k for k in params if re.fullmatch(r"track_\d+", k)),
-        key=lambda k: int(k.rsplit("_", 1)[1]),
-    )
+    track_keys = _numbered_keys(params, "track")
     expected = [f"track_{k}" for k in range(1, params["channels"] + 1)]
     if not track_keys and params["channels"] == 1:
         params["track_1"] = (0,)
@@ -569,51 +553,21 @@ def _validate_exact(params: dict) -> dict:
         for s in params["cell"]:
             _require(0 <= s < params["sites"],
                      f"cell site {s} outside 0..{params['sites'] - 1}")
-    return params
 
 
-def _validate_wave(params: dict) -> dict:
-    _check_kinetics(params)
-    _check_grid(params)
+def _wave_rules(params: dict) -> None:
     _require(0 < params["dt_fraction"] <= 1.0,
              "dt_fraction must lie in (0, 1]")
     _require(params["t_final"] > 0, "t_final must be positive")
     _require(params["record_every"] >= 1, "record_every must be at least 1")
-    _require(0.0 <= params["inside"] <= 1.0, "inside must lie in [0, 1]")
     if params["transient"] is not None:
         _require(params["transient"] >= 0, "transient must be nonnegative")
-    dims = len(params["extent"])
-    box = params["seed_region"]
-    if len(box) != 2 * dims:
-        raise ConfigError(
-            f"seed_region needs {2 * dims} numbers (lo,hi per axis), "
-            f"got {len(box)}"
-        )
-    return params
+    _check_box("seed_region", params["seed_region"], params["extent"])
 
 
-def _validate_collapse(params: dict) -> dict:
-    _check_slips(params)
-    _check_grid(params)
-    _check_p0(params)
-    _require(params["dt"] > 0, "dt must be positive")
-    _require(params["max_steps"] >= 1, "max_steps must be at least 1")
-    _require(params["record_every"] >= 0, "record_every must be nonnegative")
-    _check_regions(params, len(params["extent"]))
-    return params
-
-
-def _validate_fp(params: dict) -> dict:
-    _check_slips(params)
-    _check_grid(params)
-    _check_p0(params)
-    _require(params["channels"] in (2, 3), "channels must be 2 or 3")
-    _require(len(params["p0"]) == params["channels"],
-             "p0 length must equal channels")
+def _fp_rules(params: dict) -> None:
     _require(all(0.0 < x < 1.0 for x in params["p0"]),
              "fp needs p0 strictly inside the simplex")
-    _require(params["resolution"] >= 4, "resolution must be at least 4")
-    _require(params["width_cells"] > 0, "width_cells must be positive")
     _require(0.0 < params["f_init"] < 1.0,
              "f_init must lie strictly in (0, 1)")
     _require(0 < params["dt_fraction"] <= 1.0,
@@ -623,18 +577,12 @@ def _validate_fp(params: dict) -> dict:
              "snapshot_every must be nonnegative")
     _require(params["current_every"] >= 1,
              "current_every must be at least 1")
-    return params
 
 
-def _validate_compare(params: dict) -> dict:
-    _check_slips(params)
-    _check_grid(params)
-    _check_p0(params)
-    _require(len(params["p0"]) in (2, 3),
-             "compare supports two or three channels")
+def _compare_rules(params: dict) -> None:
     _require(all(0.0 < x < 1.0 for x in params["p0"]),
              "compare needs p0 strictly inside the simplex")
-    if _seed_region_keys(params):
+    if _numbered_keys(params, "seed_region"):
         raise ConfigError(
             "compare requires the uniform f_init background, "
             "not seed regions"
@@ -646,27 +594,23 @@ def _validate_compare(params: dict) -> dict:
             "compare requires advance_fields = false: the diffusion "
             "solver assumes the frozen uniform background"
         )
-    _require(params["dt"] > 0, "dt must be positive")
     _require(params["t_final"] >= params["dt"],
              "t_final must cover at least one step")
-    _require(params["resolution"] >= 4, "resolution must be at least 4")
-    _require(params["width_cells"] > 0, "width_cells must be positive")
     _require(0 < params["dt_fraction"] <= 1.0,
              "dt_fraction must lie in (0, 1]")
     _require(params["n_runs"] >= 100,
              "compare needs at least 100 runs for a meaningful histogram")
     _require(params["boundary_cells"] >= 1,
              "boundary_cells must be at least 1")
-    return params
 
 
-_VALIDATORS = {
-    "exact": _validate_exact,
-    "wave": _validate_wave,
-    "collapse": _validate_collapse,
-    "fp": _validate_fp,
-    "sweep": _validate_collapse,
-    "compare": _validate_compare,
+_MODE_RULES = {
+    "exact": _exact_rules,
+    "wave": _wave_rules,
+    "collapse": _check_regions,
+    "fp": _fp_rules,
+    "sweep": _check_regions,
+    "compare": _compare_rules,
 }
 
 
@@ -676,8 +620,6 @@ def _build(mode: str, make):
     """Run a constructor, converting its ValueErrors into ConfigErrors."""
     try:
         return make()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid {mode} parameters: {exc}") from None
 
@@ -687,17 +629,23 @@ def build_lattice_model(config: ExperimentConfig) -> LatticeModel:
     tracks = tuple(
         p[f"track_{k}"] for k in range(1, p["channels"] + 1)
     )
-    return _build("exact", lambda: LatticeModel(
-        sites=p["sites"],
-        atoms=p["atoms"],
-        channels=p["channels"],
-        hop_amplitude=p["hop_amplitude"],
-        u_strength=p["u_strength"],
-        v_strength=p["v_strength"],
-        a_tracks=tracks,
-        bosonic=p["bosonic"],
-        cross_channel_coupling=p["cross_channel_coupling"],
-    ))
+
+    def make():
+        model = LatticeModel(
+            sites=p["sites"],
+            atoms=p["atoms"],
+            channels=p["channels"],
+            hop_amplitude=p["hop_amplitude"],
+            u_strength=p["u_strength"],
+            v_strength=p["v_strength"],
+            a_tracks=tracks,
+            bosonic=p["bosonic"],
+            cross_channel_coupling=p["cross_channel_coupling"],
+        )
+        check_basis_size(model)  # the run's LatticeBasis would refuse it
+        return model
+
+    return _build("exact", make)
 
 
 def build_wave_setup(config: ExperimentConfig):
@@ -708,25 +656,21 @@ def build_wave_setup(config: ExperimentConfig):
         kin = KineticParams(lam=p["lam"], tau=p["tau"])
         grid = Grid(extent=p["extent"], spacing=p["spacing"])
         grid.check_resolution(kin)
-        box = p["seed_region"]
-        region = tuple(
-            (box[2 * a], box[2 * a + 1]) for a in range(grid.dims)
-        )
+        region = _box_pairs(p["seed_region"])
         f = seed_field(grid, region, inside=p["inside"])
         return kin, grid, f
 
     return _build("wave", make)
 
 
-def _regions_from_params(params: dict, dims: int):
-    keys = _seed_region_keys(params)
-    if not keys:
-        return None
-    out = []
-    for key in keys:
-        box = params[key]
-        out.append(tuple((box[2 * a], box[2 * a + 1]) for a in range(dims)))
-    return tuple(out)
+def _box_pairs(box: tuple) -> tuple:
+    """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box."""
+    return tuple(zip(box[0::2], box[1::2]))
+
+
+def _regions_from_params(params: dict):
+    keys = _numbered_keys(params, "seed_region")
+    return tuple(_box_pairs(params[k]) for k in keys) or None
 
 
 def _slip_params(params: dict) -> SlipParams:
@@ -756,7 +700,7 @@ def build_collapse_setup(
             p0=p["p0"],
             dt=p["dt"],
             max_steps=p["max_steps"] if max_steps is None else max_steps,
-            seed_regions=_regions_from_params(p, grid.dims),
+            seed_regions=_regions_from_params(p),
             f_init=p["f_init"],
             advance_fields=p["advance_fields"],
             record_every=p["record_every"],
@@ -782,10 +726,10 @@ def build_fp_setup(config: ExperimentConfig):
     def make():
         grid = SimplexGrid(channels=p["channels"],
                            resolution=p["resolution"])
-        summary = _uniform_summary(p, p["channels"])
-        slips = _slip_params(p)
         density = FPDensity.near_delta(grid, np.asarray(p["p0"]),
                                        width_cells=p["width_cells"])
+        summary = _uniform_summary(p, p["channels"])
+        slips = _slip_params(p)
         bound = stable_step(grid, summary, slips)
         dt = p["dt_fraction"] * bound if np.isfinite(bound) else p["tau"]
         return grid, density, summary, slips, dt
@@ -803,7 +747,6 @@ def build_compare_setup(config: ExperimentConfig):
     p = config.params
 
     def make():
-        n_mc = max(1, int(round(p["t_final"] / p["dt"])))
         kin = KineticParams(lam=p["lam"], tau=p["tau"])
         grid = Grid(extent=p["extent"], spacing=p["spacing"])
         setup = CollapseSetup(
@@ -812,10 +755,13 @@ def build_compare_setup(config: ExperimentConfig):
             grid=grid,
             p0=p["p0"],
             dt=p["dt"],
-            max_steps=n_mc,
+            max_steps=1,
             f_init=p["f_init"],
             advance_fields=False,
         )
+        # dt is known positive only once CollapseSetup has checked it
+        n_mc = max(1, int(round(p["t_final"] / p["dt"])))
+        setup = replace(setup, max_steps=n_mc)
         channels = len(p["p0"])
         sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
         summary = _uniform_summary(p, channels)

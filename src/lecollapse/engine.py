@@ -81,15 +81,18 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def probability_vector(p) -> np.ndarray:
-    """Validate and return a channel probability vector as float64."""
+def probability_vector(p, name: str = "probabilities") -> np.ndarray:
+    """Validate and return a channel probability vector as float64.
+
+    ``name`` is how error messages refer to the vector, e.g. ``"p0"``.
+    """
     arr = np.asarray(getattr(p, "p", p), dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("probabilities must form a nonempty 1d vector")
+        raise ValueError(f"{name} must form a nonempty 1d vector")
     if (arr < 0.0).any():
-        raise ValueError("probabilities must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if abs(arr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {arr.sum()!r}")
+        raise ValueError(f"{name} must sum to 1, got {float(arr.sum())!r}")
     return arr
 
 
@@ -104,9 +107,9 @@ class SlipParams:
     rate_calibration scales the slip rate per cell (an order-of-magnitude
     knob, see the module docstring) and absorb_floor is the probability
     below which a channel is treated as reaching exactly zero: jumps are
-    multiplicative near the boundary, so a literal zero is unreachable and
-    the floor sets the resolution of the final jump. The Born bias this
-    introduces is at most the floor itself.
+    multiplicative near the boundary, so a literal zero is unreachable, the
+    floor must be positive, and it sets the resolution of the final jump.
+    The Born bias this introduces is at most the floor itself.
     """
 
     w: float
@@ -138,8 +141,8 @@ class SlipParams:
             raise ValueError(f"n_c = {self.n_c} must be at least 1")
         if self.rate_calibration <= 0:
             raise ValueError("rate_calibration must be positive")
-        if not 0.0 <= self.absorb_floor < 1.0:
-            raise ValueError("absorb_floor must lie in [0, 1)")
+        if not 0.0 < self.absorb_floor < 1.0:
+            raise ValueError("absorb_floor must lie strictly between 0 and 1")
 
     @property
     def cell_volume(self) -> float:
@@ -437,9 +440,9 @@ class CollapseSetup:
     record_every: int = 0
 
     def __post_init__(self):
-        p0 = probability_vector(np.asarray(self.p0, dtype=np.float64))
+        p0 = probability_vector(self.p0, "p0")
         if p0.size < 2:
-            raise ValueError("collapse needs at least two channels")
+            raise ValueError("p0 needs at least two channels")
         object.__setattr__(self, "p0", tuple(float(x) for x in p0))
         if abs(self.kinetics.lam - self.slips.lam) > 1e-12 * self.kinetics.lam:
             raise ValueError("kinetics and slips disagree on lam")
@@ -448,8 +451,11 @@ class CollapseSetup:
         self.grid.check_resolution(self.kinetics)
         if (self.seed_regions is None) == (self.f_init is None):
             raise ValueError("give either seed_regions or f_init, not both")
-        if self.seed_regions is not None and len(self.seed_regions) != p0.size:
-            raise ValueError("need one seed region per channel")
+        if self.seed_regions is not None:
+            if len(self.seed_regions) != p0.size:
+                raise ValueError("need one seed region per channel")
+            # seed_field rejects a region that covers no cell, now, not mid-run
+            self.initial_fields()
         if self.f_init is not None and not 0.0 <= self.f_init <= 1.0:
             raise ValueError("f_init must lie in [0, 1]")
         if self.max_steps < 1:

@@ -32,6 +32,7 @@ __all__ = [
     "UndefinedProbabilityError",
     "ContagionMatrices",
     "LatticeModel",
+    "check_basis_size",
     "LatticeBasis",
     "BranchState",
     "BranchHamiltonian",
@@ -183,6 +184,17 @@ def _digit_table(n_values: int, width: int) -> np.ndarray:
     return digits
 
 
+def check_basis_size(
+    model: LatticeModel, cap: int = DEFAULT_BASIS_CAP
+) -> None:
+    """Raise BasisSizeError if the model's branch basis would exceed ``cap``."""
+    if model.basis_size > cap:
+        raise BasisSizeError(
+            f"basis size {model.basis_size} (sites^atoms * "
+            f"(channels+1)^atoms) exceeds the cap {cap}"
+        )
+
+
 class LatticeBasis:
     """Product basis of atom configurations times le words.
 
@@ -192,10 +204,7 @@ class LatticeBasis:
     """
 
     def __init__(self, model: LatticeModel, cap: int = DEFAULT_BASIS_CAP):
-        if model.basis_size > cap:
-            raise BasisSizeError(
-                f"basis size {model.basis_size} exceeds the cap {cap}"
-            )
+        check_basis_size(model, cap)
         self.model = model
         n = model.atoms
         self.config_digits = _digit_table(model.sites, n)

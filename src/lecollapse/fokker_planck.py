@@ -129,9 +129,10 @@ class SimplexGrid:
 
     def __post_init__(self):
         if self.channels not in (2, 3):
-            raise ValueError("solver supports two or three channels")
+            raise ValueError("channels must be 2 or 3: the solver supports "
+                             "two or three channels")
         if self.resolution < 4:
-            raise ValueError("need at least 4 cells per axis")
+            raise ValueError("resolution must be at least 4 cells per axis")
 
     @property
     def dims(self) -> int:
@@ -204,9 +205,11 @@ class FPDensity:
     @classmethod
     def near_delta(cls, grid: SimplexGrid, p0, width_cells: float = 2.0):
         """Narrow Gaussian bump around p0, normalized to unit mass."""
-        p0 = probability_vector(p0)
+        p0 = probability_vector(p0, "p0")
         if p0.size != grid.channels:
             raise ValueError("p0 does not match the grid's channel count")
+        if width_cells <= 0:
+            raise ValueError("width_cells must be positive")
         sigma = width_cells * grid.spacing
         x = grid.centers()
         if grid.dims == 1:

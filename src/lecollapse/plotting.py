@@ -3,9 +3,9 @@
 Four plot kinds cover the artifact's outputs: field profiles over
 position, front trajectories over time, channel-probability walks over
 time, and the solved density against a Monte Carlo histogram. The SVG is
-assembled by hand from the parsed CSV text with fixed layout and fixed
-number formatting, so a given payload always yields the same bytes; no
-drawing library, no fonts to rasterize, nothing to install.
+assembled by hand from a CSV payload's header and rows with fixed layout
+and fixed number formatting, so a given payload always yields the same
+bytes; no drawing library, no fonts to rasterize, nothing to install.
 
 Series are drawn as ``<path>`` elements; an empty payload still draws the
 frame and ticks but no paths. In a p-trajectory, a channel's series stops
@@ -15,8 +15,6 @@ the flat tail would only hide when the channel died.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 __all__ = ["PlotSchemaError", "PLOT_KINDS", "emit_plot"]
@@ -38,25 +36,6 @@ _PALETTE = (
 
 class PlotSchemaError(ValueError):
     """The CSV payload does not carry the columns the plot kind needs."""
-
-
-def _parse_csv(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise PlotSchemaError("empty CSV payload: no header row")
-    header = [c.strip() for c in rows[0]]
-    data = []
-    for r in rows[1:]:
-        if len(r) != len(header):
-            raise PlotSchemaError(
-                f"row with {len(r)} cells under a {len(header)}-column header"
-            )
-        try:
-            data.append([float(c) for c in r])
-        except ValueError:
-            raise PlotSchemaError(f"non-numeric cell in row {r}") from None
-    return header, data
 
 
 def _column(header, data, name, kind):
@@ -135,14 +114,15 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def emit_plot(data: str, kind: str) -> str:
+def emit_plot(header, rows, kind: str) -> str:
     """Render a CSV payload as a self-contained SVG document.
 
-    ``data`` is the CSV text (header row plus numeric rows); ``kind``
-    selects the column schema. Missing columns raise PlotSchemaError
-    naming the column. The output is byte-deterministic for fixed input.
+    ``header`` names the columns and ``rows`` holds the numeric rows, as
+    passed to ``runner.format_csv``; ``kind`` selects the column schema.
+    Missing columns raise PlotSchemaError naming the column. The output is
+    byte-deterministic for fixed input.
     """
-    header, rows = _parse_csv(data)
+    rows = [[float(v) for v in row] for row in rows]
     series, x_title, y_title = _series_for(kind, header, rows)
 
     x_lo, x_hi = _data_range([x for _, xs, _ in series for x in xs])

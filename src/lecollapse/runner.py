@@ -151,9 +151,8 @@ def write_json(path, obj) -> None:
 class _Job:
     """One experiment's output directory plus format gating.
 
-    The CSV helper always builds the text (the SVG emitter consumes it
-    even when csv output is switched off) and writes it only when the
-    format is requested.
+    Each helper builds its file's text only when that format is requested;
+    the SVG emitter takes the same header and rows as the CSV helper.
     """
 
     def __init__(self, config: ExperimentConfig, out: Path):
@@ -167,11 +166,9 @@ class _Job:
         path.write_text(text, encoding="utf-8")
         self.files.append(path)
 
-    def csv(self, name: str, header, rows) -> str:
-        text = format_csv(header, rows)
+    def csv(self, name: str, header, rows) -> None:
         if "csv" in self.config.formats:
-            self._record(name, text)
-        return text
+            self._record(name, format_csv(header, rows))
 
     def json(self, name: str, obj) -> None:
         if "json" in self.config.formats:
@@ -179,9 +176,9 @@ class _Job:
                 name, json.dumps(obj, indent=2, sort_keys=True) + "\n"
             )
 
-    def svg(self, name: str, csv_text: str, kind: str) -> None:
+    def svg(self, name: str, header, rows, kind: str) -> None:
         if "svg" in self.config.formats:
-            self._record(name, emit_plot(csv_text, kind))
+            self._record(name, emit_plot(header, rows, kind))
 
 
 # ---------------------------------------------------------------- drivers
@@ -264,18 +261,16 @@ def _run_wave(job: _Job) -> str:
         if step % p["record_every"] == 0 or step == n_steps:
             sample(step)
 
-    front_text = job.csv(
-        "front.csv", ["time", "position", "width", "speed_estimate"], rows
-    )
+    front_header = ["time", "position", "width", "speed_estimate"]
+    job.csv("front.csv", front_header, rows)
 
     coords = grid.axis_coords(0)
     profile = f
     if grid.dims > 1:
         center = tuple(s // 2 for s in grid.shape[1:])
         profile = f[(slice(None),) + center]
-    profile_text = job.csv(
-        "profile.csv", ["position", "f"], list(zip(coords, profile))
-    )
+    profile_rows = list(zip(coords, profile))
+    job.csv("profile.csv", ["position", "f"], profile_rows)
 
     summary = {
         "dt": dt,
@@ -304,8 +299,8 @@ def _run_wave(job: _Job) -> str:
         summary["fit_note"] = str(exc)
     job.json("speed.json", summary)
 
-    job.svg("front.svg", front_text, "front-trajectory")
-    job.svg("profile.svg", profile_text, "field-profile")
+    job.svg("front.svg", front_header, rows, "front-trajectory")
+    job.svg("profile.svg", ["position", "f"], profile_rows, "field-profile")
     return "success"
 
 
@@ -331,10 +326,9 @@ def _single_collapse(job: _Job, seed: int, suffix: str = "") -> RunResult:
     if result.trajectory is not None:
         channels = len(result.p0)
         header = ["time"] + [f"p_{k}" for k in range(1, channels + 1)]
-        text = job.csv(
-            f"trajectory{suffix}.csv", header, result.trajectory.tolist()
-        )
-        job.svg(f"trajectory{suffix}.svg", text, "p-trajectory")
+        rows = result.trajectory.tolist()
+        job.csv(f"trajectory{suffix}.csv", header, rows)
+        job.svg(f"trajectory{suffix}.svg", header, rows, "p-trajectory")
     return result
 
 
@@ -418,7 +412,7 @@ def _run_fp(job: _Job) -> str:
             job.csv(f"density_{step:06d}.csv", header, rows)
 
     header, rows = _density_rows(density, grid)
-    density_text = job.csv("density.csv", header, rows)
+    job.csv("density.csv", header, rows)
     job.csv(
         "current.csv",
         ["time", "boundary_current", "mass", "clamped"],
@@ -438,7 +432,7 @@ def _run_fp(job: _Job) -> str:
         "boundary_current_final": currents[-1][1],
     })
     if grid.dims == 1:
-        job.svg("density.svg", density_text, "histogram-vs-density")
+        job.svg("density.svg", header, rows, "histogram-vs-density")
     return "success"
 
 
@@ -479,7 +473,7 @@ def _run_compare(job: _Job) -> str:
                 if valid[i, j]:
                     rows.append([x[i], x[j],
                                  density.phi[i, j], hist[i, j]])
-    hist_text = job.csv("histogram.csv", header, rows)
+    job.csv("histogram.csv", header, rows)
 
     job.json("comparison.json", {
         "total_variation": comparison.total_variation,
@@ -498,7 +492,7 @@ def _run_compare(job: _Job) -> str:
         "fp_clamped": density.clamped,
     })
     if sgrid.dims == 1:
-        job.svg("histogram.svg", hist_text, "histogram-vs-density")
+        job.svg("histogram.svg", header, rows, "histogram-vs-density")
     return "success"
 
 

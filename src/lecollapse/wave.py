@@ -89,7 +89,7 @@ class Grid:
         ))
         object.__setattr__(self, "extent", ext)
         if not 1 <= len(ext) <= 3:
-            raise ValueError("grid must have one, two or three axes")
+            raise ValueError("extent must have one, two or three axes")
         if self.spacing <= 0 or any(e <= 0 for e in ext):
             raise ValueError("extent and spacing must be positive")
         for e in ext:
@@ -166,7 +166,7 @@ def seed_field(grid: Grid, region, inside: float = 1.0) -> np.ndarray:
     if not mask.any():
         raise SeedingError("seed region covers no grid cell")
     if not 0.0 <= inside <= 1.0:
-        raise ValueError("seed level must lie in [0, 1]")
+        raise ValueError("inside must lie in [0, 1]")
     out = np.zeros(grid.shape)
     out[mask] = inside
     return out

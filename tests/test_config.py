@@ -1,5 +1,7 @@
 """Config parsing, validation, derived quantities and hashing."""
 
+import re
+
 import pytest
 
 from lecollapse.config import (
@@ -13,6 +15,7 @@ from lecollapse.config import (
     build_wave_setup,
     load_config,
 )
+from lecollapse.engine import SlipParams
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -285,6 +288,82 @@ def test_fp_resolution_floor():
 def test_fp_channels_limited_to_two_or_three():
     with pytest.raises(ConfigError, match="channels"):
         load_config(overrides={"mode": "fp", "channels": "4", "p0": "0.25,0.25,0.25,0.25"})
+
+
+# Each row is a single-value check that a domain constructor makes during
+# the load-time build; the config must still report it as a ConfigError
+# that names the key, never as a bare ZeroDivisionError or the like.
+CONSTRUCTOR_CHECKS = [
+    ("wave", {"tau": "0"}, "tau"),
+    ("wave", {"lam": "-1"}, "lam"),
+    ("collapse", {"spacing": "0"}, "spacing"),
+    ("wave", {"extent": "0"}, "extent"),
+    ("collapse", {"extent": "8,8,8,8"}, "extent"),
+    ("compare", {"dt": "0"}, "dt"),
+    ("collapse", {"dt": "-0.1"}, "dt"),
+    ("collapse", {"w": "0.5"}, "w"),  # above 4/(3 pi)
+    ("fp", {"n_a": "0"}, "n_a"),
+    ("collapse", {"rate_calibration": "0"}, "rate_calibration"),
+    ("collapse", {"absorb_floor": "0"}, "absorb_floor"),
+    ("compare", {"absorb_floor": "1"}, "absorb_floor"),
+    ("collapse", {"p0": "0.3,0.3"}, "p0"),
+    ("collapse", {"p0": "1.0"}, "p0"),
+    ("sweep", {"p0": "-0.5,1.5"}, "p0"),
+    ("fp", {"channels": "3"}, "p0"),  # default p0 has two entries
+    ("fp", {"resolution": "2"}, "resolution"),
+    ("compare", {"resolution": "3"}, "resolution"),
+    ("fp", {"width_cells": "0"}, "width_cells"),
+    ("collapse", {"max_steps": "0"}, "max_steps"),
+    ("collapse", {"record_every": "-1"}, "record_every"),
+    ("collapse", {"f_init": "1.5"}, "f_init"),
+    ("wave", {"inside": "1.5"}, "inside"),
+    ("exact", {"sites": "0"}, "sites"),
+    ("exact", {"atoms": "0"}, "atoms"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,override,key", CONSTRUCTOR_CHECKS,
+    ids=[f"{m}-" + ",".join(f"{k}={v}" for k, v in o.items())
+         for m, o, _ in CONSTRUCTOR_CHECKS],
+)
+def test_constructor_checks_are_config_errors_naming_the_key(
+    mode, override, key
+):
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides={"mode": mode, **override})
+    assert re.search(rf"\b{key}\b", str(info.value)), str(info.value)
+
+
+def test_zero_absorb_floor_is_rejected():
+    # jumps are multiplicative, so a floor of exactly 0 is never reached
+    with pytest.raises(ValueError, match="absorb_floor"):
+        SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0, absorb_floor=0.0)
+    with pytest.raises(ConfigError, match="absorb_floor"):
+        load_config(overrides={"mode": "collapse", "absorb_floor": "0"})
+
+
+def test_exact_basis_over_the_cap_is_rejected_at_load():
+    # 8^6 configurations times 2^6 words = 16 777 216 > 2^20 basis states
+    with pytest.raises(ConfigError, match="basis size 16777216"):
+        load_config(overrides={"mode": "exact", "sites": "8", "atoms": "6"})
+
+
+def test_region_covering_no_cell_is_rejected_at_load():
+    # (0, 0.1) fits the extent but holds no cell center at spacing 0.25
+    with pytest.raises(ConfigError, match="covers no grid cell"):
+        load_config(
+            overrides={
+                "mode": "collapse",
+                "seed_region_1": "0,0.1",
+                "seed_region_2": "28,32",
+            }
+        )
+
+
+def test_unparsable_trajectory_is_a_config_error():
+    with pytest.raises(ConfigError, match="trajectory"):
+        load_config(overrides={"mode": "collapse", "trajectory": "maybe"})
 
 
 # --- hashing and canonical source ---
