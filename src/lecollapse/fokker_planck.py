@@ -7,7 +7,7 @@ dependent diffusion coefficients
     d/dt Phi = sum_jk  d^2/dp_j dp_k [ M_jk(p) Phi ],
 
 where M is built from the same field overlap integrals the slip rates use.
-Because M vanishes quadratically at the simplex boundary, the continuum
+Because M vanishes linearly at the simplex boundary, the continuum
 density never actually reaches it: boundary currents decay as the density
 piles up nearby, so a diffusion description cannot produce definite
 outcomes. The discrete walk, whose jumps are small but finite, crosses the
@@ -26,6 +26,7 @@ defaults to the mean combination. ``diffusion_coefficients`` exposes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +48,9 @@ __all__ = [
     "HistogramComparison",
     "compare_histogram",
 ]
+
+
+MAX_RESOLUTION = 1000
 
 
 class ComparisonError(ValueError):
@@ -97,7 +101,7 @@ def diffusion_coefficients(
     matrix is exactly (W s / tau N_c^2)(diag(p) - p p^T), positive
     semidefinite on the whole simplex; the module docstring explains why
     the sum variant is offered but not used by the solver. Every entry
-    vanishes quadratically as p approaches a vertex or an edge.
+    vanishes linearly as p approaches a vertex or an edge.
     """
     p = probability_vector(p)
     if summary.channels != p.size:
@@ -121,7 +125,8 @@ class SimplexGrid:
     Two channels leave one coordinate p_1 in [0, 1]; three channels leave
     (p_1, p_2) on the triangle p_1 + p_2 <= 1, discretized on the square
     with only the cells whose center satisfies the constraint marked
-    valid. ``resolution`` counts cells per axis.
+    valid. ``resolution`` counts cells per axis, at most MAX_RESOLUTION,
+    so a two-dimensional density array stays at 8 MB.
     """
 
     channels: int
@@ -133,6 +138,9 @@ class SimplexGrid:
                              "two or three channels")
         if self.resolution < 4:
             raise ValueError("resolution must be at least 4 cells per axis")
+        if self.resolution > MAX_RESOLUTION:
+            raise ValueError(f"resolution must be at most {MAX_RESOLUTION} "
+                             "cells per axis")
 
     @property
     def dims(self) -> int:
@@ -150,11 +158,18 @@ class SimplexGrid:
         return (np.arange(self.resolution) + 0.5) * self.spacing
 
     def valid(self) -> np.ndarray:
-        """Mask of cells whose center lies inside the simplex."""
+        """Mask of cells whose center lies inside the simplex (read-only)."""
+        return self._valid
+
+    @cached_property
+    def _valid(self) -> np.ndarray:
         if self.dims == 1:
-            return np.ones(self.shape, dtype=bool)
-        x = self.centers()
-        return x[:, None] + x[None, :] < 1.0
+            mask = np.ones(self.shape, dtype=bool)
+        else:
+            x = self.centers()
+            mask = x[:, None] + x[None, :] < 1.0
+        mask.setflags(write=False)
+        return mask
 
     def full_point(self, indices) -> np.ndarray:
         """Channel probabilities at a cell center (last channel closed)."""
@@ -182,9 +197,10 @@ class FPDensity:
         self.phi = np.asarray(self.phi, dtype=np.float64)
         if self.phi.shape != self.grid.shape:
             raise ValueError(f"phi must have shape {self.grid.shape}")
-        if (self.phi < 0).any():
+        if np.count_nonzero(self.phi < 0):
             raise ValueError("density must be nonnegative")
-        if not self.grid.valid().all() and self.phi[~self.grid.valid()].any():
+        if self.grid.dims == 2 and np.count_nonzero(
+                self.phi[~self.grid.valid()]):
             raise ValueError("density must vanish outside the simplex")
 
     @property
@@ -266,34 +282,133 @@ def _reduced_coefficients(
     )
 
 
-def _step_bound_1d(grid, a11) -> float:
-    x = grid.centers()
-    amax = float(np.max(a11(x)))
-    if amax <= 0:
-        return np.inf
-    return grid.spacing**2 / (2.0 * amax)
+@dataclass(frozen=True)
+class _Operator:
+    """The parts of the explicit scheme fixed by (grid, summary, params).
+
+    ``coeffs`` holds the centre coefficients, (a11,) in one dimension and
+    (q11, q22, q12) in two, zeroed outside the triangle, and ``bound`` is
+    the step bound. The 2D masks are floats, 1.0 where a face (per axis)
+    or a corner lies inside the triangle and 0.0 elsewhere.
+    Each term of boundary_current is q Phi at an inner cell minus q Phi
+    at the outer cell next to it, over h, with q11 for a step along axis
+    0 and q22 along axis 1. ``current_inner``/``current_outer`` hold the
+    flat cells and ``current_c_inner``/``current_c_outer`` the
+    coefficients there. The first ``current_edges[0]`` terms form the
+    p_1 = 0 row, the terms up to ``current_edges[1]`` the p_2 = 0 column,
+    and the rest are the hypotenuse terms in the order they are summed.
+    Every array is read-only.
+    """
+
+    coeffs: tuple[np.ndarray, ...]
+    bound: float
+    invalid: np.ndarray | None = None
+    faces: tuple[np.ndarray, ...] = ()
+    corners: np.ndarray | None = None
+    current_inner: np.ndarray | None = None
+    current_outer: np.ndarray | None = None
+    current_c_inner: np.ndarray | None = None
+    current_c_outer: np.ndarray | None = None
+    current_edges: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
 
 
-def _step_bound_2d(grid, q11, q22, q12) -> float:
+def _operator(
+    grid: SimplexGrid, summary: FieldSummary, params: SlipParams
+) -> _Operator:
+    """The operator for this grid and coefficient set, built once."""
+    if summary.channels != grid.channels:
+        raise ValueError("summary and grid disagree on channel count")
+    return _cached_operator(grid, summary.overlap.tobytes(), params)
+
+
+# the key holds every input the operator depends on, so a hit is always
+# what a fresh build would give; a run needs one entry, and a second lets
+# a script alternate between two coefficient sets without rebuilding
+@lru_cache(maxsize=2)
+def _cached_operator(
+    grid: SimplexGrid, overlap: bytes, params: SlipParams
+) -> _Operator:
+    closures = _reduced_coefficients(
+        grid, FieldSummary(np.frombuffer(overlap)), params
+    )
     x = grid.centers()
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    total = np.abs(q11(xx, yy)) + np.abs(q22(xx, yy)) + 2 * np.abs(q12(xx, yy))
-    amax = float(total.max())
-    if amax <= 0:
-        return np.inf
-    return grid.spacing**2 / (2.0 * amax)
+    if grid.dims == 1:
+        coeffs = (closures[0](x),)
+        rate = coeffs[0]
+    else:
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        coeffs = tuple(q(xx, yy) for q in closures)
+        # the bound spans the whole square: it is taken before the cells
+        # outside the triangle are zeroed below
+        rate = np.abs(coeffs[0]) + np.abs(coeffs[1]) + 2 * np.abs(coeffs[2])
+    amax = float(rate.max())
+    bound = np.inf if amax <= 0 else grid.spacing**2 / (2.0 * amax)
+    if grid.dims == 1:
+        return _Operator(coeffs=coeffs, bound=bound)
+
+    valid = grid.valid()
+    invalid = ~valid
+    for q in coeffs:
+        q[invalid] = 0.0
+    faces = (valid[1:, :] & valid[:-1, :], valid[:, 1:] & valid[:, :-1])
+    corners = faces[0][:, 1:] & faces[0][:, :-1]
+
+    # boundary_current's terms. The p_1 = 0 row and the p_2 = 0 column
+    # take the first interior face. On the hypotenuse, a valid cell whose
+    # +x (+y) neighbour leaves the triangle and whose -x (-y) neighbour
+    # is valid takes the face one further in; sorting on 2 * cell + axis
+    # puts these in i-major cell order, +x before +y.
+    r = grid.resolution
+    cell = np.arange(r * r).reshape(r, r)
+    step = np.array([r, 1])  # flat offset to the +x and +y neighbours
+    rows, cols = faces[0][0, :], faces[1][:, 0]
+    edge = np.concatenate((cell[0, rows], cell[cols, 0]))
+    edge_axis = np.repeat([0, 1], [rows.sum(), cols.sum()])
+    hyp_x, hyp_y = _last_before_exit(valid), _last_before_exit(valid.T).T
+    hyp = np.concatenate((cell[hyp_x], cell[hyp_y]))
+    hyp_axis = np.repeat([0, 1], [hyp_x.sum(), hyp_y.sum()])
+    order = np.argsort(2 * hyp + hyp_axis)
+    hyp, hyp_axis = hyp[order], hyp_axis[order]
+    outer = np.concatenate((edge, hyp))
+    inner = np.concatenate((edge + step[edge_axis], hyp - step[hyp_axis]))
+    # q11 and q22 stacked, so axis * r * r + cell picks a term's coefficient
+    stacked = np.concatenate((coeffs[0].ravel(), coeffs[1].ravel()))
+    offset = np.concatenate((edge_axis, hyp_axis)) * r * r
+    return _Operator(
+        coeffs=coeffs,
+        bound=bound,
+        invalid=invalid,
+        faces=tuple(f.astype(np.float64) for f in faces),
+        corners=corners.astype(np.float64),
+        current_inner=inner,
+        current_outer=outer,
+        current_c_inner=stacked[offset + inner],
+        current_c_outer=stacked[offset + outer],
+        current_edges=(int(rows.sum()), edge.size),
+    )
+
+
+def _last_before_exit(valid: np.ndarray) -> np.ndarray:
+    """Valid cells whose +1 neighbour along axis 0 is invalid or off the
+    grid and whose -1 neighbour is valid."""
+    after = np.zeros_like(valid)
+    after[:-1] = valid[1:]
+    before = np.zeros_like(valid)
+    before[1:] = valid[:-1]
+    return valid & ~after & before
 
 
 def stable_step(
     grid: SimplexGrid, summary: FieldSummary, params: SlipParams
 ) -> float:
     """Largest dt fp_step accepts for this grid and coefficient set."""
-    if summary.channels != grid.channels:
-        raise ValueError("summary and grid disagree on channel count")
-    coeffs = _reduced_coefficients(grid, summary, params)
-    if grid.dims == 1:
-        return _step_bound_1d(grid, *coeffs)
-    return _step_bound_2d(grid, *coeffs)
+    return _operator(grid, summary, params).bound
 
 
 def fp_step(
@@ -314,56 +429,40 @@ def fp_step(
     clamped and the removed mass accumulated in ``clamped``.
     """
     grid = density.grid
-    if summary.channels != grid.channels:
-        raise ValueError("summary and grid disagree on channel count")
+    op = _operator(grid, summary, params)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    coeffs = _reduced_coefficients(grid, summary, params)
+    if dt > op.bound * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt = {dt} exceeds the diffusion bound {op.bound}"
+        )
     h = grid.spacing
     phi = density.phi
 
     if grid.dims == 1:
-        (a11,) = coeffs
-        bound = _step_bound_1d(grid, a11)
-        if dt > bound * (1.0 + 1e-12):
-            raise StabilityError(
-                f"dt = {dt} exceeds the diffusion bound {bound}"
-            )
-        x = grid.centers()
-        g = a11(x) * phi
+        g = op.coeffs[0] * phi
         # interior faces between cells i and i+1; boundary faces at the
         # simplex edge carry no flux because a vanishes there
         flux = (g[1:] - g[:-1]) / h
-        dphi = np.zeros_like(phi)
+        dphi = np.zeros(phi.shape)
         dphi[:-1] += flux
         dphi[1:] -= flux
         new = phi + dt * dphi / h
     else:
-        q11, q22, q12 = coeffs
-        bound = _step_bound_2d(grid, q11, q22, q12)
-        if dt > bound * (1.0 + 1e-12):
-            raise StabilityError(
-                f"dt = {dt} exceeds the diffusion bound {bound}"
-            )
-        x = grid.centers()
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        valid = grid.valid()
-        g1 = q11(xx, yy) * phi
-        g2 = q22(xx, yy) * phi
-        g12 = q12(xx, yy) * phi
-        g1[~valid] = 0.0
-        g2[~valid] = 0.0
-        g12[~valid] = 0.0
-        dphi = np.zeros_like(phi)
+        q11, q22, q12 = op.coeffs
+        g1 = q11 * phi
+        g2 = q22 * phi
+        g12 = q12 * phi
+        dphi = np.zeros(phi.shape)
         # second differences along each axis, flux form; faces touching a
         # cell outside the triangle carry no flux (the normal coefficient
         # vanishes on the hypotenuse), which keeps every boundary closed
         flux = (g1[1:, :] - g1[:-1, :]) / h
-        flux *= valid[1:, :] & valid[:-1, :]
+        flux *= op.faces[0]
         dphi[:-1, :] += flux
         dphi[1:, :] -= flux
         flux = (g2[:, 1:] - g2[:, :-1]) / h
-        flux *= valid[:, 1:] & valid[:, :-1]
+        flux *= op.faces[1]
         dphi[:, :-1] += flux
         dphi[:, 1:] -= flux
         # mixed term 2 d1 d2 (q12 Phi) via corner fluxes: each corner
@@ -373,21 +472,19 @@ def fp_step(
         corner = 0.25 * (
             g12[1:, 1:] + g12[1:, :-1] + g12[:-1, 1:] + g12[:-1, :-1]
         )
-        corner *= (
-            valid[1:, 1:] & valid[1:, :-1] & valid[:-1, 1:] & valid[:-1, :-1]
-        )
-        mixed = np.zeros_like(phi)
+        corner *= op.corners
+        mixed = np.zeros(phi.shape)
         mixed[:-1, :-1] += corner
         mixed[1:, 1:] += corner
         mixed[:-1, 1:] -= corner
         mixed[1:, :-1] -= corner
         dphi += 2.0 * mixed / h
         new = phi + dt * dphi / h
-        new[~valid] = 0.0
+        new[op.invalid] = 0.0
 
     clamped = density.clamped
     neg = new < 0.0
-    if neg.any():
+    if np.count_nonzero(neg):
         # the mixed stencil can push sharply curved cells slightly
         # negative; clip and rescale so the repair stays mass neutral
         clamped += float(-new[neg].sum() * h**grid.dims)
@@ -412,41 +509,27 @@ def boundary_current(
     boundary, the signature that diffusion alone never absorbs.
     """
     grid = density.grid
-    if summary.channels != grid.channels:
-        raise ValueError("summary and grid disagree on channel count")
-    coeffs = _reduced_coefficients(grid, summary, params)
+    op = _operator(grid, summary, params)
     h = grid.spacing
     phi = density.phi
-    x = grid.centers()
     if grid.dims == 1:
-        (a11,) = coeffs
-        g = a11(x) * phi
+        g = op.coeffs[0] * phi
         # physical flux J = -d/dp [a Phi]; its outward component at each
         # edge, estimated at the innermost face (the boundary face itself
         # carries exactly zero in the scheme)
         left = (g[1] - g[0]) / h
         right = (g[-2] - g[-1]) / h
         return float(left + right)
-    q11, q22, q12 = coeffs
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    g1 = q11(xx, yy) * phi
-    g2 = q22(xx, yy) * phi
-    valid = grid.valid()
-    g1[~valid] = 0.0
-    g2[~valid] = 0.0
-    r = grid.resolution
-    total = 0.0
-    rows = valid[0, :] & valid[1, :]
-    total += float(((g1[1, rows] - g1[0, rows]) / h).sum())
-    cols = valid[:, 0] & valid[:, 1]
-    total += float(((g2[cols, 1] - g2[cols, 0]) / h).sum())
-    # hypotenuse faces: valid cells whose +x or +y neighbor leaves the
-    # triangle; estimate the normal current one face further in
-    for i, j in np.argwhere(valid):
-        if (i + 1 == r or not valid[i + 1, j]) and i >= 1 and valid[i - 1, j]:
-            total += (g1[i - 1, j] - g1[i, j]) / h
-        if (j + 1 == r or not valid[i, j + 1]) and j >= 1 and valid[i, j - 1]:
-            total += (g2[i, j - 1] - g2[i, j]) / h
+    flat = phi.ravel()
+    terms = (op.current_c_inner * flat[op.current_inner]
+             - op.current_c_outer * flat[op.current_outer]) / h
+    row, col = op.current_edges
+    # the two straight edges sum pairwise, then the hypotenuse terms add
+    # one at a time in cell order (add.accumulate is strictly sequential)
+    total = np.add.accumulate(np.concatenate((
+        [0.0, float(terms[:row].sum()), float(terms[row:col].sum())],
+        terms[col:],
+    )))[-1]
     return float(total * h ** (grid.dims - 1))
 
 

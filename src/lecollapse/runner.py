@@ -379,18 +379,21 @@ def _run_sweep(job: _Job) -> str:
     return "success"
 
 
-def _density_rows(density, grid):
-    if grid.dims == 1:
-        x = grid.centers()
-        return ["p_1", "density"], list(zip(x, density.phi))
+def _cell_table(grid, **values):
+    """Header and rows over the valid cells of a simplex grid, i-major.
+
+    Each row holds the cell's center coordinates p_1 (and p_2), then the
+    value of each named array at that cell.
+    """
     x = grid.centers()
-    valid = grid.valid()
-    rows = []
-    for i in range(grid.resolution):
-        for j in range(grid.resolution):
-            if valid[i, j]:
-                rows.append([x[i], x[j], density.phi[i, j]])
-    return ["p_1", "p_2", "density"], rows
+    if grid.dims == 1:
+        coords = [x]
+    else:
+        i, j = np.nonzero(grid.valid())
+        coords = [x[i], x[j]]
+        values = {name: v[i, j] for name, v in values.items()}
+    header = [f"p_{k}" for k in range(1, grid.dims + 1)] + list(values)
+    return header, np.column_stack(coords + list(values.values())).tolist()
 
 
 def _run_fp(job: _Job) -> str:
@@ -401,6 +404,8 @@ def _run_fp(job: _Job) -> str:
         return [d.time, boundary_current(d, summary, slips),
                 d.mass, d.clamped]
 
+    started = time.perf_counter()
+    writing = 0.0  # snapshot writes inside the loop count as "write"
     currents = [current_row(density)]
     for step in range(1, p["n_steps"] + 1):
         density = fp_step(density, summary, slips, dt)
@@ -408,10 +413,14 @@ def _run_fp(job: _Job) -> str:
             currents.append(current_row(density))
         if p["snapshot_every"] and step % p["snapshot_every"] == 0 \
                 and step != p["n_steps"]:
-            header, rows = _density_rows(density, grid)
+            mark = time.perf_counter()
+            header, rows = _cell_table(grid, density=density.phi)
             job.csv(f"density_{step:06d}.csv", header, rows)
+            writing += time.perf_counter() - mark
+    mark = time.perf_counter()
+    job.clocks["solve"] = mark - started - writing
 
-    header, rows = _density_rows(density, grid)
+    header, rows = _cell_table(grid, density=density.phi)
     job.csv("density.csv", header, rows)
     job.csv(
         "current.csv",
@@ -433,6 +442,7 @@ def _run_fp(job: _Job) -> str:
     })
     if grid.dims == 1:
         job.svg("density.svg", header, rows, "histogram-vs-density")
+    job.clocks["write"] = writing + time.perf_counter() - mark
     return "success"
 
 
@@ -460,19 +470,7 @@ def _run_compare(job: _Job) -> str:
     absorbed = sum(1 for r in ensemble.results if r.status == "collapsed")
 
     hist = ensemble_histogram(list(probs), sgrid)
-    if sgrid.dims == 1:
-        header = ["p_1", "density", "histogram"]
-        rows = list(zip(sgrid.centers(), density.phi, hist))
-    else:
-        header = ["p_1", "p_2", "density", "histogram"]
-        x = sgrid.centers()
-        valid = sgrid.valid()
-        rows = []
-        for i in range(sgrid.resolution):
-            for j in range(sgrid.resolution):
-                if valid[i, j]:
-                    rows.append([x[i], x[j],
-                                 density.phi[i, j], hist[i, j]])
+    header, rows = _cell_table(sgrid, density=density.phi, histogram=hist)
     job.csv("histogram.csv", header, rows)
 
     job.json("comparison.json", {

@@ -12,6 +12,7 @@ position, width and speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ class SeedingError(ValueError):
     """A seed region misses the grid entirely."""
 
 
+MAX_CELLS = 2**20
+
+
 @dataclass(frozen=True)
 class KineticParams:
     """Mean free path and mean free time of the carrier gas.
@@ -78,7 +82,10 @@ class KineticParams:
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered box grid, one to three axes, uniform spacing."""
+    """Cell-centered box grid, one to three axes, uniform spacing.
+
+    At most MAX_CELLS cells in all: a field array then stays at 8 MiB.
+    """
 
     extent: tuple[float, ...]
     spacing: float
@@ -99,6 +106,12 @@ class Grid:
                     f"extent {e} must be an integral multiple (>= 4) of "
                     f"spacing {self.spacing}"
                 )
+        cells = math.prod(round(e / self.spacing) for e in ext)
+        if cells > MAX_CELLS:
+            raise ValueError(
+                f"extent {ext} at spacing {self.spacing} gives {cells} "
+                f"cells, more than the {MAX_CELLS} a grid may hold"
+            )
 
     @property
     def dims(self) -> int:

@@ -319,6 +319,14 @@ CONSTRUCTOR_CHECKS = [
     ("wave", {"inside": "1.5"}, "inside"),
     ("exact", {"sites": "0"}, "sites"),
     ("exact", {"atoms": "0"}, "atoms"),
+    # grids too large to allocate: caps in Grid and SimplexGrid
+    ("wave", {"extent": "1e9"}, "extent"),
+    ("wave", {"spacing": "1e-12"}, "spacing"),
+    ("fp", {"extent": "1e9"}, "extent"),
+    ("compare", {"spacing": "1e-12"}, "spacing"),
+    ("fp", {"channels": "3", "p0": "0.2,0.3,0.5", "resolution": "100000"},
+     "resolution"),
+    ("compare", {"resolution": "1001"}, "resolution"),
 ]
 
 

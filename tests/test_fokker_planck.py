@@ -1,5 +1,7 @@
 """Simplex diffusion coefficients and the Fokker-Planck solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lecollapse.fokker_planck import (
     fp_step,
     stable_step,
 )
+from lecollapse.fokker_planck import _cached_operator, _reduced_coefficients
 from lecollapse.wave import Grid, ScalarFieldSet, StabilityError
 
 
@@ -131,6 +134,16 @@ def test_coefficient_guards():
 
 
 # --- grids and densities ---
+
+
+def test_valid_mask_is_read_only():
+    grid = SimplexGrid(channels=3, resolution=8)
+    mask = grid.valid()
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = False
+    assert grid.valid()[0, 0]
+    assert not SimplexGrid(channels=2, resolution=8).valid().flags.writeable
 
 
 def test_triangle_mask_counts_cells():
@@ -271,6 +284,101 @@ def test_three_channel_boundary_current_is_finite():
         density = fp_step(density, s, params, 0.002)
     j = boundary_current(density, s, params)
     assert np.isfinite(j)
+
+
+def boundary_current_loop(density, summary, params):
+    """Per-cell loop definition of boundary_current, kept as the reference."""
+    grid = density.grid
+    coeffs = _reduced_coefficients(grid, summary, params)
+    h = grid.spacing
+    phi = density.phi
+    x = grid.centers()
+    if grid.dims == 1:
+        (a11,) = coeffs
+        g = a11(x) * phi
+        left = (g[1] - g[0]) / h
+        right = (g[-2] - g[-1]) / h
+        return float(left + right)
+    q11, q22, q12 = coeffs
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    g1 = q11(xx, yy) * phi
+    g2 = q22(xx, yy) * phi
+    valid = grid.valid()
+    g1[~valid] = 0.0
+    g2[~valid] = 0.0
+    r = grid.resolution
+    total = 0.0
+    rows = valid[0, :] & valid[1, :]
+    total += float(((g1[1, rows] - g1[0, rows]) / h).sum())
+    cols = valid[:, 0] & valid[:, 1]
+    total += float(((g2[cols, 1] - g2[cols, 0]) / h).sum())
+    for i, j in np.argwhere(valid):
+        if (i + 1 == r or not valid[i + 1, j]) and i >= 1 and valid[i - 1, j]:
+            total += (g1[i - 1, j] - g1[i, j]) / h
+        if (j + 1 == r or not valid[i, j + 1]) and j >= 1 and valid[i, j - 1]:
+            total += (g2[i, j - 1] - g2[i, j]) / h
+    return float(total * h ** (grid.dims - 1))
+
+
+@pytest.mark.parametrize("channels", [2, 3])
+@pytest.mark.parametrize("resolution", [4, 7, 24, 60, 61])
+def test_boundary_current_matches_the_loop_bit_for_bit(channels, resolution):
+    params = desk_params()
+    grid = SimplexGrid(channels=channels, resolution=resolution)
+    rng = np.random.default_rng(resolution)
+    s = FieldSummary(rng.uniform(100.0, 500.0, size=channels))
+    # an irregular density makes every face term nonzero, so a term taken
+    # from the wrong cell or added in another order changes the bits
+    phi = rng.random(grid.shape)
+    phi[~grid.valid()] = 0.0
+    density = FPDensity(grid, phi)
+    dt = 0.5 * stable_step(grid, s, params)
+    for _ in range(3):
+        assert boundary_current(density, s, params).hex() == \
+            boundary_current_loop(density, s, params).hex()
+        density = fp_step(density, s, params, dt)
+
+
+def test_interleaved_coefficient_sets_step_as_if_run_alone():
+    base = desk_params()
+    pairs = [
+        (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base),
+        (FieldSummary(np.array([150.0, 220.0, 90.0])), base),
+        # same summary, changed w: must never reuse the w = 0.4 operator
+        (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])),
+         dataclasses.replace(base, w=0.2)),
+    ]
+    grid = SimplexGrid(channels=3, resolution=24)
+    start = FPDensity.near_delta(grid, (0.2, 0.3, 0.5))
+    dt = 0.5 * min(stable_step(grid, s, p) for s, p in pairs)
+
+    def run(states, order):
+        currents = []
+        for k in order:
+            s, p = pairs[k]
+            states[k] = fp_step(states[k], s, p, dt)
+            currents.append((k, boundary_current(states[k], s, p)))
+        return currents
+
+    alone = {}
+    currents_alone = []
+    for k in range(len(pairs)):
+        _cached_operator.cache_clear()
+        states = {k: start}
+        currents_alone += run(states, [k] * 20)
+        alone[k] = states[k]
+    _cached_operator.cache_clear()
+    states = dict.fromkeys(range(len(pairs)), start)
+    # alternating two sets reuses cached operators; each switch of block
+    # evicts one, and the last block follows w = 0.4 with w = 0.2
+    currents_mixed = run(states, [0, 1] * 10 + [1, 2] * 10 + [0, 2] * 10)
+    for k in range(len(pairs)):
+        assert states[k].phi.tobytes() == alone[k].phi.tobytes()
+        assert [c for i, c in currents_mixed if i == k] == \
+            [c for i, c in currents_alone if i == k]
+    assert states[0].phi.tobytes() != states[2].phi.tobytes()
+    assert stable_step(grid, *pairs[2]) == pytest.approx(
+        2.0 * stable_step(grid, *pairs[0]), rel=1e-12)
 
 
 # --- histogram comparison ---
