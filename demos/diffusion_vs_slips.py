@@ -20,7 +20,6 @@ import numpy as np
 
 from lecollapse.engine import (
     CollapseSetup,
-    ScalarFieldSet,
     SlipParams,
     SmallNumbersWarning,
     run_ensemble,
@@ -35,7 +34,7 @@ from lecollapse.fokker_planck import (
     fp_step,
     stable_step,
 )
-from lecollapse.wave import Grid, KineticParams
+from lecollapse.wave import Grid, KineticParams, ScalarFieldSet
 
 # aggregated-slip regime is intentional here, as in the other demos
 warnings.filterwarnings("ignore", category=SmallNumbersWarning)

@@ -36,6 +36,7 @@ from lecollapse.wave import (
     FrontUndefinedError,
     Grid,
     KineticParams,
+    ScalarFieldSet,
     StabilityError,
     front_position,
     front_speed,
@@ -48,15 +49,11 @@ from lecollapse.engine import (
     DegenerateStateError,
     EnsembleResult,
     RunResult,
-    ScalarFieldSet,
     SlipParams,
     SmallNumbersWarning,
-    apply_slips,
     born_statistics,
     run_collapse,
     run_ensemble,
-    sample_slips,
-    theoretical_moments,
 )
 from lecollapse.fokker_planck import (
     FPDensity,

@@ -19,13 +19,14 @@ point, which is what the diffusion-limit comparison uses.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
-from lecollapse.wave import Grid, KineticParams, ScalarFieldSet, cell_averages
+from lecollapse.wave import Grid, KineticParams, cell_averages
 from lecollapse.wave import laplacian as _laplacian
 from lecollapse.wave import seed_field
 
@@ -37,11 +38,7 @@ __all__ = [
     "philox_stream",
     "probability_vector",
     "SlipParams",
-    "SlipEvent",
     "slip_delta",
-    "sample_slips",
-    "apply_slips",
-    "theoretical_moments",
     "variance_matched_rate_scale",
     "CollapseSetup",
     "RunResult",
@@ -89,6 +86,8 @@ def probability_vector(p, name: str = "probabilities") -> np.ndarray:
     arr = np.asarray(getattr(p, "p", p), dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must form a nonempty 1d vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative")
     if abs(arr.sum() - 1.0) > 1e-9:
@@ -122,8 +121,9 @@ class SlipParams:
     w_ceiling: float = W_CEILING
 
     def __post_init__(self):
-        if self.tau <= 0 or self.lam <= 0 or self.n_a <= 0:
-            raise ValueError("tau, lam and n_a must be positive")
+        # range checks are written so that NaN fails them too
+        if not all(0.0 < x < math.inf for x in (self.tau, self.lam, self.n_a)):
+            raise ValueError("tau, lam and n_a must be positive and finite")
         if not 0.0 < self.w <= self.w_ceiling + 1e-12:
             raise ValueError(
                 f"w = {self.w} outside (0, {self.w_ceiling}]; the ceiling "
@@ -132,15 +132,15 @@ class SlipParams:
         derived = self.n_a * self.lam**3
         if self.n_c is None:
             object.__setattr__(self, "n_c", derived)
-        elif abs(self.n_c - derived) > 1e-9 * derived:
+        elif not abs(self.n_c - derived) <= 1e-9 * derived:
             raise ValueError(
                 f"inconsistent n_c: got {self.n_c}, but N_c = n_a*lam^3 "
                 f"= {derived}"
             )
-        if self.n_c < 1.0:
+        if not self.n_c >= 1.0:
             raise ValueError(f"n_c = {self.n_c} must be at least 1")
-        if self.rate_calibration <= 0:
-            raise ValueError("rate_calibration must be positive")
+        if not 0.0 < self.rate_calibration < math.inf:
+            raise ValueError("rate_calibration must be positive and finite")
         if not 0.0 < self.absorb_floor < 1.0:
             raise ValueError("absorb_floor must lie strictly between 0 and 1")
 
@@ -152,22 +152,6 @@ class SlipParams:
     def collision_rate_per_cell(self) -> float:
         """Incoherent pair-collision rate per cell, n_a lam^3 / (2 tau)."""
         return self.n_a * self.cell_volume / (2.0 * self.tau)
-
-
-@dataclass(frozen=True)
-class SlipEvent:
-    """One Poisson batch of identical slips in a cell."""
-
-    cell: int
-    channel: int
-    sign: int
-    count: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
 
 
 def slip_delta(p, j: int, f_j: float, f_0: float, params: SlipParams,
@@ -202,12 +186,6 @@ def slip_delta(p, j: int, f_j: float, f_0: float, params: SlipParams,
                 break
             delta[last] -= resid
     return delta
-
-
-def _cell_fractions(fields: ScalarFieldSet, params: SlipParams):
-    """Block means of f_k and f_0 over lam-sized sampling cells."""
-    f_cells, f0_cells = fields.cell_means(params.lam)
-    return f_cells, np.clip(f0_cells, 0.0, 1.0)
 
 
 def _slip_rates(f_cells, f0_cells, params: SlipParams, dt: float):
@@ -294,110 +272,6 @@ def _slip_step(p, g, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return q, delta
 
 
-def sample_slips(
-    fields: ScalarFieldSet,
-    p,
-    params: SlipParams,
-    dt: float,
-    rng: np.random.Generator,
-) -> list[SlipEvent]:
-    """Draw the slip events of one time step.
-
-    Each (cell, channel, sign) stream is an independent Poisson draw with
-    mean collision_rate_per_cell * rate_calibration * dt * f_j f_0 * W/2,
-    evaluated on the cell means of the fields; the two signs carry equal
-    rates. Absorbed channels are excluded. Events are returned sorted by
-    (cell, channel, sign). A mean above 0.1 triggers SmallNumbersWarning:
-    the rare-event magnification argument needs mu well below 1.
-    """
-    p = probability_vector(p)
-    if fields.channels != p.size:
-        raise ValueError("fields and probabilities disagree on channel count")
-    if not 0.0 < dt <= params.tau:
-        raise ValueError(f"dt must lie in (0, tau], got {dt}")
-    f_cells, f0_cells = _cell_fractions(fields, params)
-    mu, _ = _slip_rates(f_cells, f0_cells, params, dt)
-    mu[p == 0.0, :] = 0.0
-    if mu.size and mu.max() > 0.1:
-        warnings.warn(
-            f"Poisson mean {mu.max():.3g} exceeds 0.1; reduce dt to stay "
-            f"in the rare-event regime",
-            SmallNumbersWarning,
-            stacklevel=2,
-        )
-    # (cell, channel, sign) layout so the event list sorts naturally
-    draws = rng.poisson(np.stack([mu.T, mu.T], axis=-1))
-    events = []
-    for cell, ch, s in np.argwhere(draws):
-        events.append(
-            SlipEvent(
-                cell=int(cell),
-                channel=int(ch),
-                sign=1 if s == 0 else -1,
-                count=int(draws[cell, ch, s]),
-            )
-        )
-    return events
-
-
-def apply_slips(
-    p, events, fields: ScalarFieldSet, params: SlipParams
-) -> np.ndarray:
-    """Accumulate count-weighted slip deltas into ``p``.
-
-    All deltas are evaluated at the incoming ``p``, through the same
-    update as the trajectory loop (``_slip_step``): the summed delta is
-    exactly zero-sum, a channel driven to or below the absorption floor
-    becomes exactly 0 and the survivors are renormalized, and channels at
-    0 stay at 0 exactly.
-    """
-    p = probability_vector(p)
-    if not events:
-        return p.copy()
-    f_cells, f0_cells = _cell_fractions(fields, params)
-    _, amp = _slip_rates(f_cells, f0_cells, params, dt=0.0)
-    g = np.zeros_like(p)
-    for ev in events:
-        g[ev.channel] += ev.sign * ev.count * amp[ev.channel, ev.cell]
-    q, _ = _slip_step(p[None], g[None], params.absorb_floor)
-    return q[0]
-
-
-def theoretical_moments(
-    p,
-    fields: ScalarFieldSet,
-    params: SlipParams,
-    dt: float,
-    pair_combination: str = "sum",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step second moments of the slip-driven probability increments.
-
-    Returns the variance vector
-    var_j = W p_j (1 - p_j) (dt / tau) s_j / N_c^2
-    and the covariance matrix with off-diagonal entries
-    cov_jk = -W p_j p_k (dt / tau) s_jk / N_c^2,
-    where s_j is the grid sum standing for the integral of n_a f_j f_0
-    (atoms per cell times the sum of cell products) and s_jk combines the
-    two channel integrals. ``pair_combination`` selects s_jk = s_j + s_k
-    ("sum", the combination as displayed) or (s_j + s_k)/2 ("mean", the
-    zero-sum-consistent variant; see fokker_planck for why the diffusion
-    matrix uses it). The covariance diagonal carries the variances.
-    """
-    p = probability_vector(p)
-    if pair_combination not in ("sum", "mean"):
-        raise ValueError("pair_combination must be 'sum' or 'mean'")
-    f_cells, f0_cells = _cell_fractions(fields, params)
-    overlap = params.n_c * (f_cells * f0_cells[None, :]).sum(axis=1)
-    scale = params.w * (dt / params.tau) / params.n_c**2
-    var = scale * p * (1.0 - p) * overlap
-    pair = overlap[:, None] + overlap[None, :]
-    if pair_combination == "mean":
-        pair = 0.5 * pair
-    cov = -scale * np.outer(p, p) * pair
-    np.fill_diagonal(cov, var)
-    return var, cov
-
-
 def variance_matched_rate_scale(
     params: SlipParams, channels: int, f_ref: float = 0.4, f0_ref: float = 0.6
 ) -> float:
@@ -458,7 +332,7 @@ class CollapseSetup:
             self.initial_fields()
         if self.f_init is not None and not 0.0 <= self.f_init <= 1.0:
             raise ValueError("f_init must lie in [0, 1]")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
         if not 0.0 < self.dt <= self.slips.tau:
             raise ValueError("dt must lie in (0, tau]")
@@ -469,7 +343,7 @@ class CollapseSetup:
                 "dt exceeds the monotone field-step bound "
                 f"{self.grid.monotone_limit(self.kinetics)}"
             )
-        if self.record_every < 0:
+        if not self.record_every >= 0:
             raise ValueError("record_every must be nonnegative")
 
     @property
@@ -507,12 +381,39 @@ class EnsembleResult:
 
 
 def _cell_means(f, p, grid: Grid, lam: float):
-    """Cell means of the channel fields and of the unentangled fraction."""
+    """Cell means of the channel fields and of the unentangled fraction.
+
+    ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K); returns
+    f_cells of shape (runs, K, cells) and f0_cells of shape (runs, cells),
+    with f0 = 1 - sum_k p_k f_k averaged per cell and clipped to [0, 1].
+    This is the only place the slip rates and the Fokker-Planck overlaps
+    get their cell means from.
+    """
     f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
     return (
         cell_averages(f, grid, lam),
         np.clip(cell_averages(f0, grid, lam), 0.0, 1.0),
     )
+
+
+def _field_step(f, p, grid: Grid, kin: KineticParams, dt: float):
+    """One explicit step of every run's coupled channel fields.
+
+    ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K). Each f_k
+    diffuses and grows at f_k f0 / tau with its run's unentangled fraction
+    f0 = 1 - sum_k p_k f_k, so channels compete for the same untouched
+    atoms; the result is clamped to [0, 1]. Channels at p_k = 0 (absorbed)
+    keep their fields. The caller keeps dt within the monotone bound.
+    """
+    f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
+    lap = _laplacian(f, grid.spacing, axes=tuple(range(2, 2 + grid.dims)))
+    growth = f * f0[:, None] / kin.tau
+    new_f = np.clip(f + dt * (kin.d_coeff * lap + growth), 0.0, 1.0)
+    frozen = p == 0.0
+    if frozen.any():
+        keep = frozen.reshape(frozen.shape + (1,) * grid.dims)
+        new_f = np.where(keep, f, new_f)
+    return new_f
 
 
 def _evolve_batch(
@@ -524,12 +425,15 @@ def _evolve_batch(
 ) -> EnsembleResult:
     """Shared trajectory loop; active runs are compacted as they absorb.
 
-    With advancing fields every (run, channel, cell, sign) takes its own
-    Poisson draw. With frozen fields the per-cell rates never change, so
+    Each step advances the fields (``_field_step``), works out the slip
+    rates from their cell means (``_cell_means``, ``_slip_rates``), draws
+    per-cell Poisson counts of both signs (``_draw_kicks``) and updates p
+    (``_slip_step``). With advancing fields every (run, channel, cell,
+    sign) takes its own Poisson draw. With frozen fields the per-cell rates never change, so
     they are worked out once and cells with identical (f_cell, f0_cell)
     share one draw per (run, channel, sign) (``_grouped_rates``): a uniform
     background needs one draw instead of one per cell, with the same law.
-    Both paths update p through ``_slip_step``.
+    Absorbed channels get a zero mean, so they draw no slips.
 
     Dropping absorbed rows changes the shapes of later Poisson draws, so
     the stream of random numbers depends on (setup, seed, n_runs) as a
@@ -544,7 +448,6 @@ def _evolve_batch(
     winner = np.full(n_runs, -1, dtype=np.int64)
     t_abs = np.full(n_runs, np.nan)
     slip_counts = np.zeros(n_runs, dtype=np.int64)
-    spatial = tuple(range(2, 2 + grid.dims))
     if setup.advance_fields:
         f = np.broadcast_to(base[None], (n_runs,) + base.shape).copy()
         mult = 1
@@ -564,17 +467,7 @@ def _evolve_batch(
     while step < setup.max_steps and p.shape[0]:
         step += 1
         if setup.advance_fields:
-            f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
-            lap = _laplacian(f, grid.spacing, axes=spatial)
-            growth = f * f0[:, None] / kin.tau
-            new_f = np.clip(
-                f + setup.dt * (kin.d_coeff * lap + growth), 0.0, 1.0
-            )
-            frozen = p == 0.0
-            if frozen.any():
-                keep = frozen.reshape(frozen.shape + (1,) * grid.dims)
-                new_f = np.where(keep, f, new_f)
-            f = new_f
+            f = _field_step(f, p, grid, kin, setup.dt)
             f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
             mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
         mu = np.where((p == 0.0)[:, :, None], 0.0, mu_base)

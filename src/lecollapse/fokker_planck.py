@@ -30,8 +30,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from lecollapse.engine import SlipParams, probability_vector
-from lecollapse.wave import ScalarFieldSet, StabilityError, cell_averages
+from lecollapse.engine import SlipParams, _cell_means, probability_vector
+from lecollapse.wave import ScalarFieldSet, StabilityError
 
 __all__ = [
     "ComparisonError",
@@ -80,11 +80,16 @@ class FieldSummary:
 
 
 def field_summary(fields: ScalarFieldSet, params: SlipParams) -> FieldSummary:
-    """Reduce a field configuration to its overlap integrals."""
-    f_cells = cell_averages(fields.f, fields.grid, params.lam)
-    f0_cells = np.clip(cell_averages(fields.f0, fields.grid, params.lam),
-                       0.0, 1.0)
-    return FieldSummary(params.n_c * (f_cells * f0_cells[None, :]).sum(axis=1))
+    """Reduce a field configuration to its overlap integrals.
+
+    The cell means are the engine's (``_cell_means``), so the overlaps
+    see exactly the cells the slip rates see.
+    """
+    f_cells, f0_cells = _cell_means(fields.f[None], fields.p_ref[None],
+                                    fields.grid, params.lam)
+    return FieldSummary(
+        params.n_c * (f_cells[0] * f0_cells[0][None, :]).sum(axis=1)
+    )
 
 
 def diffusion_coefficients(

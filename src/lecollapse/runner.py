@@ -202,6 +202,7 @@ def _run_exact(job: _Job) -> str:
         norm = float(np.linalg.norm(reconstruct_standard(s)))
         return [s.time, norm, h.hermitian_defect, *occ, cross]
 
+    started = time.perf_counter()
     rows = [row(state)]
     done = 0
     while done < n_steps:
@@ -209,6 +210,8 @@ def _run_exact(job: _Job) -> str:
         state = evolve(state, h, dt, steps=chunk)
         done += chunk
         rows.append(row(state))
+    mark = time.perf_counter()
+    job.clocks["solve"] = mark - started
 
     job.csv("scalars.csv", header, rows)
     job.json("summary.json", {
@@ -226,6 +229,7 @@ def _run_exact(job: _Job) -> str:
         "occupations_final": rows[-1][3:3 + model.channels + 1],
         "cross_term_final": rows[-1][-1],
     })
+    job.clocks["write"] = time.perf_counter() - mark
     return "success"
 
 
@@ -255,11 +259,14 @@ def _run_wave(job: _Job) -> str:
         times.append(t)
         rows.append([t, pos, width, speed])
 
+    started = time.perf_counter()
     sample(0)
     for step in range(1, n_steps + 1):
         f = kpp_step(f, grid, kin, dt)
         if step % p["record_every"] == 0 or step == n_steps:
             sample(step)
+    mark = time.perf_counter()
+    job.clocks["solve"] = mark - started
 
     front_header = ["time", "position", "width", "speed_estimate"]
     job.csv("front.csv", front_header, rows)
@@ -301,6 +308,7 @@ def _run_wave(job: _Job) -> str:
 
     job.svg("front.svg", front_header, rows, "front-trajectory")
     job.svg("profile.svg", ["position", "f"], profile_rows, "field-profile")
+    job.clocks["write"] = time.perf_counter() - mark
     return "success"
 
 

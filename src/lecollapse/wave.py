@@ -5,9 +5,11 @@ carrying a given le index obeys a reaction-diffusion equation: collisions
 diffuse the index with D = lam^2 / (6 tau) and spread it at rate
 f (1 - f) / tau, a Fisher-KPP equation whose pulled front travels at
 2 sqrt(D / tau) = lam sqrt(2/3) / tau once the transient has died out.
-The module integrates that equation (and its multi-channel coupled
-variant) with an explicit scheme on a box grid, and measures front
-position, width and speed.
+The module integrates that equation with an explicit scheme on a box
+grid and measures front position, width and speed. The coupled
+multi-channel step, where every channel grows into the common unentangled
+fraction f0 = 1 - sum_k p_k f_k, lives in ``engine`` (``_field_step``),
+because it needs the channel probabilities p as they evolve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "seed_field",
     "laplacian",
     "kpp_step",
-    "coupled_step",
     "cell_averages",
     "cell_counts",
     "front_position",
@@ -64,8 +65,8 @@ class KineticParams:
     tau: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.tau <= 0:
-            raise ValueError("lam and tau must be positive")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.tau < math.inf):
+            raise ValueError("lam and tau must be positive and finite")
 
     @property
     def d_coeff(self) -> float:
@@ -97,8 +98,8 @@ class Grid:
         object.__setattr__(self, "extent", ext)
         if not 1 <= len(ext) <= 3:
             raise ValueError("extent must have one, two or three axes")
-        if self.spacing <= 0 or any(e <= 0 for e in ext):
-            raise ValueError("extent and spacing must be positive")
+        if not all(0.0 < x < math.inf for x in (self.spacing, *ext)):
+            raise ValueError("extent and spacing must be positive and finite")
         for e in ext:
             n = e / self.spacing
             if abs(n - round(n)) > 1e-9 or round(n) < 4:
@@ -247,7 +248,9 @@ class ScalarFieldSet:
 
     f has shape (channels,) + grid.shape and every value lies in [0, 1];
     p_ref is the channel probability vector used to form the unentangled
-    fraction f0 = 1 - sum_k p_k f_k.
+    fraction f0 = 1 - sum_k p_k f_k. It is a validated snapshot of a field
+    configuration, which ``fokker_planck.field_summary`` reduces to overlap
+    integrals; trajectories evolve raw arrays in ``engine`` instead.
     """
 
     grid: Grid
@@ -263,57 +266,11 @@ class ScalarFieldSet:
             )
         if self.p_ref.shape != (self.f.shape[0],):
             raise ValueError("need one reference probability per channel")
-        if (self.p_ref < 0).any() or abs(self.p_ref.sum() - 1.0) > 1e-9:
+        if not ((self.p_ref >= 0).all()
+                and abs(self.p_ref.sum() - 1.0) <= 1e-9):
             raise ValueError("p_ref must be a probability vector")
-        if (self.f < -1e-12).any() or (self.f > 1.0 + 1e-12).any():
+        if not ((self.f >= -1e-12) & (self.f <= 1.0 + 1e-12)).all():
             raise ValueError("field values must lie in [0, 1]")
-
-    @property
-    def channels(self) -> int:
-        return self.f.shape[0]
-
-    @property
-    def f0(self) -> np.ndarray:
-        return 1.0 - np.einsum("k,k...->...", self.p_ref, self.f)
-
-    def cell_means(self, lam: float):
-        """Block means of (f, f0) over lam-sized cells, memoized per lam.
-
-        Valid only while f and p_ref are left unmodified; field evolution
-        always builds a new ScalarFieldSet, so downstream per-event
-        sampling may call this every step at no cost.
-        """
-        cache = self.__dict__.setdefault("_cell_means", {})
-        got = cache.get(lam)
-        if got is None:
-            got = (
-                cell_averages(self.f, self.grid, lam),
-                cell_averages(self.f0, self.grid, lam),
-            )
-            cache[lam] = got
-        return got
-
-
-def coupled_step(
-    fields: ScalarFieldSet, params: KineticParams, dt: float
-) -> ScalarFieldSet:
-    """Advance every live channel field by one explicit step.
-
-    Each f_k diffuses and grows at f_k f0 / tau with the current common
-    unentangled fraction f0 = 1 - sum p_k f_k, so channels compete for the
-    same untouched atoms. Channels whose reference probability is exactly 0
-    (absorbed) are frozen in place.
-    """
-    _check_step(fields.grid, params, dt)
-    f0 = fields.f0
-    spatial = tuple(range(1, fields.f.ndim))
-    rate = params.d_coeff * laplacian(fields.f, fields.grid.spacing, axes=spatial)
-    rate += fields.f * f0[None] / params.tau
-    new_f = np.clip(fields.f + dt * rate, 0.0, 1.0)
-    frozen = fields.p_ref == 0.0
-    if frozen.any():
-        new_f[frozen] = fields.f[frozen]
-    return ScalarFieldSet(fields.grid, new_f, fields.p_ref)
 
 
 def cell_counts(grid: Grid, lam: float) -> tuple[int, ...]:

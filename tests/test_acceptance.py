@@ -19,15 +19,14 @@ from scipy.linalg import expm
 from lecollapse.config import load_config
 from lecollapse.engine import (
     CollapseSetup,
-    ScalarFieldSet,
     SlipParams,
+    _cell_means,
     _draw_kicks,
     _grouped_rates,
     _slip_step,
     estimate_collapse_time,
     run_ensemble,
     slip_delta,
-    theoretical_moments,
     variance_matched_rate_scale,
 )
 from lecollapse.exact import (
@@ -42,6 +41,7 @@ from lecollapse.exact import (
 from lecollapse.fokker_planck import (
     FPDensity,
     SimplexGrid,
+    diffusion_coefficients,
     edge_mass,
     field_summary,
     fp_step,
@@ -51,6 +51,7 @@ from lecollapse.runner import run_experiment
 from lecollapse.wave import (
     Grid,
     KineticParams,
+    ScalarFieldSet,
     front_position,
     front_speed,
     front_width,
@@ -372,8 +373,8 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     dt = 1.2e-5
     n = 1_000_000
     chunk = 50_000
-    f_cells, f0_cells = fields.cell_means(params.lam)
-    mu, amp, _ = _grouped_rates(f_cells, f0_cells, params, dt)
+    f_cells, f0_cells = _cell_means(fields.f[None], p[None], grid, params.lam)
+    mu, amp, _ = _grouped_rates(f_cells[0], f0_cells[0], params, dt)
     mu = np.broadcast_to(mu, (chunk,) + mu.shape)
     rows = np.tile(p, (chunk, 1))
     rng = np.random.default_rng(2028)
@@ -390,7 +391,12 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     mean = s / n
     var_mc = s2 / n - mean * mean
     cov_mc = s01 / n - mean[0] * mean[1]
-    var_th, cov_th = theoretical_moments(p, fields, params, dt)
+    # per-step moments: dt times the diffusion matrix with face-value pair
+    # sums, the combination the closed form displays
+    cov_th = dt * diffusion_coefficients(
+        p, field_summary(fields, params), params, pair_combination="sum"
+    )
+    var_th = np.diag(cov_th)
     rel = np.abs(var_mc - var_th) / var_th
     elapsed = time.perf_counter() - t0
     ok = (

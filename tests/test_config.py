@@ -327,6 +327,12 @@ CONSTRUCTOR_CHECKS = [
     ("fp", {"channels": "3", "p0": "0.2,0.3,0.5", "resolution": "100000"},
      "resolution"),
     ("compare", {"resolution": "1001"}, "resolution"),
+    # an infinite extent used to escape as a bare OverflowError
+    ("wave", {"extent": "inf"}, "extent"),
+    ("collapse", {"spacing": "inf"}, "spacing"),
+    ("collapse", {"tau": "inf"}, "tau"),
+    ("wave", {"lam": "inf"}, "lam"),
+    ("collapse", {"rate_calibration": "inf"}, "rate_calibration"),
 ]
 
 

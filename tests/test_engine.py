@@ -6,30 +6,29 @@ import warnings
 import numpy as np
 import pytest
 
+import lecollapse.engine as engine
 from lecollapse.engine import (
     AggregationError,
     CollapseSetup,
     RunResult,
-    SlipEvent,
     SlipParams,
     SmallNumbersWarning,
     W_CEILING,
     _cell_means,
+    _draw_kicks,
     _grouped_rates,
     _slip_rates,
     _slip_step,
-    apply_slips,
     born_statistics,
     estimate_collapse_time,
     philox_stream,
     probability_vector,
     run_collapse,
     run_ensemble,
-    sample_slips,
     slip_delta,
-    theoretical_moments,
     variance_matched_rate_scale,
 )
+from lecollapse.fokker_planck import diffusion_coefficients, field_summary
 from lecollapse.wave import Grid, KineticParams, ScalarFieldSet
 
 
@@ -99,6 +98,34 @@ def test_slip_delta_rejects_bad_arguments():
         slip_delta((0.5, 0.6), 0, 0.5, 0.5, params, 1)
 
 
+NAN = float("nan")
+
+NON_FINITE = {
+    "tau=nan": lambda: desk_params(tau=NAN),
+    "lam=nan": lambda: desk_params(lam=NAN),
+    "n_a=nan": lambda: desk_params(n_a=NAN),
+    "n_c=nan": lambda: desk_params(n_c=NAN),
+    "rate_calibration=nan": lambda: desk_params(rate_calibration=NAN),
+    "rate_calibration=inf": lambda: desk_params(rate_calibration=np.inf),
+    "tau=inf": lambda: desk_params(tau=np.inf),
+    "kinetic lam=nan": lambda: KineticParams(lam=NAN, tau=1.0),
+    "kinetic tau=inf": lambda: KineticParams(lam=1.0, tau=np.inf),
+    "spacing=nan": lambda: Grid(extent=(8.0,), spacing=NAN),
+    "extent=inf": lambda: Grid(extent=(np.inf,), spacing=0.25),
+    "p0=nan,1": lambda: frozen_setup(p0=(NAN, 1.0)),
+    "max_steps=nan": lambda: frozen_setup(max_steps=NAN),
+    "record_every=nan": lambda: frozen_setup(record_every=NAN),
+    "p_ref=nan,1": lambda: uniform_fields((NAN, 1.0)),
+    "f=nan": lambda: uniform_fields((0.5, 0.5), level=NAN),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE)
+def test_constructors_reject_non_finite_values(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         desk_params(w=0.9)  # above the 4/(3 pi) ceiling
@@ -111,16 +138,23 @@ def test_params_validation():
     assert 0.42 < W_CEILING < 0.425
 
 
-# --- sampling ---
+# --- slip counts ---
+
+
+def cell_rates(fields, params, dt):
+    """Per-cell Poisson means and per-slip kicks, each of shape (K, cells)."""
+    f_cells, f0_cells = _cell_means(fields.f[None], fields.p_ref[None],
+                                    fields.grid, params.lam)
+    return _slip_rates(f_cells[0], f0_cells[0], params, dt)
 
 
 def test_sampled_rates_match_the_poisson_mean():
-    # pooled over all (cell, channel, sign) streams the empirical mean
-    # must sit within 3 standard errors of the formula
+    # pooled over all (row, channel, cell) streams of each sign, the
+    # empirical mean must sit within 3 standard errors of the formula
     params = desk_params(rate_calibration=2.0)
     fields = uniform_fields((0.5, 0.5))
     dt = 0.01
-    mu = (
+    mu_formula = (
         params.rate_calibration
         * (params.n_a * params.lam**3 / (2 * params.tau))
         * dt
@@ -128,105 +162,84 @@ def test_sampled_rates_match_the_poisson_mean():
         * 0.4
         * 0.6
     )
-    assert 0.01 < mu < 0.1
-    rng = philox_stream(12, 0)
-    n_calls = 20_000
-    total = 0
-    for _ in range(n_calls):
-        for ev in sample_slips(fields, (0.5, 0.5), params, dt, rng):
-            total += ev.count
-    n_streams = 8 * 2 * 2
-    mean = total / (n_calls * n_streams)
-    se = np.sqrt(mu / (n_calls * n_streams))
-    assert abs(mean - mu) < 3 * se
-
-
-def test_events_arrive_sorted_and_positive():
-    params = desk_params(rate_calibration=2000.0)
-    fields = uniform_fields((0.5, 0.5))
-    rng = philox_stream(4, 0)
-    with pytest.warns(SmallNumbersWarning):
-        events = sample_slips(fields, (0.5, 0.5), params, 0.5, rng)
-    assert events
-    keys = [(e.cell, e.channel, 0 if e.sign == 1 else 1) for e in events]
-    assert keys == sorted(keys)
-    assert all(e.count >= 1 for e in events)
-
-
-def test_absorbed_channels_draw_no_events():
-    params = desk_params(rate_calibration=2000.0)
-    fields = uniform_fields((0.0, 1.0))
-    rng = philox_stream(4, 0)
-    with pytest.warns(SmallNumbersWarning):
-        events = sample_slips(fields, (0.0, 1.0), params, 0.5, rng)
-    assert all(e.channel == 1 for e in events)
+    assert 0.01 < mu_formula < 0.1
+    mu, amp = cell_rates(fields, params, dt)
+    assert mu.shape == (2, 8)
+    assert np.allclose(mu, mu_formula, rtol=1e-12, atol=0)
+    rows = 20_000
+    counts, g = _draw_kicks(philox_stream(12, 0),
+                            np.broadcast_to(mu, (rows,) + mu.shape), amp)
+    assert counts.shape == (2, rows, 2, 8) and g.shape == (rows, 2)
+    n = counts[0].size
+    se = np.sqrt(mu_formula / n)
+    for sign in counts:
+        assert abs(sign.sum() / n - mu_formula) < 3 * se
 
 
 def test_saturated_or_empty_fields_give_no_events():
     params = desk_params(rate_calibration=2000.0)
-    rng = philox_stream(9, 0)
     # f_k identically zero: no entangled atoms to collide
-    empty = uniform_fields((0.5, 0.5), level=0.0)
-    assert sample_slips(empty, (0.5, 0.5), params, 0.5, rng) == []
+    mu, amp = cell_rates(uniform_fields((0.5, 0.5), level=0.0), params, 0.5)
+    assert not mu.any() and not amp.any()
     # f0 identically zero: no untouched atoms left
-    full = uniform_fields((0.5, 0.5), level=1.0)
-    assert sample_slips(full, (0.5, 0.5), params, 0.5, rng) == []
-
-
-def test_sample_slips_rejects_dt_outside_tau():
-    params = desk_params()
-    fields = uniform_fields((0.5, 0.5))
-    rng = philox_stream(0, 0)
-    with pytest.raises(ValueError):
-        sample_slips(fields, (0.5, 0.5), params, 1.5, rng)
-    with pytest.raises(ValueError):
-        sample_slips(fields, (0.5, 0.5), params, 0.0, rng)
+    mu, amp = cell_rates(uniform_fields((0.5, 0.5), level=1.0), params, 0.5)
+    assert not mu.any() and not amp.any()
 
 
 # --- applying slips ---
 
 
-def test_apply_slips_preserves_the_simplex():
-    params = desk_params(rate_calibration=500.0)
-    fields = uniform_fields((0.25, 0.35, 0.4))
-    rng = philox_stream(21, 0)
-    p = np.array([0.25, 0.35, 0.4])
-    for _ in range(200):
-        events = sample_slips(fields, p, params, 5e-5, rng)
-        p = apply_slips(p, events, fields, params)
-        assert abs(p.sum() - 1.0) < 1e-14
-        assert (p >= 0).all()
-
-
-def test_apply_slips_uses_the_incoming_state_for_every_event():
+def test_slip_step_is_the_count_weighted_sum_of_slip_deltas():
+    # hand-built counts (3 plus slips on channel 0 in cell 0, 2 minus slips
+    # on channel 1 in cell 1, 1 plus slip on channel 2 in cell 5), all
+    # taken at the incoming p: the trajectory update is the sum of
+    # criterion 5's single-slip transfers
     params = desk_params()
-    fields = uniform_fields((0.5, 0.5))
-    p = np.array([0.5, 0.5])
-    events = [
-        SlipEvent(cell=0, channel=0, sign=1, count=3),
-        SlipEvent(cell=1, channel=1, sign=-1, count=2),
-    ]
+    p = np.array([0.2, 0.3, 0.5])
+    _, amp = cell_rates(uniform_fields(p), params, dt=0.0)
+    counts = np.zeros((2, 1) + amp.shape, dtype=np.int64)
+    counts[0, 0, 0, 0] = 3
+    counts[1, 0, 1, 1] = 2
+    counts[0, 0, 2, 5] = 1
+    g = ((counts[0] - counts[1]) * amp).sum(axis=-1)
+    q, delta = _slip_step(p[None], g, params.absorb_floor)
     expected = (
         p
         + 3 * slip_delta(p, 0, 0.4, 0.6, params, +1)
         + 2 * slip_delta(p, 1, 0.4, 0.6, params, -1)
+        + slip_delta(p, 2, 0.4, 0.6, params, +1)
     )
-    assert np.allclose(apply_slips(p, events, fields, params), expected,
-                       rtol=0, atol=1e-15)
+    assert np.allclose(q[0], expected, rtol=0, atol=1e-15)
+    assert delta.sum() == 0.0
+
+
+def test_slip_steps_keep_p_on_the_simplex():
+    params = desk_params(rate_calibration=500.0)
+    fields = uniform_fields((0.25, 0.35, 0.4))
+    mu, amp = cell_rates(fields, params, 5e-5)
+    rng = philox_stream(21, 0)
+    p = np.tile([0.25, 0.35, 0.4], (50, 1))
+    for _ in range(200):
+        _, g = _draw_kicks(rng, np.where((p == 0.0)[:, :, None], 0.0, mu),
+                           amp)
+        p, _ = _slip_step(p, g, params.absorb_floor)
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-14
+        assert (p >= 0).all()
 
 
 def test_absorption_is_permanent():
-    params = desk_params(absorb_floor=1e-3, rate_calibration=500.0)
-    fields = uniform_fields((0.5, 0.5))
-    # huge negative batch drives channel 0 through the floor
-    events = [SlipEvent(cell=0, channel=0, sign=-1, count=100_000)]
-    p = apply_slips(np.array([0.5, 0.5]), events, fields, params)
-    assert p[0] == 0.0 and p[1] == 1.0
-    rng = philox_stream(2, 0)
+    params = desk_params(absorb_floor=1e-3)
+    p = np.array([[0.3, 0.3, 0.4]])
+    _, amp = cell_rates(uniform_fields(p[0]), params, dt=0.0)
+    # a huge negative batch drives channel 0 through the floor
+    g = np.array([[-100_000 * amp[0, 0], 0.0, 0.0]])
+    p, _ = _slip_step(p, g, params.absorb_floor)
+    assert p[0, 0] == 0.0 and abs(p.sum() - 1.0) < 1e-15
+    rng = np.random.default_rng(2)
     for _ in range(50):
-        more = sample_slips(fields, p, params, 5e-5, rng)
-        p = apply_slips(p, more, fields, params)
-    assert p[0] == 0.0 and p[1] == 1.0
+        p, _ = _slip_step(p, rng.normal(scale=0.05, size=p.shape),
+                          params.absorb_floor)
+        assert p[0, 0] == 0.0 and (p[0, 1:] > 0.0).all()
 
 
 def test_slip_step_rows_sum_to_exactly_zero():
@@ -245,47 +258,46 @@ def test_slip_step_rows_sum_to_exactly_zero():
 
 
 def test_no_events_is_the_identity():
-    params = desk_params()
-    fields = uniform_fields((0.5, 0.5))
-    p = np.array([0.3, 0.7])
-    q = apply_slips(p, [], fields, params)
+    rng = np.random.default_rng(8)
+    p = rng.dirichlet(np.ones(3), size=500)
+    p[::5, 0] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q, delta = _slip_step(p, np.zeros_like(p), 1e-9)
     assert np.array_equal(q, p) and q is not p
+    assert not delta.any()
 
 
 # --- moments ---
 
 
-def test_theoretical_moments_are_linear_in_dt():
-    params = desk_params()
-    fields = uniform_fields((0.3, 0.7))
-    var1, cov1 = theoretical_moments((0.3, 0.7), fields, params, 1e-4)
-    var2, cov2 = theoretical_moments((0.3, 0.7), fields, params, 2e-4)
-    assert np.allclose(var2, 2 * var1, rtol=1e-12)
-    assert np.allclose(cov2, 2 * cov1, rtol=1e-12)
+def step_moments(p, fields, params, dt):
+    """Per-step covariance of the increments, face-value pair sums."""
+    return dt * diffusion_coefficients(p, field_summary(fields, params),
+                                       params, pair_combination="sum")
 
 
-def test_theoretical_moments_against_a_hand_sum():
+def test_step_moments_against_a_hand_sum():
     # uniform fields make the overlap sum N_c * n_cells * f * f0
     params = desk_params()
     fields = uniform_fields((0.3, 0.7))
     dt = 1e-3
     s = 100.0 * 8 * 0.4 * 0.6
-    var, cov = theoretical_moments((0.3, 0.7), fields, params, dt)
+    cov = step_moments((0.3, 0.7), fields, params, dt)
     expect_var0 = 0.4 * 0.3 * 0.7 * dt * s / 100.0**2
-    assert abs(var[0] - expect_var0) < 1e-15
-    assert abs(var[1] - expect_var0) < 1e-15
+    assert abs(cov[0, 0] - expect_var0) < 1e-15
+    assert abs(cov[1, 1] - expect_var0) < 1e-15
     expect_cov = -0.4 * 0.3 * 0.7 * dt * (s + s) / 100.0**2
     assert abs(cov[0, 1] - expect_cov) < 1e-15
-    assert cov[0, 0] == var[0] and cov[1, 1] == var[1]
-    _, cov_mean = theoretical_moments((0.3, 0.7), fields, params, dt,
-                                      pair_combination="mean")
+    cov_mean = dt * diffusion_coefficients(
+        (0.3, 0.7), field_summary(fields, params), params)
     assert abs(cov_mean[0, 1] - expect_cov / 2) < 1e-15
 
 
 def test_variance_matched_rate_reproduces_the_formula_variance():
-    # Monte Carlo second moments of one microstep against the formula.
-    # With the matched rate the two agree at the reference point up to
-    # sampling error; 2e4 steps put the standard error near 1%.
+    # Monte Carlo second moments of one microstep, drawn and applied as
+    # the trajectory loop does, against the formula. With the matched
+    # rate the two agree at the reference point up to sampling error;
+    # 2e4 steps put the standard error near 1%.
     params = desk_params(rate_calibration=1.0)
     scale = variance_matched_rate_scale(params, 2)
     assert abs(scale - 8 * 2 / (0.4**2 * 0.24**2)) < 1e-9
@@ -293,15 +305,15 @@ def test_variance_matched_rate_reproduces_the_formula_variance():
     fields = uniform_fields((0.5, 0.5))
     dt = 1.2e-5
     p0 = np.array([0.5, 0.5])
-    rng = philox_stream(17, 0)
+    mu, amp = cell_rates(fields, params, dt)
     n = 20_000
-    deltas = np.empty(n)
-    for i in range(n):
-        events = sample_slips(fields, p0, params, dt, rng)
-        deltas[i] = apply_slips(p0, events, fields, params)[0] - 0.5
+    _, g = _draw_kicks(philox_stream(17, 0),
+                       np.broadcast_to(mu, (n,) + mu.shape), amp)
+    q, _ = _slip_step(np.tile(p0, (n, 1)), g, params.absorb_floor)
+    deltas = q[:, 0] - 0.5
     var_mc = float((deltas**2).mean())
-    var_th, cov_th = theoretical_moments(p0, fields, params, dt)
-    assert abs(var_mc / var_th[0] - 1.0) < 0.05
+    cov_th = step_moments(p0, fields, params, dt)
+    assert abs(var_mc / cov_th[0, 0] - 1.0) < 0.05
     assert abs(deltas.mean()) < 3 * np.sqrt(var_mc / n)
     assert cov_th[0, 1] < 0
 
@@ -420,11 +432,36 @@ def test_small_numbers_warning_tests_the_per_cell_mean(advance_fields):
         run_ensemble(hot, seed=3, n_runs=4)
 
 
+def test_absorbed_channels_draw_no_events(monkeypatch):
+    draws = []
+    original = engine._draw_kicks
+
+    def recording(rng, mu, amp):
+        counts, g = original(rng, mu, amp)
+        draws.append(counts)
+        return counts, g
+
+    monkeypatch.setattr(engine, "_draw_kicks", recording)
+    for advance_fields in (False, True):
+        draws.clear()
+        setup = frozen_setup(p0=(0.0, 0.4, 0.6), max_steps=300,
+                             advance_fields=advance_fields)
+        out = run_ensemble(setup, seed=4, n_runs=6, checkpoint_steps=(300,))
+        assert len(draws) == 300
+        assert not any(c[:, :, 0].any() for c in draws)
+        assert sum(int(c[:, :, 1:].sum()) for c in draws) > 0
+        assert sum(r.slip_count for r in out.results) == sum(
+            int(c.sum()) for c in draws)
+        assert (out.checkpoint_p[..., 0] == 0.0).all()
+
+
 def test_setup_validation():
     with pytest.raises(ValueError):
         frozen_setup(p0=(1.0,))
     with pytest.raises(ValueError):
         frozen_setup(dt=2.0)  # beyond tau
+    with pytest.raises(ValueError):
+        frozen_setup(dt=0.0)
     with pytest.raises(ValueError):
         frozen_setup(f_init=None)  # neither seeding choice
     with pytest.raises(ValueError):
@@ -511,4 +548,7 @@ def test_probability_vector_guards():
         probability_vector([0.5, 0.6])
     with pytest.raises(ValueError):
         probability_vector([-0.1, 1.1])
+    for bad in ([np.nan, 1.0], [np.inf, 0.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            probability_vector(bad)
     assert probability_vector([0.25, 0.75]).dtype == np.float64

@@ -114,6 +114,21 @@ def test_fp_mode_conserves_mass(tmp_path):
     assert manifest.status == "success"
 
 
+@pytest.mark.parametrize("mode,overrides,phases", [
+    ("exact", {"t_final": "0.5"}, {"solve", "write"}),
+    ("wave", {"t_final": "5.0"}, {"solve", "write"}),
+    ("fp", {"n_steps": "50"}, {"solve", "write"}),
+    ("compare", {"n_runs": "100", "t_final": "1.0", "resolution": "40"},
+     {"fp", "ensemble"}),
+])
+def test_manifest_records_phase_timers(tmp_path, mode, overrides, phases):
+    cfg, manifest = run(tmp_path, mode=mode, **overrides)
+    clocks = read_manifest(cfg.out_dir)["wall_clock"]
+    assert set(clocks) == {"total"} | phases
+    assert all(v >= 0.0 for v in clocks.values())
+    assert sum(clocks[p] for p in phases) <= clocks["total"]
+
+
 def test_compare_mode_emits_comparison_json(tmp_path):
     cfg, manifest = run(
         tmp_path,

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lecollapse.engine import _field_step
 from lecollapse.wave import (
     FrontUndefinedError,
     Grid,
     KineticParams,
-    ScalarFieldSet,
     SeedingError,
     StabilityError,
     cell_averages,
     cell_counts,
-    coupled_step,
     front_position,
     front_speed,
     front_width,
@@ -46,6 +45,9 @@ def test_grid_validation_and_resolution():
         Grid(extent=(8.3,), spacing=0.25)  # not an integral multiple
     with pytest.raises(ValueError):
         Grid(extent=(8.0, 8.0, 8.0, 8.0), spacing=0.5)
+    for spacing in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(extent=(8.0,), spacing=spacing)
     coarse = Grid(extent=(8.0,), spacing=0.5)
     with pytest.raises(ValueError):
         coarse.check_resolution(UNIT)
@@ -192,27 +194,37 @@ def test_kpp_front_runs_at_the_pulled_speed():
     assert 0.5 <= front_width(f, g) <= 10.0
 
 
+# the coupled multi-channel step needs p, so it lives in the engine
+
+
 def test_coupled_fields_compete_for_the_untouched_fraction():
     g = Grid(extent=(16.0,), spacing=0.25)
     f = np.stack([seed_field(g, (0.0, 2.0)), seed_field(g, (14.0, 16.0))])
-    fields = ScalarFieldSet(g, f, np.array([0.5, 0.5]))
+    f = f[None]  # one run
+    p = np.array([[0.5, 0.5]])
     dt = 0.8 * g.monotone_limit(UNIT)
-    f0_start = fields.f0.mean()
+
+    def f0(f):
+        return 1.0 - np.einsum("rk,rk...->r...", p, f)
+
+    f0_start = f0(f).mean()
     for _ in range(400):
-        fields = coupled_step(fields, UNIT, dt)
-    assert fields.f0.mean() < f0_start
-    assert (fields.f >= 0.0).all() and (fields.f <= 1.0).all()
-    assert (fields.f0 >= -1e-12).all()
+        f = _field_step(f, p, g, UNIT, dt)
+    assert f0(f).mean() < f0_start
+    assert (f >= 0.0).all() and (f <= 1.0).all()
+    assert (f0(f) >= -1e-12).all()
 
 
 def test_absorbed_channel_is_frozen():
     g = Grid(extent=(8.0,), spacing=0.25)
     f = np.stack([seed_field(g, (0.0, 2.0)), seed_field(g, (6.0, 8.0))])
-    fields = ScalarFieldSet(g, f, np.array([1.0, 0.0]))
-    before = fields.f[1].copy()
-    out = coupled_step(fields, UNIT, 0.5 * g.cfl_limit(UNIT))
-    assert np.array_equal(out.f[1], before)
-    assert not np.array_equal(out.f[0], fields.f[0])
+    # two runs: the first has absorbed channel 1, the second has both live
+    f = np.stack([f, f])
+    p = np.array([[1.0, 0.0], [0.5, 0.5]])
+    out = _field_step(f, p, g, UNIT, 0.5 * g.cfl_limit(UNIT))
+    assert np.array_equal(out[0, 1], f[0, 1])
+    assert not np.array_equal(out[0, 0], f[0, 0])
+    assert not np.array_equal(out[1, 1], f[1, 1])
 
 
 def test_cell_averages_match_manual_blocks():
