@@ -38,7 +38,6 @@ __all__ = [
     "BranchHamiltonian",
     "build_branch_hamiltonian",
     "standard_hamiltonian",
-    "standard_projector",
     "default_timestep",
     "evolve",
     "reconstruct_standard",
@@ -225,9 +224,6 @@ class LatticeBasis:
     def word_index(self, word) -> int:
         return int(np.dot(np.asarray(word, dtype=np.int64), self.word_radix))
 
-    def pack(self, config_idx: int, word_idx: int) -> int:
-        return config_idx * self.n_words + word_idx
-
 
 @dataclass
 class BranchState:
@@ -295,14 +291,31 @@ def _track_count(model: LatticeModel, basis: LatticeBasis) -> np.ndarray:
     return count[basis.config_digits]
 
 
-def _operator_norm(a: sparse.spmatrix) -> float:
-    if a.nnz == 0:
-        return 0.0
-    if a.shape[0] <= 2048:
-        return float(np.linalg.norm(a.toarray(), 2))
-    val = sparse.linalg.svds(a.tocsc().astype(np.float64), k=1,
-                             return_singular_vectors=False)
-    return float(val[0])
+def _hop_matrix(model: LatticeModel, basis: LatticeBasis) -> sparse.coo_matrix:
+    """Nearest-neighbour hopping over configurations, one atom at a time."""
+    cd, rad_c = basis.config_digits, basis.config_radix
+    rows, cols = [], []
+    for i in range(model.atoms):
+        for step in (1, -1):
+            ok = np.nonzero((cd[:, i] + step >= 0) & (cd[:, i] + step < model.sites))[0]
+            cols.append(ok)
+            rows.append(ok + step * rad_c[i])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sparse.coo_matrix(
+        (np.full(rows.size, -model.hop_amplitude), (rows, cols)),
+        shape=(basis.n_configs, basis.n_configs),
+    )
+
+
+def _config_blocks(a: sparse.coo_matrix, n_words: int) -> np.ndarray:
+    """Word-by-word blocks of ``a``, one per configuration; off-block entries raise."""
+    cfg, row = np.divmod(a.row, n_words)
+    cfg_col, col = np.divmod(a.col, n_words)
+    if (cfg != cfg_col).any():
+        raise ValueError("matrix couples distinct configurations")
+    blocks = np.zeros((a.shape[0] // n_words, n_words, n_words))
+    blocks[cfg, row, col] = a.data
+    return blocks
 
 
 def build_branch_hamiltonian(
@@ -329,28 +342,17 @@ def build_branch_hamiltonian(
     """
     if basis is None:
         basis = LatticeBasis(model, cap=cap)
-    n_c, n_w, n = basis.n_configs, basis.n_words, basis.n_basis
+    n_w, n = basis.n_words, basis.n_basis
     cd, wd = basis.config_digits, basis.word_digits
-    rad_c, rad_w = basis.config_radix, basis.word_radix
+    rad_w = basis.word_radix
     n_atoms = model.atoms
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
     # kinetic: hop matrix over configurations, identity over words
-    hop_r, hop_c = [], []
-    for i in range(n_atoms):
-        for step in (1, -1):
-            ok = np.nonzero((cd[:, i] + step >= 0) & (cd[:, i] + step < model.sites))[0]
-            hop_c.append(ok)
-            hop_r.append(ok + step * rad_c[i])
-    hop_r = np.concatenate(hop_r)
-    hop_c = np.concatenate(hop_c)
-    hop = sparse.coo_matrix(
-        (np.full(hop_r.size, -model.hop_amplitude), (hop_r, hop_c)),
-        shape=(n_c, n_c),
-    )
-    kinetic = sparse.kron(hop, sparse.identity(n_w, format="coo"), format="coo")
+    kinetic = sparse.kron(_hop_matrix(model, basis),
+                          sparse.identity(n_w, format="coo"), format="coo")
     rows.append(kinetic.row)
     cols.append(kinetic.col)
     vals.append(kinetic.data)
@@ -405,7 +407,17 @@ def build_branch_hamiltonian(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    defect = _operator_norm((matrix - matrix.T).tocoo())
+    # hopping is symmetric and contagion acts inside one configuration, so
+    # H - H^T is block diagonal: one batched SVD within a 2048^2 dense budget
+    diff = (matrix - matrix.T).tocoo()
+    if diff.nnz == 0:
+        defect = 0.0
+    elif n * n_w <= 2048 * 2048:
+        blocks = _config_blocks(diff, n_w)
+        defect = float(np.linalg.svd(blocks, compute_uv=False).max())
+    else:
+        defect = float(sparse.linalg.svds(
+            diff.tocsc(), k=1, return_singular_vectors=False)[0])
     return BranchHamiltonian(basis=basis, matrix=matrix, hermitian_defect=defect)
 
 
@@ -415,31 +427,17 @@ def standard_hamiltonian(
     """Plain Hamiltonian over configurations: hopping + track u + contact v."""
     if basis is None:
         basis = LatticeBasis(model)
-    cd, rad_c = basis.config_digits, basis.config_radix
-    rows, cols, vals = [], [], []
-    for i in range(model.atoms):
-        for step in (1, -1):
-            ok = np.nonzero((cd[:, i] + step >= 0) & (cd[:, i] + step < model.sites))[0]
-            cols.append(ok)
-            rows.append(ok + step * rad_c[i])
-            vals.append(np.full(ok.size, -model.hop_amplitude))
+    cd = basis.config_digits
     diag = model.u_strength * _track_count(model, basis).sum(axis=1).astype(np.float64)
     for i in range(model.atoms):
         for j in range(i + 1, model.atoms):
             diag += model.v_strength * (cd[:, i] == cd[:, j])
-    rows.append(np.arange(basis.n_configs))
-    cols.append(np.arange(basis.n_configs))
-    vals.append(diag)
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.n_configs, basis.n_configs),
-    ).tocsr()
+    return (_hop_matrix(model, basis) + sparse.diags(diag)).tocsr()
 
 
-def standard_projector(basis: LatticeBasis) -> sparse.csr_matrix:
-    """Word-sum map: branch vector -> standard wavefunction over configurations."""
-    ones = sparse.coo_matrix(np.ones((1, basis.n_words)))
-    return sparse.kron(sparse.identity(basis.n_configs), ones, format="csr")
+def _word_sums(basis: LatticeBasis, amplitudes: np.ndarray) -> np.ndarray:
+    """Sum a branch vector over words: one amplitude per configuration."""
+    return amplitudes.reshape(basis.n_configs, basis.n_words).sum(axis=1)
 
 
 def default_timestep(h: BranchHamiltonian) -> float:
@@ -463,18 +461,17 @@ def evolve(
         dt = default_timestep(h)
     if dt <= 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
-    mat = h.matrix
-    proj = standard_projector(state.basis)
+    gen = -1j * h.matrix
     psi = state.amplitudes.copy()
-    ref = np.linalg.norm(proj @ psi)
+    ref = np.linalg.norm(_word_sums(state.basis, psi))
     half = 0.5 * dt
     for n in range(steps):
-        k1 = -1j * (mat @ psi)
-        k2 = -1j * (mat @ (psi + half * k1))
-        k3 = -1j * (mat @ (psi + half * k2))
-        k4 = -1j * (mat @ (psi + dt * k3))
+        k1 = gen @ psi
+        k2 = gen @ (psi + half * k1)
+        k3 = gen @ (psi + half * k2)
+        k4 = gen @ (psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(np.linalg.norm(proj @ psi) - ref)
+        drift = abs(np.linalg.norm(_word_sums(state.basis, psi)) - ref)
         if drift > NORM_DRIFT_LIMIT:
             raise DivergenceError(
                 f"reconstructed norm drifted by {drift:.3e} at step {n + 1} "
@@ -485,7 +482,7 @@ def evolve(
 
 def reconstruct_standard(state: BranchState) -> np.ndarray:
     """Sum the branch amplitudes over words, one amplitude per configuration."""
-    return standard_projector(state.basis) @ state.amplitudes
+    return _word_sums(state.basis, state.amplitudes)
 
 
 def le_occupation(state: BranchState, r: int) -> float:

@@ -73,7 +73,6 @@ __all__ = [
     "run_experiment",
     "format_csv",
     "parse_csv",
-    "read_csv",
     "write_json",
 ]
 
@@ -136,10 +135,6 @@ def parse_csv(text: str):
     header = lines[0].split(",")
     rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
     return header, rows
-
-
-def read_csv(path):
-    return parse_csv(Path(path).read_text(encoding="utf-8"))
 
 
 def write_json(path, obj) -> None:

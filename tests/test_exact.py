@@ -5,13 +5,15 @@ Hamiltonian is rebuilt by explicit loops over configuration tuples and the
 reference evolution uses scipy.linalg.expm on dense matrices.
 """
 
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy import sparse
+from scipy.linalg import block_diag, expm
 
 from lecollapse.exact import (
     BasisSizeError,
@@ -20,6 +22,7 @@ from lecollapse.exact import (
     LatticeBasis,
     LatticeModel,
     UndefinedProbabilityError,
+    _config_blocks,
     build_branch_hamiltonian,
     default_timestep,
     evolve,
@@ -28,7 +31,6 @@ from lecollapse.exact import (
     permutation_defect,
     reconstruct_standard,
     standard_hamiltonian,
-    standard_projector,
 )
 
 
@@ -51,6 +53,48 @@ def dense_standard_oracle(model):
                 if ca[i] == ca[j]:
                     h[a, a] += model.v_strength
     return h
+
+
+def word_sum_map(basis):
+    """Dense word-sum map: branch vector -> one amplitude per configuration."""
+    return np.kron(np.eye(basis.n_configs), np.ones((1, basis.n_words)))
+
+
+def reference_evolve(state, h, dt, steps):
+    """Four-stage RK4 on the real generator with a projector-product watchdog.
+
+    Each stage multiplies the real H by a complex vector and then by -1j;
+    ``evolve`` must reproduce these amplitudes bit for bit.
+    """
+    mat = h.matrix
+    proj = sparse.csr_matrix(word_sum_map(state.basis))
+    psi = state.amplitudes.copy()
+    ref = np.linalg.norm(proj @ psi)
+    half = 0.5 * dt
+    for n in range(steps):
+        k1 = -1j * (mat @ psi)
+        k2 = -1j * (mat @ (psi + half * k1))
+        k3 = -1j * (mat @ (psi + half * k2))
+        k4 = -1j * (mat @ (psi + dt * k3))
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        drift = abs(np.linalg.norm(proj @ psi) - ref)
+        if drift > 1e-6:
+            raise DivergenceError(f"drifted by {drift:.3e} at step {n + 1}")
+    return BranchState(state.basis, psi, state.time + steps * dt)
+
+
+def random_model(rng, sites, atoms, channels, **kw):
+    base = dict(
+        sites=sites,
+        atoms=atoms,
+        channels=channels,
+        hop_amplitude=float(rng.uniform(0.3, 1.5)),
+        u_strength=float(rng.uniform(0.1, 2.0)),
+        v_strength=float(rng.uniform(0.1, 2.0)),
+        a_tracks=tuple((int(s),) for s in rng.permutation(sites)[:channels]),
+    )
+    base.update(kw)
+    return LatticeModel(**base)
 
 
 def small_model(**kw):
@@ -78,7 +122,7 @@ def test_word_sum_intertwines_the_generators():
     ):
         model = small_model(**kw)
         h = build_branch_hamiltonian(model)
-        proj = standard_projector(h.basis).toarray()
+        proj = word_sum_map(h.basis)
         lhs = proj @ h.matrix.toarray()
         rhs = dense_standard_oracle(model) @ proj
         assert np.abs(lhs - rhs).max() == pytest.approx(0.0, abs=1e-12)
@@ -92,7 +136,7 @@ def test_cross_channel_none_breaks_the_sum_identity_for_two_channels():
         channels=2, a_tracks=((2,), (0,)), cross_channel_coupling="none"
     )
     h = build_branch_hamiltonian(model)
-    proj = standard_projector(h.basis).toarray()
+    proj = word_sum_map(h.basis)
     lhs = proj @ h.matrix.toarray()
     rhs = dense_standard_oracle(model) @ proj
     assert np.abs(lhs - rhs).max() > 0.1
@@ -133,6 +177,87 @@ def test_hermitian_defect_matches_dense_norm_and_vanishes_without_contagion():
     )
     quiet = small_model(u_strength=0.0, v_strength=0.0)
     assert build_branch_hamiltonian(quiet).hermitian_defect == 0.0
+
+
+def test_defect_blocks_reassemble_the_antisymmetric_part():
+    # H - H^T has no entry across configurations, its per-configuration
+    # blocks rebuild it exactly, and the defect is the dense spectral norm
+    rng = np.random.default_rng(4)
+    for sites, atoms, channels in ((2, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2)):
+        for coupling in ("diagonal", "none"):
+            model = random_model(rng, sites, atoms, channels,
+                                 cross_channel_coupling=coupling)
+            h = build_branch_hamiltonian(model)
+            n_w = h.basis.n_words
+            dense = h.matrix.toarray()
+            anti = dense - dense.T
+            rows, cols = np.nonzero(anti)
+            assert rows.size > 0
+            assert np.array_equal(rows // n_w, cols // n_w)
+            blocks = _config_blocks(sparse.coo_matrix(anti), n_w)
+            assert np.array_equal(block_diag(*blocks), anti)
+            assert h.hermitian_defect == pytest.approx(
+                np.linalg.norm(anti, 2), rel=1e-12
+            )
+
+
+def test_defect_blocks_reject_an_entry_across_configurations():
+    a = sparse.coo_matrix(([1.0, -1.0], ([0, 2], [2, 0])), shape=(4, 4))
+    with pytest.raises(ValueError, match="configurations"):
+        _config_blocks(a, 2)
+
+
+def test_reconstruct_standard_matches_the_dense_word_sum_map():
+    rng = np.random.default_rng(5)
+    for sites, atoms, channels in ((3, 2, 1), (2, 3, 2), (3, 3, 2)):
+        model = random_model(rng, sites, atoms, channels)
+        basis = LatticeBasis(model)
+        amp = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+        got = reconstruct_standard(BranchState(basis, amp))
+        want = word_sum_map(basis) @ amp
+        assert got.shape == (basis.n_configs,)
+        assert np.abs(got - want).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "channels, coupling, bosonic, dt_scale, expect",
+    [
+        (1, "diagonal", True, 1.0, "finished"),
+        (1, "none", False, 1.0, "finished"),
+        (2, "diagonal", False, 1.0, "finished"),
+        (2, "diagonal", True, 1.0, "finished"),
+        # two channels without the cross term break the branch-sum identity
+        (2, "none", True, 1.0, "diverged"),
+        (1, "diagonal", False, 320.0, "diverged"),
+        (2, "diagonal", True, 320.0, "diverged"),
+    ],
+)
+def test_evolve_matches_the_real_generator_rk4_bit_for_bit(
+    channels, coupling, bosonic, dt_scale, expect
+):
+    # same amplitudes to the last bit; where a model diverges, both sides
+    # raise DivergenceError at the same step
+    rng = np.random.default_rng([channels, bosonic, int(dt_scale)])
+    model = random_model(rng, 3, 2, channels, bosonic=bosonic,
+                         cross_channel_coupling=coupling)
+    h = build_branch_hamiltonian(model)
+    state = BranchState.from_standard(h.basis)
+    dt = dt_scale * default_timestep(h)
+    outcomes = []
+    for run in (evolve, reference_evolve):
+        try:
+            out = run(state, h, dt, 300)
+        except DivergenceError as err:
+            step = re.search(r"at step (\d+)", str(err)).group(1)
+            outcomes.append(("diverged", int(step)))
+        else:
+            outcomes.append(("finished", out.amplitudes))
+    (kind, got), (ref_kind, want) = outcomes
+    assert kind == ref_kind == expect
+    if kind == "diverged":
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_branch_sum_follows_exact_unitary_evolution():
@@ -295,7 +420,7 @@ def test_intertwining_holds_for_random_small_models(hop, u, v, channels, track_s
         a_tracks=tracks,
     )
     h = build_branch_hamiltonian(model)
-    proj = standard_projector(h.basis).toarray()
+    proj = word_sum_map(h.basis)
     lhs = proj @ h.matrix.toarray()
     rhs = dense_standard_oracle(model) @ proj
     assert np.abs(lhs - rhs).max() < 1e-12
