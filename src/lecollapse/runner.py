@@ -322,9 +322,7 @@ def _single_collapse(job: _Job, seed: int, suffix: str = "") -> RunResult:
     setup = build_collapse_setup(job.config)
     started = time.perf_counter()
     result = run_collapse(setup, seed)
-    job.clocks[f"run{suffix}" if suffix else "run"] = (
-        time.perf_counter() - started
-    )
+    mark = time.perf_counter()
     job.json(f"run{suffix}.json", _result_json(result))
     if result.trajectory is not None:
         channels = len(result.p0)
@@ -332,6 +330,10 @@ def _single_collapse(job: _Job, seed: int, suffix: str = "") -> RunResult:
         rows = result.trajectory.tolist()
         job.csv(f"trajectory{suffix}.csv", header, rows)
         job.svg(f"trajectory{suffix}.svg", header, rows, "p-trajectory")
+    # a sweep sums both phases over its seeds
+    clocks = job.clocks
+    clocks["solve"] = clocks.get("solve", 0.0) + mark - started
+    clocks["write"] = clocks.get("write", 0.0) + time.perf_counter() - mark
     return result
 
 
@@ -345,6 +347,7 @@ def _run_sweep(job: _Job) -> str:
     for seed in job.config.seeds:
         results.append(_single_collapse(job, seed, suffix=f"_{seed:05d}"))
 
+    mark = time.perf_counter()
     p0 = job.config.params["p0"]
     channels = len(p0)
     counts = [0] * channels
@@ -377,6 +380,7 @@ def _run_sweep(job: _Job) -> str:
             "p_value": stats.p_value,
         })
     job.json("born.json", aggregate)
+    job.clocks["write"] += time.perf_counter() - mark
     if any(r.status == "timeout" for r in results):
         return "timeout"
     return "success"

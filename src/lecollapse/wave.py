@@ -14,6 +14,7 @@ because it needs the channel probabilities p as they evolve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,7 +119,7 @@ class Grid:
     def dims(self) -> int:
         return len(self.extent)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(int(round(e / self.spacing)) for e in self.extent)
 
@@ -186,21 +187,28 @@ def seed_field(grid: Grid, region, inside: float = 1.0) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _edge_index(n: int) -> np.ndarray:
+    """Read-only indices 0, 0, 1, ..., n-1, n-1: an axis, edges repeated."""
+    idx = np.clip(np.arange(-1, n + 1), 0, n - 1)
+    idx.flags.writeable = False
+    return idx
+
+
 def laplacian(f: np.ndarray, spacing: float, axes=None) -> np.ndarray:
     """Second difference with zero-gradient walls (edge replication)."""
     if axes is None:
-        axes = tuple(range(f.ndim))
-    lap = np.zeros_like(f, dtype=np.float64)
+        axes = range(f.ndim)
     inv_h2 = 1.0 / spacing**2
+    lap = None
     for ax in axes:
-        pad = [(0, 0)] * f.ndim
-        pad[ax] = (1, 1)
-        g = np.pad(f, pad, mode="edge")
+        g = np.take(f, _edge_index(f.shape[ax]), axis=ax)
         lo = [slice(None)] * f.ndim
         hi = [slice(None)] * f.ndim
         lo[ax] = slice(0, -2)
         hi[ax] = slice(2, None)
-        lap += (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
+        term = (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
+        lap = term if lap is None else lap + term
     return lap
 
 
@@ -214,7 +222,7 @@ def _check_step(
             f"(diffusion CFL {grid.cfl_limit(params)}"
             + (", tightened by the reaction rate 1/tau)" if reaction else ")")
         )
-    if dt <= 0:
+    if not dt > 0:  # also rejects NaN, which passes the bound check above
         raise ValueError("dt must be positive")
 
 
@@ -292,28 +300,32 @@ def cell_counts(grid: Grid, lam: float) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@functools.lru_cache(maxsize=64)
+def _cell_blocks(grid: Grid, lam: float) -> tuple[tuple[int, ...], int]:
+    """(cells, fine) axis pairs per grid axis and the number of cells."""
+    counts = cell_counts(grid, lam)
+    per = int(round(lam / grid.spacing))
+    return sum(((n, per) for n in counts), ()), math.prod(counts)
+
+
 def cell_averages(values: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
     """Block averages over lam-sized cells.
 
     ``values`` may carry leading batch axes; the trailing axes must match
     grid.shape. The result replaces those trailing axes with the flattened
     cell grid (row-major), matching the cell indices used by slip sampling.
+    The block shape is validated once per (grid, lam) and then cached.
     """
-    counts = cell_counts(grid, lam)
-    per = int(round(lam / grid.spacing))
+    blocks, cells = _cell_blocks(grid, lam)
     lead = values.shape[: values.ndim - grid.dims]
     if values.shape[values.ndim - grid.dims:] != grid.shape:
         raise ValueError("trailing axes must match the grid shape")
-    shape = list(lead)
-    for n in counts:
-        shape.extend((n, per))
-    blocked = values.reshape(shape)
     # average the fine axis paired with each cell axis, innermost first so
     # the earlier axis numbers stay valid
-    mean = blocked
+    mean = values.reshape(lead + blocks)
     for k in range(grid.dims - 1, -1, -1):
         mean = mean.mean(axis=len(lead) + 2 * k + 1)
-    return mean.reshape(lead + (int(np.prod(counts)),))
+    return mean.reshape(lead + (cells,))
 
 
 def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
@@ -343,23 +355,24 @@ def front_position(
 ) -> float:
     """Outermost downward crossing of ``level`` along an axis.
 
-    The profile is scanned from the far end toward the origin for the first
-    pair of neighbours straddling the level, and the crossing is linearly
-    interpolated. Saturated and empty profiles raise FrontUndefinedError.
+    The last neighbour pair with prof[i] >= level > prof[i + 1] is taken
+    and the crossing linearly interpolated. Saturated and empty profiles,
+    and those with no downward crossing, raise FrontUndefinedError.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
+    down = np.flatnonzero((prof[:-1] >= level) & (level > prof[1:]))
+    if down.size == 0:
+        if (prof >= level).all():
+            raise FrontUndefinedError(f"profile saturated above level {level}")
+        if (prof < level).all():
+            raise FrontUndefinedError(f"profile everywhere below level {level}")
+        raise FrontUndefinedError(f"no downward crossing of level {level}")
+    i = down[-1]
     x = grid.axis_coords(axis)
-    if (prof >= level).all():
-        raise FrontUndefinedError(f"profile saturated above level {level}")
-    if (prof < level).all():
-        raise FrontUndefinedError(f"profile everywhere below level {level}")
-    for i in range(prof.size - 2, -1, -1):
-        if prof[i] >= level > prof[i + 1]:
-            frac = (prof[i] - level) / (prof[i] - prof[i + 1])
-            return float(x[i] + frac * (x[i + 1] - x[i]))
-    raise FrontUndefinedError(f"no downward crossing of level {level}")
+    frac = (prof[i] - level) / (prof[i] - prof[i + 1])
+    return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
 def front_width(

@@ -120,6 +120,8 @@ def test_fp_mode_conserves_mass(tmp_path):
     ("fp", {"n_steps": "50"}, {"solve", "write"}),
     ("compare", {"n_runs": "100", "t_final": "1.0", "resolution": "40"},
      {"fp", "ensemble"}),
+    ("collapse", {"extent": "16.0"}, {"solve", "write"}),
+    ("sweep", {"seeds": "0..2", "extent": "16.0"}, {"solve", "write"}),
 ])
 def test_manifest_records_phase_timers(tmp_path, mode, overrides, phases):
     cfg, manifest = run(tmp_path, mode=mode, **overrides)

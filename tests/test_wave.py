@@ -22,6 +22,7 @@ from lecollapse.wave import (
     laplacian,
     seed_field,
 )
+from lecollapse.wave import _edge_index
 
 UNIT = KineticParams(lam=1.0, tau=1.0)
 
@@ -102,6 +103,10 @@ def test_step_rejects_unstable_dt():
         kpp_step(np.zeros(g.shape), g, UNIT, 1.01 * g.cfl_limit(UNIT), contagion=False)
     with pytest.raises(ValueError):
         kpp_step(np.zeros(g.shape), g, UNIT, -0.1)
+    # NaN slips past the bound comparison, so the sign check must catch it
+    for contagion in (True, False):
+        with pytest.raises(ValueError):
+            kpp_step(np.zeros(g.shape), g, UNIT, float("nan"), contagion)
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,6 +142,52 @@ def test_laplacian_of_constant_vanishes():
     assert np.abs(laplacian(f, g.spacing)).max() == 0.0
 
 
+def _pad_laplacian(f, spacing, axes=None):
+    """Reference stencil: edge-pad each axis, then the three-point sum."""
+    if axes is None:
+        axes = tuple(range(f.ndim))
+    lap = np.zeros_like(f, dtype=np.float64)
+    inv_h2 = 1.0 / spacing**2
+    for ax in axes:
+        pad = [(0, 0)] * f.ndim
+        pad[ax] = (1, 1)
+        g = np.pad(f, pad, mode="edge")
+        lo = [slice(None)] * f.ndim
+        hi = [slice(None)] * f.ndim
+        lo[ax] = slice(0, -2)
+        hi[ax] = slice(2, None)
+        lap += (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
+    return lap
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((17,), None),
+    ((6, 9), None),
+    ((4, 5, 7), None),
+    ((3, 2, 11), (2,)),  # (runs, K) + a 1d grid, as the engine steps it
+    ((2, 3, 6, 5), (2, 3)),
+    ((2, 2, 4, 5, 6), (2, 3, 4)),
+])
+def test_laplacian_matches_the_padded_stencil_bit_for_bit(shape, axes):
+    rng = np.random.default_rng(sum(shape))
+    noise = rng.uniform(size=shape)
+    # about two thirds of the cells at exactly 0 or 1, as in saturated fields
+    clipped = np.clip(rng.uniform(-1.0, 2.0, size=shape), 0.0, 1.0)
+    for f in (noise, clipped):
+        want = _pad_laplacian(f, 0.3, axes)
+        got = laplacian(f, 0.3, axes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_edge_index_cache_is_read_only():
+    # every laplacian call on an axis of this length shares the array
+    idx = _edge_index(6)
+    assert idx.tolist() == [0, 0, 1, 2, 3, 4, 5, 5]
+    with pytest.raises(ValueError):
+        idx[0] = 1
+
+
 def test_front_position_interpolates():
     g = Grid(extent=(8.0,), spacing=0.25)
     x = g.axis_coords()
@@ -148,6 +199,71 @@ def test_front_position_interpolates():
         front_position(np.zeros(g.shape), g)
     with pytest.raises(ValueError):
         front_position(f, g, level=1.5)
+
+
+def _scan_front(prof, x, level):
+    """Reference locator: walk in from the far end to the first crossing."""
+    if (prof >= level).all():
+        raise FrontUndefinedError(f"profile saturated above level {level}")
+    if (prof < level).all():
+        raise FrontUndefinedError(f"profile everywhere below level {level}")
+    for i in range(prof.size - 2, -1, -1):
+        if prof[i] >= level > prof[i + 1]:
+            frac = (prof[i] - level) / (prof[i] - prof[i + 1])
+            return float(x[i] + frac * (x[i + 1] - x[i]))
+    raise FrontUndefinedError(f"no downward crossing of level {level}")
+
+
+def _same_front(got, want):
+    """Both give the same float, or both raise the same error."""
+    results = []
+    for call in (got, want):
+        try:
+            results.append(call())
+        except FrontUndefinedError as exc:
+            results.append(f"undefined: {exc}")
+    assert results[0] == results[1]
+    return results[0]
+
+
+def test_front_position_matches_the_reverse_scan():
+    g = Grid(extent=(8.0,), spacing=0.25)
+    x = g.axis_coords()
+    rng = np.random.default_rng(11)
+    profiles = [
+        np.ones(g.shape),  # saturated
+        np.zeros(g.shape),  # empty
+        np.linspace(0.0, 1.0, 32),  # rises only: no downward crossing
+        np.linspace(1.0, 0.0, 32),
+        np.clip(2.0 - 0.5 * x, 0.0, 1.0),
+        # several crossings, values exactly at the levels, plateaus
+        np.repeat([1.0, 0.5, 0.2, 0.75, 0.9, 0.1, 0.5, 0.0], 4),
+    ]
+    profiles += [rng.uniform(size=32) for _ in range(20)]
+    steps = [0.0, 0.25, 0.5, 0.75, 1.0]
+    profiles += [rng.choice(steps, 32) for _ in range(20)]
+    outcomes = set()
+    for prof in profiles:
+        for level in (0.1, 0.25, 0.5, 0.75, 0.9):
+            out = _same_front(lambda: front_position(prof, g, level),
+                              lambda: _scan_front(prof, x, level))
+            outcomes.add(type(out))
+    assert outcomes == {float, str}
+
+
+def test_front_position_along_a_line_of_a_2d_field():
+    g = Grid(extent=(6.0, 3.0), spacing=0.25)
+    rng = np.random.default_rng(12)
+    f = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0], g.shape)
+    for j in (0, 5, 11):
+        _same_front(lambda: front_position(f, g, through=(j,)),
+                    lambda: _scan_front(f[:, j], g.axis_coords(0), 0.5))
+    for i in (0, 23):
+        _same_front(lambda: front_position(f, g, 0.3, axis=1, through=(i,)),
+                    lambda: _scan_front(f[i], g.axis_coords(1), 0.3))
+    # the default line runs through the middle of the other axis
+    _same_front(lambda: front_position(f, g),
+                lambda: _scan_front(f[:, 6], g.axis_coords(0), 0.5))
 
 
 def test_front_width_on_a_linear_ramp():
@@ -240,5 +356,12 @@ def test_cell_averages_match_manual_blocks():
     assert got_b.shape == (3, 2, 8)
     assert got_b[2, 1, 3] == pytest.approx(batch[2, 1][4:8, 4:8].mean())
     assert cell_counts(g, 1.0) == (4, 2)
-    with pytest.raises(ValueError):
-        cell_averages(vals, g, 0.3)
+    # the cached block shape for lam = 1 is warm: bad input still fails,
+    # and a failed lam is rejected again on the next call
+    with pytest.raises(ValueError, match="trailing axes"):
+        cell_averages(vals.T, g, 1.0)
+    with pytest.raises(ValueError, match="trailing axes"):
+        cell_averages(batch[..., :4], g, 1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integral multiple"):
+            cell_averages(vals, g, 0.3)
