@@ -26,9 +26,10 @@ defaults to the mean combination. ``diffusion_coefficients`` exposes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from scipy import sparse
 
 from lecollapse.engine import SlipParams, _cell_means, probability_vector
 from lecollapse.wave import ScalarFieldSet, StabilityError
@@ -159,7 +160,7 @@ class SimplexGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.resolution,) * self.dims
 
-    def centers(self, axis: int = 0) -> np.ndarray:
+    def centers(self) -> np.ndarray:
         return (np.arange(self.resolution) + 0.5) * self.spacing
 
     def valid(self) -> np.ndarray:
@@ -175,11 +176,6 @@ class SimplexGrid:
             mask = x[:, None] + x[None, :] < 1.0
         mask.setflags(write=False)
         return mask
-
-    def full_point(self, indices) -> np.ndarray:
-        """Channel probabilities at a cell center (last channel closed)."""
-        coords = np.array([self.centers()[i] for i in indices])
-        return np.concatenate([coords, [1.0 - coords.sum()]])
 
 
 @dataclass
@@ -289,38 +285,23 @@ def _reduced_coefficients(
 
 @dataclass(frozen=True)
 class _Operator:
-    """The parts of the explicit scheme fixed by (grid, summary, params).
+    """The explicit scheme, fixed by (grid, summary, params).
 
-    ``coeffs`` holds the centre coefficients, (a11,) in one dimension and
-    (q11, q22, q12) in two, zeroed outside the triangle, and ``bound`` is
-    the step bound. The 2D masks are floats, 1.0 where a face (per axis)
-    or a corner lies inside the triangle and 0.0 elsewhere.
-    Each term of boundary_current is q Phi at an inner cell minus q Phi
-    at the outer cell next to it, over h, with q11 for a step along axis
-    0 and q22 along axis 1. ``current_inner``/``current_outer`` hold the
-    flat cells and ``current_c_inner``/``current_c_outer`` the
-    coefficients there. The first ``current_edges[0]`` terms form the
-    p_1 = 0 row, the terms up to ``current_edges[1]`` the p_2 = 0 column,
-    and the rest are the hypotenuse terms in the order they are summed.
+    ``generator`` is the flux-form operator G on the cells in C order, so
+    a step is phi + dt * G phi; ``current`` is the row vector c with
+    boundary_current = c . phi; ``bound`` is the step bound. Cells
+    outside the triangle have empty rows and columns in G and zeros in c.
     Every array is read-only.
     """
 
-    coeffs: tuple[np.ndarray, ...]
+    generator: sparse.csr_array
+    current: np.ndarray
     bound: float
-    invalid: np.ndarray | None = None
-    faces: tuple[np.ndarray, ...] = ()
-    corners: np.ndarray | None = None
-    current_inner: np.ndarray | None = None
-    current_outer: np.ndarray | None = None
-    current_c_inner: np.ndarray | None = None
-    current_c_outer: np.ndarray | None = None
-    current_edges: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        for value in vars(self).values():
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
+        g = self.generator
+        for a in (g.data, g.indices, g.indptr, self.current):
+            a.setflags(write=False)
 
 
 def _operator(
@@ -342,71 +323,55 @@ def _cached_operator(
     closures = _reduced_coefficients(
         grid, FieldSummary(np.frombuffer(overlap)), params
     )
-    x = grid.centers()
-    if grid.dims == 1:
-        coeffs = (closures[0](x),)
-        rate = coeffs[0]
-    else:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        coeffs = tuple(q(xx, yy) for q in closures)
-        # the bound spans the whole square: it is taken before the cells
-        # outside the triangle are zeroed below
-        rate = np.abs(coeffs[0]) + np.abs(coeffs[1]) + 2 * np.abs(coeffs[2])
+    dims, r, h = grid.dims, grid.resolution, grid.spacing
+    centers = np.meshgrid(*[grid.centers()] * dims, indexing="ij")
+    # one centre coefficient per axis, then in two dimensions the mixed
+    # q12; the bound spans the whole square: it is taken before the cells
+    # outside the triangle are zeroed
+    coeffs = [q(*centers) for q in closures]
+    rate = (sum(np.abs(q) for q in coeffs[:dims])
+            + sum(2 * np.abs(q) for q in coeffs[dims:]))
     amax = float(rate.max())
-    bound = np.inf if amax <= 0 else grid.spacing**2 / (2.0 * amax)
-    if grid.dims == 1:
-        return _Operator(coeffs=coeffs, bound=bound)
+    bound = np.inf if amax <= 0 else h**2 / (2.0 * amax)
 
     valid = grid.valid()
-    invalid = ~valid
-    for q in coeffs:
-        q[invalid] = 0.0
-    faces = (valid[1:, :] & valid[:-1, :], valid[:, 1:] & valid[:, :-1])
-    corners = faces[0][:, 1:] & faces[0][:, :-1]
-
-    # boundary_current's terms. The p_1 = 0 row and the p_2 = 0 column
-    # take the first interior face. On the hypotenuse, a valid cell whose
-    # +x (+y) neighbour leaves the triangle and whose -x (-y) neighbour
-    # is valid takes the face one further in; sorting on 2 * cell + axis
-    # puts these in i-major cell order, +x before +y.
-    r = grid.resolution
-    cell = np.arange(r * r).reshape(r, r)
-    step = np.array([r, 1])  # flat offset to the +x and +y neighbours
-    rows, cols = faces[0][0, :], faces[1][:, 0]
-    edge = np.concatenate((cell[0, rows], cell[cols, 0]))
-    edge_axis = np.repeat([0, 1], [rows.sum(), cols.sum()])
-    hyp_x, hyp_y = _last_before_exit(valid), _last_before_exit(valid.T).T
-    hyp = np.concatenate((cell[hyp_x], cell[hyp_y]))
-    hyp_axis = np.repeat([0, 1], [hyp_x.sum(), hyp_y.sum()])
-    order = np.argsort(2 * hyp + hyp_axis)
-    hyp, hyp_axis = hyp[order], hyp_axis[order]
-    outer = np.concatenate((edge, hyp))
-    inner = np.concatenate((edge + step[edge_axis], hyp - step[hyp_axis]))
-    # q11 and q22 stacked, so axis * r * r + cell picks a term's coefficient
-    stacked = np.concatenate((coeffs[0].ravel(), coeffs[1].ravel()))
-    offset = np.concatenate((edge_axis, hyp_axis)) * r * r
-    return _Operator(
-        coeffs=coeffs,
-        bound=bound,
-        invalid=invalid,
-        faces=tuple(f.astype(np.float64) for f in faces),
-        corners=corners.astype(np.float64),
-        current_inner=inner,
-        current_outer=outer,
-        current_c_inner=stacked[offset + inner],
-        current_c_outer=stacked[offset + outer],
-        current_edges=(int(rows.sum()), edge.size),
-    )
-
-
-def _last_before_exit(valid: np.ndarray) -> np.ndarray:
-    """Valid cells whose +1 neighbour along axis 0 is invalid or off the
-    grid and whose -1 neighbour is valid."""
-    after = np.zeros_like(valid)
-    after[:-1] = valid[1:]
-    before = np.zeros_like(valid)
-    before[1:] = valid[:-1]
-    return valid & ~after & before
+    cells = valid.ravel().astype(float)
+    diag_q = [sparse.diags_array(np.where(valid, q, 0.0).ravel())
+              for q in coeffs]
+    diff = sparse.diags_array([-np.ones(r - 1), np.ones(r - 1)],
+                              offsets=[0, 1], shape=(r - 1, r))
+    terms = []
+    current = np.zeros(r**dims)
+    for axis in range(dims):
+        # D_a differences (q Phi) across every face normal to the axis; a
+        # face carries flux only if both its cells lie in the triangle
+        d = reduce(sparse.kron, [diff if a == axis else sparse.eye_array(r)
+                                 for a in range(dims)])
+        face = abs(d) @ cells == 2
+        flux = sparse.diags_array(face.astype(float)) @ d @ diag_q[axis]
+        terms.append(-d.T @ flux)
+        # the boundary current takes the first face in from the low edge
+        # (+1) and the last face of each line before it leaves the
+        # triangle or the grid (-1), both one cell in from the boundary
+        shape = list(grid.shape)
+        shape[axis] -= 1
+        f = np.moveaxis(face.reshape(shape), axis, 0)
+        weight = np.zeros(f.shape)
+        weight[0] += f[0]
+        weight[:-1] -= f[:-1] & ~f[1:]
+        weight[-1] -= f[-1]
+        current += flux.T @ np.moveaxis(weight, 0, axis).ravel()
+    if dims == 2:
+        # mixed term 2 d1 d2 (q12 Phi): each corner averages its four
+        # cells and feeds them back with alternating signs; only corners
+        # whose four cells all lie in the triangle take part
+        cross = sparse.kron(diff, diff)
+        corner = sparse.diags_array((abs(cross) @ cells == 4).astype(float))
+        terms.append(2 * cross.T @ corner @ (abs(cross) / 4) @ diag_q[2])
+    generator = (sum(terms) / h**2).tocsr()
+    generator.eliminate_zeros()
+    return _Operator(generator=generator, current=current * h ** (dims - 2),
+                     bound=bound)
 
 
 def stable_step(
@@ -424,14 +389,16 @@ def fp_step(
 ) -> FPDensity:
     """One explicit step of the simplex Fokker-Planck equation.
 
-    The update is in flux form: for each second-difference direction the
-    face flux combines the gradient of (a Phi) built from face-centered
-    coefficient values, so interior fluxes cancel in pairs and the total
-    mass is conserved to rounding. Coefficients vanish on the simplex
-    boundary, which together with zero-gradient closure makes the
-    boundary faces carry exactly zero flux: mass can pile up near the
-    boundary but never cross it. Rounding-level negative cells are
-    clamped and the removed mass accumulated in ``clamped``.
+    The step is phi + dt * G phi with G the flux-form generator, assembled
+    once per (grid, summary, params). Along each axis the face flux is the
+    difference of (a Phi) across the face, and in two dimensions the
+    mixed term 2 d1 d2 (q12 Phi) runs through the cell corners. Each
+    face or corner feeds its cells with opposite signs, so every column
+    of G sums to zero and the total mass is conserved to rounding. Faces
+    and corners that touch a cell outside the triangle carry nothing, and
+    the coefficients vanish on the simplex boundary, so mass can pile up
+    near the boundary but never cross it. Rounding-level negative cells
+    are clamped and the removed mass accumulated in ``clamped``.
     """
     grid = density.grid
     op = _operator(grid, summary, params)
@@ -441,58 +408,15 @@ def fp_step(
         raise StabilityError(
             f"dt = {dt} exceeds the diffusion bound {op.bound}"
         )
-    h = grid.spacing
     phi = density.phi
-
-    if grid.dims == 1:
-        g = op.coeffs[0] * phi
-        # interior faces between cells i and i+1; boundary faces at the
-        # simplex edge carry no flux because a vanishes there
-        flux = (g[1:] - g[:-1]) / h
-        dphi = np.zeros(phi.shape)
-        dphi[:-1] += flux
-        dphi[1:] -= flux
-        new = phi + dt * dphi / h
-    else:
-        q11, q22, q12 = op.coeffs
-        g1 = q11 * phi
-        g2 = q22 * phi
-        g12 = q12 * phi
-        dphi = np.zeros(phi.shape)
-        # second differences along each axis, flux form; faces touching a
-        # cell outside the triangle carry no flux (the normal coefficient
-        # vanishes on the hypotenuse), which keeps every boundary closed
-        flux = (g1[1:, :] - g1[:-1, :]) / h
-        flux *= op.faces[0]
-        dphi[:-1, :] += flux
-        dphi[1:, :] -= flux
-        flux = (g2[:, 1:] - g2[:, :-1]) / h
-        flux *= op.faces[1]
-        dphi[:, :-1] += flux
-        dphi[:, 1:] -= flux
-        # mixed term 2 d1 d2 (q12 Phi) via corner fluxes: each corner
-        # value feeds the four surrounding cells with alternating signs,
-        # so masking corners whose 2x2 block leaves the triangle keeps
-        # the update conservative
-        corner = 0.25 * (
-            g12[1:, 1:] + g12[1:, :-1] + g12[:-1, 1:] + g12[:-1, :-1]
-        )
-        corner *= op.corners
-        mixed = np.zeros(phi.shape)
-        mixed[:-1, :-1] += corner
-        mixed[1:, 1:] += corner
-        mixed[:-1, 1:] -= corner
-        mixed[1:, :-1] -= corner
-        dphi += 2.0 * mixed / h
-        new = phi + dt * dphi / h
-        new[op.invalid] = 0.0
+    new = phi + dt * (op.generator @ phi.ravel()).reshape(phi.shape)
 
     clamped = density.clamped
     neg = new < 0.0
     if np.count_nonzero(neg):
         # the mixed stencil can push sharply curved cells slightly
         # negative; clip and rescale so the repair stays mass neutral
-        clamped += float(-new[neg].sum() * h**grid.dims)
+        clamped += float(-new[neg].sum() * grid.spacing**grid.dims)
         new = np.clip(new, 0.0, None)
         total = new.sum()
         if total > 0.0:
@@ -507,52 +431,31 @@ def boundary_current(
 ) -> float:
     """Probability current through the simplex boundary, outward positive.
 
-    Evaluates the flux form of the equation at the outermost faces: the
-    current through a boundary face is the gradient of (a Phi) one cell
-    in, scaled by the face coefficient, which vanishes on the boundary
-    itself. The result decays in time as the density settles against the
-    boundary, the signature that diffusion alone never absorbs.
+    The boundary faces themselves carry exactly zero in the scheme, so the
+    outward current is read one face in: the face flux of the first
+    interior face at each low edge, and of the last face before each line
+    leaves the triangle. Those fluxes are linear in phi, so the current
+    is one fixed row vector applied to it. The result decays in time as
+    the density settles against the boundary, the signature that
+    diffusion alone never absorbs.
     """
-    grid = density.grid
-    op = _operator(grid, summary, params)
-    h = grid.spacing
-    phi = density.phi
-    if grid.dims == 1:
-        g = op.coeffs[0] * phi
-        # physical flux J = -d/dp [a Phi]; its outward component at each
-        # edge, estimated at the innermost face (the boundary face itself
-        # carries exactly zero in the scheme)
-        left = (g[1] - g[0]) / h
-        right = (g[-2] - g[-1]) / h
-        return float(left + right)
-    flat = phi.ravel()
-    terms = (op.current_c_inner * flat[op.current_inner]
-             - op.current_c_outer * flat[op.current_outer]) / h
-    row, col = op.current_edges
-    # the two straight edges sum pairwise, then the hypotenuse terms add
-    # one at a time in cell order (add.accumulate is strictly sequential)
-    total = np.add.accumulate(np.concatenate((
-        [0.0, float(terms[:row].sum()), float(terms[row:col].sum())],
-        terms[col:],
-    )))[-1]
-    return float(total * h ** (grid.dims - 1))
+    op = _operator(density.grid, summary, params)
+    return float(op.current @ density.phi.ravel())
 
 
 def ensemble_histogram(results, grid: SimplexGrid) -> np.ndarray:
     """Histogram of final (or current) channel probabilities as a density.
 
-    Each run contributes its first dims independent coordinates; the
+    ``results`` holds one probability vector per run, a (runs, K) array;
+    each run contributes its first dims independent coordinates. The
     counts are normalized by run count and cell volume so the result is
     comparable to FPDensity.phi. Absorbed runs land in the outermost
     cells.
     """
-    points = []
-    for r in results:
-        p = r if isinstance(r, np.ndarray) else np.asarray(r, dtype=float)
-        points.append(p[: grid.dims])
-    if not points:
+    points = np.asarray(results, dtype=np.float64)
+    if points.ndim != 2 or not len(points):
         raise ComparisonError("no results to bin")
-    pts = np.clip(np.asarray(points), 0.0, np.nextafter(1.0, 0.0))
+    pts = np.clip(points[:, : grid.dims], 0.0, np.nextafter(1.0, 0.0))
     idx = np.minimum((pts / grid.spacing).astype(int), grid.resolution - 1)
     phi = np.zeros(grid.shape)
     np.add.at(phi, tuple(idx.T), 1.0)
@@ -624,7 +527,7 @@ def compare_histogram(
             f"need at least 100 runs for a stable histogram, got {mc.shape[0]}"
         )
     grid = density.grid
-    hist = ensemble_histogram(list(mc), grid)
+    hist = ensemble_histogram(mc, grid)
     vol = grid.spacing**grid.dims
     tv = 0.5 * float(np.abs(hist - density.phi).sum() * vol)
     edge = _edge_mask(grid, boundary_cells)

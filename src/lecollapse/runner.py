@@ -476,7 +476,7 @@ def _run_compare(job: _Job) -> str:
     )
     absorbed = sum(1 for r in ensemble.results if r.status == "collapsed")
 
-    hist = ensemble_histogram(list(probs), sgrid)
+    hist = ensemble_histogram(probs, sgrid)
     header, rows = _cell_table(sgrid, density=density.phi, histogram=hist)
     job.csv("histogram.csv", header, rows)
 

@@ -19,7 +19,9 @@ if str(ROOT) not in sys.path:
 
 from perfbench.tracing import PATCHES, Tracer  # noqa: E402
 
+from lecollapse.config import load_config  # noqa: E402
 from lecollapse.engine import CollapseSetup, SlipParams, run_collapse  # noqa: E402
+from lecollapse.runner import run_experiment  # noqa: E402
 from lecollapse.wave import Grid, KineticParams  # noqa: E402
 
 MODULES = ("cli", "config", "engine", "exact", "fokker_planck", "plotting",
@@ -64,3 +66,18 @@ def test_traced_run_reaches_the_field_step_bindings():
     assert "engine.poisson" in names
     assert (traced.winner, traced.collapse_time, traced.slip_count) == (
         plain.winner, plain.collapse_time, plain.slip_count)
+
+
+def test_traced_fp_run_calls_the_stepper_once_per_step(tmp_path):
+    # the per-layer diffusion metrics count one fp_step span per step and
+    # one boundary_current span per row of current.csv (the initial row,
+    # then every current_every steps)
+    config = load_config(overrides={"mode": "fp", "n_steps": "20",
+                                    "current_every": "10",
+                                    "out": str(tmp_path / "fp")})
+    tracer = Tracer()
+    with tracer.installed():
+        run_experiment(config)
+    names = [s.name for s in tracer.spans]
+    assert names.count("fokker_planck.fp_step") == 20
+    assert names.count("fokker_planck.boundary_current") == 3
