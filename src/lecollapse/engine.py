@@ -223,14 +223,22 @@ def _grouped_rates(f_cells, f0_cells, params: SlipParams, dt: float):
     return mu * mult, amp, mult
 
 
-def _draw_kicks(rng: np.random.Generator, mu, amp):
+def _draw_kicks(streams, mu, amp):
     """Poisson slip counts and the net kick g of every (row, channel).
 
     ``mu`` is (rows, K, cells or groups) and ``amp`` broadcasts against it.
-    Both signs come from one draw, all plus counts before all minus counts;
-    returns (counts of shape (2,) + mu.shape, g of shape (rows, K)).
+    ``streams`` is one generator that draws every row at once, or a list
+    of generators, one per row, each drawing its row alone. Both signs
+    come from one draw, all plus counts before all minus counts, so a row
+    drawn alone takes the same numbers as a one-row batch from its stream.
+    Returns (counts of shape (2,) + mu.shape, g of shape (rows, K)).
     """
-    counts = rng.poisson(mu, (2,) + mu.shape)
+    if isinstance(streams, np.random.Generator):
+        counts = streams.poisson(mu, (2,) + mu.shape)
+    else:
+        counts = np.empty((2,) + mu.shape, dtype=np.int64)
+        for r, (rng, m) in enumerate(zip(streams, mu)):
+            counts[:, r] = rng.poisson(m, (2,) + m.shape)
     return counts, ((counts[0] - counts[1]) * amp).sum(axis=-1)
 
 
@@ -418,10 +426,9 @@ def _field_step(f, p, grid: Grid, kin: KineticParams, dt: float):
 
 def _evolve_batch(
     setup: CollapseSetup,
-    seed: int,
+    seed,
     n_runs: int,
     checkpoint_steps: tuple[int, ...],
-    record: bool,
 ) -> EnsembleResult:
     """Shared trajectory loop; active runs are compacted as they absorb.
 
@@ -435,11 +442,25 @@ def _evolve_batch(
     background needs one draw instead of one per cell, with the same law.
     Absorbed channels get a zero mean, so they draw no slips.
 
-    Dropping absorbed rows changes the shapes of later Poisson draws, so
-    the stream of random numbers depends on (setup, seed, n_runs) as a
-    whole; replays with the same triple are bit-identical.
+    An int ``seed`` draws every run from one stream. Dropping absorbed rows
+    changes the shapes of later draws, so the numbers then depend on
+    (setup, seed, n_runs) as a whole; replays with the same triple are
+    bit-identical. A sequence of ``n_runs`` seeds gives run r its own
+    stream, ``philox_stream(seed[r], 0)``, so run r does not depend on the
+    other runs at all.
     """
-    rng = philox_stream(seed, 0)
+    if n_runs < 1:
+        raise ValueError("n_runs must be at least 1")
+    shared = isinstance(seed, (int, np.integer))
+    if shared:
+        seeds, streams = [seed] * n_runs, philox_stream(seed, 0)
+    else:
+        seeds = list(seed)
+        if len(seeds) != n_runs:
+            raise ValueError(
+                f"got {len(seeds)} seeds for {n_runs} runs; need one per run"
+            )
+        streams = [philox_stream(s, 0) for s in seeds]
     kin, slips, grid = setup.kinetics, setup.slips, setup.grid
     base = setup.initial_fields()
     p = np.tile(np.asarray(setup.p0), (n_runs, 1))
@@ -460,7 +481,9 @@ def _evolve_batch(
     snaps = [] if checkpoints else None
     cp_iter = iter(checkpoints)
     next_cp = next(cp_iter, None)
-    traj = [(0.0, p[0].copy())] if record else None
+    every = setup.record_every
+    # trajectory frames: (time, run ids, their p), one per recording step
+    frames = [(0.0, gids, p.copy())] if every else None
     warned = False
 
     step = 0
@@ -481,7 +504,9 @@ def _evolve_batch(
                 stacklevel=3,
             )
             warned = True
-        counts, g = _draw_kicks(rng, mu, amp)
+        counts, g = _draw_kicks(
+            streams if shared else [streams[r] for r in gids], mu, amp
+        )
         slip_counts[gids] += counts.sum(axis=(0, 2, 3))
         try:
             p, _ = _slip_step(p, g, slips.absorb_floor)
@@ -493,11 +518,9 @@ def _evolve_batch(
             winner[ids] = np.argmax(p[done], axis=1)
             t_abs[ids] = step * setup.dt
             p_store[ids] = p[done]
-        if record and setup.record_every and (
-            step % setup.record_every == 0 or done[0]
-        ):
-            if traj and traj[-1][0] != step * setup.dt:
-                traj.append((step * setup.dt, p[0].copy()))
+        if every and (step % every == 0 or done.any()):
+            rec = done if step % every else slice(None)
+            frames.append((step * setup.dt, gids[rec], p[rec].copy()))
         if next_cp is not None and step >= next_cp:
             p_store[gids] = p
             while next_cp is not None and step >= next_cp:
@@ -515,21 +538,28 @@ def _evolve_batch(
         snaps.append(p_store.copy())
         next_cp = next(cp_iter, None)
 
+    trajectories = [None] * n_runs
+    if every:
+        runs = np.concatenate([ids for _, ids, _ in frames])
+        rows = np.column_stack([
+            np.concatenate([np.full(ids.size, t) for t, ids, _ in frames]),
+            np.concatenate([pv for _, _, pv in frames]),
+        ])
+        order = np.argsort(runs, kind="stable")  # each run's rows in time order
+        bounds = np.searchsorted(runs[order], np.arange(n_runs + 1))
+        trajectories = [rows[order[a:b]] for a, b in zip(bounds, bounds[1:])]
     results = []
     for r in range(n_runs):
-        rows = None
-        if record and r == 0 and traj is not None:
-            rows = np.array([np.concatenate(([t], pv)) for t, pv in traj])
         collapsed = winner[r] >= 0
         results.append(
             RunResult(
                 winner=int(winner[r]) if collapsed else None,
                 collapse_time=float(t_abs[r]) if collapsed else None,
                 slip_count=int(slip_counts[r]),
-                seed=seed,
+                seed=seeds[r],
                 p0=setup.p0,
                 status="collapsed" if collapsed else "timeout",
-                trajectory=rows,
+                trajectory=trajectories[r],
             )
         )
     return EnsembleResult(
@@ -542,33 +572,36 @@ def _evolve_batch(
 def run_collapse(setup: CollapseSetup, seed: int) -> RunResult:
     """One trajectory: advance fields, sample slips, apply, repeat.
 
-    Deterministic given (setup, seed). If the step budget runs out first
-    the result carries status "timeout" and the partial trajectory.
+    Deterministic given (setup, seed), and equal bit for bit to
+    ``run_ensemble(setup, (seed,), 1).results[0]``. If the step budget
+    runs out first the result carries status "timeout" and the partial
+    trajectory, which is recorded every ``setup.record_every`` steps.
     """
-    record = setup.record_every > 0
-    batch = _evolve_batch(setup, seed, 1, (), record)
-    return batch.results[0]
+    return _evolve_batch(setup, (seed,), 1, ()).results[0]
 
 
 def run_ensemble(
     setup: CollapseSetup,
-    seed: int,
+    seed,
     n_runs: int,
     checkpoint_steps: tuple[int, ...] = (),
 ) -> EnsembleResult:
-    """Vectorized batch of independent trajectories from one seed.
+    """Vectorized batch of independent trajectories.
 
-    The batch draws all runs' Poisson counts from a single Philox stream
-    in a fixed order. On a frozen background (``advance_fields=False``)
+    With an int ``seed`` the batch draws all runs' Poisson counts from a
+    single Philox stream in a fixed order. With a sequence of ``n_runs``
+    seeds run r draws from its own stream ``philox_stream(seed[r], 0)``,
+    in the same shapes and order as a one-run batch, so run r equals
+    ``run_collapse(setup, seed[r])`` bit for bit (a sweep is one such
+    batch). On a frozen background (``advance_fields=False``)
     cells with identical field values share one draw per run, channel and
     sign, so a uniform background costs one draw per step instead of one
     per cell; the law of every trajectory is the same either way.
     ``checkpoint_steps`` requests ensemble snapshots of p after the given
-    steps (absorbed runs hold their terminal value).
+    steps (absorbed runs hold their terminal value). Every run records its
+    trajectory when ``setup.record_every`` is positive.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    return _evolve_batch(setup, seed, n_runs, tuple(checkpoint_steps), False)
+    return _evolve_batch(setup, seed, n_runs, tuple(checkpoint_steps))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ is what the tests pin down.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -281,6 +282,11 @@ class BranchHamiltonian:
     def row_sum_norm(self) -> float:
         return float(np.abs(self.matrix).sum(axis=1).max())
 
+    @functools.cached_property
+    def generator(self) -> sparse.csr_matrix:
+        """-i H, the right-hand side of d psi / dt, formed once."""
+        return -1j * self.matrix
+
 
 def _track_count(model: LatticeModel, basis: LatticeBasis) -> np.ndarray:
     """(n_configs, atoms) table: how many tracks contain each atom's site."""
@@ -461,7 +467,7 @@ def evolve(
         dt = default_timestep(h)
     if dt <= 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
-    gen = -1j * h.matrix
+    gen = h.generator
     psi = state.amplitudes.copy()
     ref = np.linalg.norm(_word_sums(state.basis, psi))
     half = 0.5 * dt

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,17 +97,7 @@ class RunManifest:
     outputs: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "mode": self.mode,
-            "seeds": list(self.seeds),
-            "status": self.status,
-            "partial": self.partial,
-            "error": self.error,
-            "wall_clock": self.wall_clock,
-            "outputs": [dict(o) for o in self.outputs],
-        }
+        return asdict(self)
 
 
 # ------------------------------------------------------------ text layer
@@ -256,10 +246,12 @@ def _run_wave(job: _Job) -> str:
 
     started = time.perf_counter()
     sample(0)
-    for step in range(1, n_steps + 1):
-        f = kpp_step(f, grid, kin, dt)
-        if step % p["record_every"] == 0 or step == n_steps:
-            sample(step)
+    done = 0
+    while done < n_steps:
+        chunk = min(p["record_every"], n_steps - done)
+        f = kpp_step(f, grid, kin, dt, steps=chunk)
+        done += chunk
+        sample(done)
     mark = time.perf_counter()
     job.clocks["solve"] = mark - started
 
@@ -318,11 +310,7 @@ def _result_json(result: RunResult) -> dict:
     }
 
 
-def _single_collapse(job: _Job, seed: int, suffix: str = "") -> RunResult:
-    setup = build_collapse_setup(job.config)
-    started = time.perf_counter()
-    result = run_collapse(setup, seed)
-    mark = time.perf_counter()
+def _write_run(job: _Job, result: RunResult, suffix: str = "") -> None:
     job.json(f"run{suffix}.json", _result_json(result))
     if result.trajectory is not None:
         channels = len(result.p0)
@@ -330,30 +318,33 @@ def _single_collapse(job: _Job, seed: int, suffix: str = "") -> RunResult:
         rows = result.trajectory.tolist()
         job.csv(f"trajectory{suffix}.csv", header, rows)
         job.svg(f"trajectory{suffix}.svg", header, rows, "p-trajectory")
-    # a sweep sums both phases over its seeds
-    clocks = job.clocks
-    clocks["solve"] = clocks.get("solve", 0.0) + mark - started
-    clocks["write"] = clocks.get("write", 0.0) + time.perf_counter() - mark
-    return result
 
 
 def _run_collapse(job: _Job) -> str:
-    result = _single_collapse(job, job.config.seed)
+    setup = build_collapse_setup(job.config)
+    started = time.perf_counter()
+    result = run_collapse(setup, job.config.seed)
+    mark = time.perf_counter()
+    job.clocks["solve"] = mark - started
+    _write_run(job, result)
+    job.clocks["write"] = time.perf_counter() - mark
     return "success" if result.status == "collapsed" else "timeout"
 
 
 def _run_sweep(job: _Job) -> str:
-    results = []
-    for seed in job.config.seeds:
-        results.append(_single_collapse(job, seed, suffix=f"_{seed:05d}"))
-
+    setup = build_collapse_setup(job.config)
+    seeds = job.config.seeds
+    started = time.perf_counter()
+    # one batch, one stream per seed: each run equals its collapse run
+    results = run_ensemble(setup, seeds, len(seeds)).results
     mark = time.perf_counter()
+    job.clocks["solve"] = mark - started
+    for seed, result in zip(seeds, results):
+        _write_run(job, result, suffix=f"_{seed:05d}")
+
     p0 = job.config.params["p0"]
     channels = len(p0)
-    counts = [0] * channels
-    for r in results:
-        if r.winner is not None:
-            counts[r.winner] += 1
+    counts = [sum(r.winner == k for r in results) for k in range(channels)]
     resolved = sum(counts)
     aggregate = {
         "n_results": len(results),
@@ -380,7 +371,7 @@ def _run_sweep(job: _Job) -> str:
             "p_value": stats.p_value,
         })
     job.json("born.json", aggregate)
-    job.clocks["write"] += time.perf_counter() - mark
+    job.clocks["write"] = time.perf_counter() - mark
     if any(r.status == "timeout" for r in results):
         return "timeout"
     return "success"

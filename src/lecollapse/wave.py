@@ -123,9 +123,16 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return tuple(int(round(e / self.spacing)) for e in self.extent)
 
+    @functools.cached_property
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        out = tuple((np.arange(n) + 0.5) * self.spacing for n in self.shape)
+        for x in out:
+            x.flags.writeable = False
+        return out
+
     def axis_coords(self, axis: int = 0) -> np.ndarray:
-        n = self.shape[axis]
-        return (np.arange(n) + 0.5) * self.spacing
+        """Cell centres along one axis; read-only, built once per grid."""
+        return self._coords[axis]
 
     def cfl_limit(self, params: KineticParams) -> float:
         """Largest stable explicit step for pure diffusion on this grid."""
@@ -212,6 +219,30 @@ def laplacian(f: np.ndarray, spacing: float, axes=None) -> np.ndarray:
     return lap
 
 
+@functools.lru_cache(maxsize=3)
+def _padded_slices(ndim: int):
+    """Index tuples into a field padded by one cell on every side.
+
+    Returns (inside, walls, stencil): the unpadded field; one (wall, edge)
+    pair per axis and side, where copying edge into wall gives
+    zero-gradient walls; and the (hi, lo) neighbours of every inside cell
+    along each axis. Corners are never read.
+    """
+    inside = (slice(1, -1),) * ndim
+
+    def at(ax, s):
+        return inside[:ax] + (s,) + inside[ax + 1:]
+
+    walls = tuple(
+        pair for ax in range(ndim)
+        for pair in ((at(ax, slice(0, 1)), at(ax, slice(1, 2))),
+                     (at(ax, slice(-1, None)), at(ax, slice(-2, -1))))
+    )
+    stencil = tuple((at(ax, slice(2, None)), at(ax, slice(0, -2)))
+                    for ax in range(ndim))
+    return inside, walls, stencil
+
+
 def _check_step(
     grid: Grid, params: KineticParams, dt: float, reaction: bool = True
 ) -> None:
@@ -232,22 +263,65 @@ def kpp_step(
     params: KineticParams,
     dt: float,
     contagion: bool = True,
+    steps: int = 1,
 ) -> np.ndarray:
-    """One explicit step of the single-field probability wave.
+    """``steps`` explicit steps of the single-field probability wave.
 
     Walls are no-flux. With ``contagion`` false only diffusion acts, which
-    conserves the field sum exactly. The result is clamped to [0, 1]; the
-    scheme is monotone under the step bound so the clamp only removes
-    rounding residue, and f = 0 and f = 1 are exact fixed points.
+    conserves the field sum exactly. Each step's result is clamped to
+    [0, 1]; the scheme is monotone under the step bound so the clamp only
+    removes rounding residue, and f = 0 and f = 1 are exact fixed points.
+    The step bound is checked once per call. One call with ``steps = n``
+    equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
+    copy. The caller's array is never modified.
     """
     _check_step(grid, params, dt, reaction=contagion)
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    rate = params.d_coeff * laplacian(f, grid.spacing)
-    if contagion:
-        rate = rate + f * (1.0 - f) / params.tau
-    return np.clip(f + dt * rate, 0.0, 1.0)
+    inside, walls, stencil = _padded_slices(f.ndim)
+    d, tau, inv_h2 = params.d_coeff, params.tau, 1.0 / grid.spacing**2
+    # two fields, each padded by one wall cell per axis side; a step reads
+    # the views of one and writes the inside of the other
+    views = []
+    for _ in range(2):
+        buf = np.empty(tuple(n + 2 for n in f.shape))
+        views.append((
+            buf[inside],
+            [(buf[hi], buf[lo]) for hi, lo in stencil],
+            [(buf[wall], buf[edge]) for wall, edge in walls],
+        ))
+    views[0][0][...] = f
+    for wall, edge in views[0][2]:
+        wall[...] = edge
+    two_f, term, rate = (np.empty(f.shape) for _ in range(3))
+    for n in range(steps):
+        g, neighbours, _ = views[n % 2]
+        new, _, new_walls = views[(n + 1) % 2]
+        np.multiply(2.0, g, out=two_f)
+        for ax, (hi, lo) in enumerate(neighbours):
+            acc = rate if ax == 0 else term
+            # (hi - 2 f + lo) / h^2, summed over the axes in order
+            np.subtract(hi, two_f, out=acc)
+            np.add(acc, lo, out=acc)
+            np.multiply(acc, inv_h2, out=acc)
+            if ax:
+                np.add(rate, term, out=rate)
+        np.multiply(d, rate, out=rate)
+        if contagion:
+            np.subtract(1.0, g, out=term)
+            np.multiply(g, term, out=term)
+            np.divide(term, tau, out=term)
+            np.add(rate, term, out=rate)
+        np.multiply(dt, rate, out=rate)
+        np.add(g, rate, out=new)
+        np.maximum(new, 0.0, out=new)
+        np.minimum(new, 1.0, out=new)
+        for wall, edge in new_walls:
+            wall[...] = edge
+    return views[steps % 2][0].copy()
 
 
 @dataclass

@@ -8,6 +8,8 @@ silently untraced ``--trace 1`` run, or as a failing star import.
 """
 
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,3 +83,34 @@ def test_traced_fp_run_calls_the_stepper_once_per_step(tmp_path):
     names = [s.name for s in tracer.spans]
     assert names.count("fokker_planck.fp_step") == 20
     assert names.count("fokker_planck.boundary_current") == 3
+
+
+def test_traced_sweep_is_one_engine_run_over_every_seed(tmp_path):
+    # the runner reaches the batch through its run_ensemble binding, so
+    # the engine time of a sweep lands in one span holding every seed
+    config = load_config(overrides={
+        "mode": "sweep", "seeds": "0..3", "extent": "32",
+        "seed_region_1": "0,2", "seed_region_2": "30,32",
+        "rate_calibration": "2e4", "dt": "0.02",
+        "out": str(tmp_path / "sweep"),
+    })
+    tracer = Tracer()
+    with tracer.installed():
+        run_experiment(config)
+    runs = [s for s in tracer.spans if s.name == "engine.run"]
+    assert len(runs) == 1
+    assert runs[0].extra["trajectories"] == 4
+
+
+def test_traced_wave_steps_once_per_record_interval(tmp_path):
+    config = load_config(overrides={"mode": "wave", "extent": "20",
+                                    "t_final": "5", "record_every": "7",
+                                    "out": str(tmp_path / "wave")})
+    tracer = Tracer()
+    with tracer.installed():
+        run_experiment(config)
+    n_steps = json.loads((tmp_path / "wave" / "speed.json").read_text())[
+        "n_steps"]
+    assert n_steps % 7  # the last chunk is a short one
+    names = [s.name for s in tracer.spans]
+    assert names.count("wave.kpp_step") == math.ceil(n_steps / 7)

@@ -364,6 +364,44 @@ def test_single_run_matches_the_ensemble_batch():
     assert single.slip_count == batch.slip_count
 
 
+def seeded_setup(p0=(0.3, 0.7), **kw):
+    """Advancing fronts from one end region per channel, as in a sweep."""
+    ends = [(0.0, 2.0), (30.0, 32.0), (15.0, 17.0)]
+    kw.setdefault("slips", SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0,
+                                      rate_calibration=2e4,
+                                      absorb_floor=1e-5))
+    kw.setdefault("dt", 0.02)
+    kw.setdefault("max_steps", 20000)
+    return frozen_setup(p0=p0, f_init=None, advance_fields=True,
+                        seed_regions=tuple(ends[:len(p0)]), **kw)
+
+
+@pytest.mark.parametrize("setup", [
+    seeded_setup(record_every=3),
+    # a short budget: some runs time out, the others absorb mid-batch
+    seeded_setup(p0=(0.2, 0.3, 0.5), max_steps=270, record_every=7),
+    frozen_setup(p0=(0.3, 0.7), record_every=50, dt=0.04, max_steps=20000,
+                 slips=SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0,
+                                  rate_calibration=5e3, absorb_floor=1e-5)),
+], ids=["seeded", "k3-timeouts", "frozen"])
+def test_seed_sequence_runs_equal_their_single_runs(setup):
+    seeds = (4, 11, 0, 7)
+    batch = run_ensemble(setup, seeds, len(seeds)).results
+    statuses = set()
+    for seed, got in zip(seeds, batch):
+        want = run_collapse(setup, seed)
+        assert got.seed == seed
+        assert (got.winner, got.collapse_time, got.slip_count, got.status) \
+            == (want.winner, want.collapse_time, want.slip_count,
+                want.status)
+        assert got.trajectory.tobytes() == want.trajectory.tobytes()
+        statuses.add(got.status)
+    if setup.channels == 3:
+        assert statuses == {"collapsed", "timeout"}
+    with pytest.raises(ValueError, match="one per run"):
+        run_ensemble(setup, seeds, len(seeds) + 1)
+
+
 def test_ensemble_mean_stays_at_the_initial_probabilities():
     setup = frozen_setup(p0=(0.3, 0.7), max_steps=1500)
     out = run_ensemble(setup, seed=31, n_runs=300,

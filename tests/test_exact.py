@@ -305,6 +305,21 @@ def test_zero_word_sector_norm_is_conserved():
     assert after == pytest.approx(before, abs=1e-7)
 
 
+def test_evolve_forms_the_complex_generator_once():
+    h = build_branch_hamiltonian(small_model())
+    state = BranchState.from_standard(h.basis)
+    dt = default_timestep(h)
+    first = evolve(state, h, dt, 3)
+    gen = h.generator
+    second = evolve(state, h, dt, 3)
+    assert h.generator is gen
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    # evolve steps with the cached generator: a zero one changes nothing
+    h.generator = 0.0 * gen
+    assert np.array_equal(evolve(state, h, dt, 3).amplitudes,
+                          state.amplitudes)
+
+
 def test_watchdog_raises_on_oversized_step():
     model = small_model(u_strength=2.0, v_strength=3.0)
     h = build_branch_hamiltonian(model)

@@ -109,6 +109,53 @@ def test_step_rejects_unstable_dt():
             kpp_step(np.zeros(g.shape), g, UNIT, float("nan"), contagion)
 
 
+@pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
+@pytest.mark.parametrize("contagion", [True, False])
+def test_many_steps_in_one_call_equal_single_steps(extent, contagion):
+    g = Grid(extent=extent, spacing=0.25)
+    dt = 0.9 * (g.monotone_limit(UNIT) if contagion else g.cfl_limit(UNIT))
+    rng = np.random.default_rng(len(extent))
+    f = rng.uniform(0.0, 1.0, g.shape)
+    f[f < 0.3] = 0.0  # include both fixed points
+    f[f > 0.9] = 1.0
+    before = f.copy()
+    # one step written out: the stencil, the reaction, then the clamp
+    ref = f
+    for _ in range(37):
+        rate = UNIT.d_coeff * laplacian(ref, g.spacing)
+        if contagion:
+            rate = rate + ref * (1.0 - ref) / UNIT.tau
+        ref = np.clip(ref + dt * rate, 0.0, 1.0)
+    single = f
+    for _ in range(37):
+        single = kpp_step(single, g, UNIT, dt, contagion)
+    many = kpp_step(f, g, UNIT, dt, contagion, steps=37)
+    assert single.tobytes() == ref.tobytes()
+    assert many.tobytes() == ref.tobytes()
+    assert f.tobytes() == before.tobytes()
+
+
+def test_zero_steps_copy_and_negative_steps_fail():
+    g = Grid(extent=(8.0,), spacing=0.25)
+    f = seed_field(g, (0.0, 2.0))
+    dt = g.monotone_limit(UNIT)
+    out = kpp_step(f, g, UNIT, dt, steps=0)
+    assert out is not f and np.array_equal(out, f)
+    out[0] = 0.5
+    assert f[0] == 1.0
+    with pytest.raises(ValueError, match="steps"):
+        kpp_step(f, g, UNIT, dt, steps=-1)
+
+
+def test_axis_coords_are_built_once_and_read_only():
+    g = Grid(extent=(4.0, 2.0), spacing=0.25)
+    x = g.axis_coords(1)
+    assert x is g.axis_coords(1)
+    assert np.array_equal(x, (np.arange(8) + 0.5) * 0.25)
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     f=arrays(np.float64, 32, elements=st.floats(0.0, 1.0)),
