@@ -60,8 +60,8 @@ def main():
     print("diffusion limit on the simplex:")
     print(f"{'t':>7} {'mass':>10} {'edge mass':>10} {'boundary current':>17}")
     for block in range(5):
-        for _ in range(n_steps // 4 if block else 1):
-            density = fp_step(density, summary, params, dt)
+        density = fp_step(density, summary, params, dt,
+                          steps=n_steps // 4 if block else 1)
         print(f"{density.time:7.1f} {density.mass:10.6f} "
               f"{edge_mass(density):10.4f} "
               f"{boundary_current(density, summary, params):17.3e}")

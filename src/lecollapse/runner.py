@@ -404,13 +404,20 @@ def _run_fp(job: _Job) -> str:
 
     started = time.perf_counter()
     writing = 0.0  # snapshot writes inside the loop count as "write"
+    n_steps = p["n_steps"]
+    every, snap = p["current_every"], p["snapshot_every"]
     currents = [current_row(density)]
-    for step in range(1, p["n_steps"] + 1):
-        density = fp_step(density, summary, slips, dt)
-        if step % p["current_every"] == 0 or step == p["n_steps"]:
+    step = 0
+    while step < n_steps:
+        # run up to the next current row, snapshot or the end
+        stop = min(n_steps, (step // every + 1) * every)
+        if snap:
+            stop = min(stop, (step // snap + 1) * snap)
+        density = fp_step(density, summary, slips, dt, steps=stop - step)
+        step = stop
+        if step % every == 0 or step == n_steps:
             currents.append(current_row(density))
-        if p["snapshot_every"] and step % p["snapshot_every"] == 0 \
-                and step != p["n_steps"]:
+        if snap and step % snap == 0 and step != n_steps:
             mark = time.perf_counter()
             header, rows = _cell_table(grid, density=density.phi)
             job.csv(f"density_{step:06d}.csv", header, rows)
@@ -450,8 +457,7 @@ def _run_compare(job: _Job) -> str:
         build_compare_setup(job.config)
 
     started = time.perf_counter()
-    for _ in range(n_fp):
-        density = fp_step(density, summary, setup.slips, fp_dt)
+    density = fp_step(density, summary, setup.slips, fp_dt, steps=n_fp)
     job.clocks["fp"] = time.perf_counter() - started
 
     started = time.perf_counter()

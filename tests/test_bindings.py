@@ -70,10 +70,10 @@ def test_traced_run_reaches_the_field_step_bindings():
         plain.winner, plain.collapse_time, plain.slip_count)
 
 
-def test_traced_fp_run_calls_the_stepper_once_per_step(tmp_path):
-    # the per-layer diffusion metrics count one fp_step span per step and
-    # one boundary_current span per row of current.csv (the initial row,
-    # then every current_every steps)
+def test_traced_fp_run_steps_once_per_current_row(tmp_path):
+    # the runner steps in chunks that end at each row of current.csv, so
+    # there is one fp_step span per current_every steps and one
+    # boundary_current span per row (the initial row, then every chunk)
     config = load_config(overrides={"mode": "fp", "n_steps": "20",
                                     "current_every": "10",
                                     "out": str(tmp_path / "fp")})
@@ -81,7 +81,7 @@ def test_traced_fp_run_calls_the_stepper_once_per_step(tmp_path):
     with tracer.installed():
         run_experiment(config)
     names = [s.name for s in tracer.spans]
-    assert names.count("fokker_planck.fp_step") == 20
+    assert names.count("fokker_planck.fp_step") == 2
     assert names.count("fokker_planck.boundary_current") == 3
 
 

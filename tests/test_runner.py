@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import lecollapse.runner as runner
-from lecollapse.config import load_config
+from lecollapse.config import build_fp_setup, load_config
+from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
 from lecollapse.runner import (
     format_csv,
     parse_csv,
@@ -111,6 +112,44 @@ def test_fp_mode_conserves_mass(tmp_path):
     assert rows[-1][2] == pytest.approx(1.0, abs=1e-9)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["edge_mass"] + summary["interior_mass"] == pytest.approx(1.0)
+    assert manifest.status == "success"
+
+
+def test_fp_chunks_write_what_single_steps_give(tmp_path):
+    # the runner steps in chunks that end at each current row, snapshot
+    # and the end; rows and summary must equal a one-step-per-call loop
+    cfg, manifest = run(tmp_path, mode="fp", channels="3",
+                        p0="0.2,0.3,0.5", resolution="60", n_steps="53",
+                        current_every="7", snapshot_every="10")
+    out = Path(cfg.out_dir)
+    snapshots = sorted(p.name for p in out.glob("density_*.csv"))
+    assert snapshots == [f"density_{s:06d}.csv" for s in (10, 20, 30, 40, 50)]
+
+    grid, density, summary, slips, dt = build_fp_setup(cfg)
+    rows = []
+    for step in range(54):
+        if step:
+            density = fp_step(density, summary, slips, dt)
+        if step % 7 == 0 or step == 53:
+            rows.append([density.time,
+                         boundary_current(density, summary, slips),
+                         density.mass, density.clamped])
+    assert (out / "current.csv").read_text() == format_csv(
+        ["time", "boundary_current", "mass", "clamped"], rows)
+    written = json.loads((out / "summary.json").read_text())
+    assert written == {
+        "channels": 3,
+        "resolution": 60,
+        "dt": dt,
+        "n_steps": 53,
+        "t_final": density.time,
+        "overlap": list(summary.overlap),
+        "mass": density.mass,
+        "clamped": density.clamped,
+        "edge_mass": edge_mass(density),
+        "interior_mass": 1.0 - edge_mass(density),
+        "boundary_current_final": rows[-1][1],
+    }
     assert manifest.status == "success"
 
 
