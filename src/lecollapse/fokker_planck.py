@@ -26,12 +26,12 @@ defaults to the mean combination. ``diffusion_coefficients`` exposes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams, _cell_means, probability_vector
 from lecollapse.wave import ScalarFieldSet, StabilityError
 
@@ -408,7 +408,7 @@ def fp_step(
     """
     grid = density.grid
     op = _operator(grid, summary, params)
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if dt > op.bound * (1.0 + 1e-12):
         raise StabilityError(
@@ -416,7 +416,7 @@ def fp_step(
         )
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    matvec = _matvec(op.generator)
+    matvec = bind_matvec(op.generator)
     cell = grid.spacing**grid.dims
     phi = density.phi.copy()
     new, gphi = np.empty(phi.shape), np.empty(phi.size)
@@ -439,17 +439,6 @@ def fp_step(
         phi, new = new, phi
         time = time + dt
     return FPDensity(grid=grid, phi=phi, time=time, clamped=clamped)
-
-
-def _matvec(g: sparse.csr_array):
-    """The CSR kernel behind ``g @ x``, bound to g: call it as (x, y).
-
-    It adds g x into y, so y starts at zero to match ``g @ x``, which
-    fills a zeroed result the same way; skipping the operator dispatch
-    of ``@`` is what keeps a one-dimensional step cheap.
-    """
-    return partial(_sparsetools.csr_matvec, *g.shape, g.indptr, g.indices,
-                   g.data)
 
 
 def boundary_current(

@@ -6,7 +6,7 @@ reference evolution uses scipy.linalg.expm on dense matrices.
 """
 
 import re
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -23,14 +23,15 @@ from lecollapse.exact import (
     LatticeModel,
     UndefinedProbabilityError,
     _config_blocks,
+    _hop_matrix,
+    _track_count,
     build_branch_hamiltonian,
     default_timestep,
     evolve,
     le_occupation,
     local_probabilities,
-    permutation_defect,
+    permutation_index_map,
     reconstruct_standard,
-    standard_hamiltonian,
 )
 
 
@@ -53,6 +54,27 @@ def dense_standard_oracle(model):
                 if ca[i] == ca[j]:
                     h[a, a] += model.v_strength
     return h
+
+
+def standard_hamiltonian(model):
+    """Plain Hamiltonian over configurations from the package's hop and
+    track tables: hopping + track u + contact v."""
+    basis = LatticeBasis(model)
+    cd = basis.config_digits
+    diag = model.u_strength * _track_count(model, basis).sum(axis=1).astype(np.float64)
+    for i in range(model.atoms):
+        for j in range(i + 1, model.atoms):
+            diag += model.v_strength * (cd[:, i] == cd[:, j])
+    return (_hop_matrix(model, basis) + sparse.diags(diag)).tocsr()
+
+
+def permutation_defect(state):
+    """Largest amplitude change under any atom/letter transposition."""
+    worst = 0.0
+    for perm in permutations(range(state.basis.model.atoms)):
+        mapped = state.amplitudes[permutation_index_map(state.basis, perm)]
+        worst = max(worst, float(np.abs(mapped - state.amplitudes).max()))
+    return worst
 
 
 def word_sum_map(basis):
@@ -326,6 +348,51 @@ def test_watchdog_raises_on_oversized_step():
     state = BranchState.from_standard(h.basis)
     with pytest.raises(DivergenceError):
         evolve(state, h, dt=2.0 / h.row_sum_norm * 4.0, steps=200)
+
+
+def test_watchdog_raises_on_a_drift_that_is_not_finite():
+    # a huge step overflows the stages to NaN, whose drift compares
+    # False against any limit: the watchdog must still fire at once
+    h = build_branch_hamiltonian(small_model(sites=2, a_tracks=((1,),)))
+    state = BranchState.from_standard(h.basis)
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"drifted by nan at step 1 "):
+        evolve(state, h, 1e200, 3)
+
+
+def test_nan_dt_is_rejected():
+    h = build_branch_hamiltonian(small_model())
+    state = BranchState.from_standard(h.basis)
+    with pytest.raises(ValueError, match="dt"):
+        evolve(state, h, float("nan"), 3)
+
+
+def test_many_steps_in_one_call_equal_single_steps():
+    model = small_model(channels=2, a_tracks=((2,), (0,)))
+    h = build_branch_hamiltonian(model)
+    state = BranchState.from_standard(h.basis)
+    before = state.amplitudes.copy()
+    dt = default_timestep(h)
+    chunked = evolve(state, h, dt, 25)
+    single = state
+    for _ in range(25):
+        single = evolve(single, h, dt, 1)
+    assert chunked.amplitudes.tobytes() == single.amplitudes.tobytes()
+    # the clock is start + steps * dt, not a sum of single steps
+    assert chunked.time == 25 * dt == pytest.approx(single.time, rel=1e-14)
+    # the caller's amplitudes are left as they were
+    assert state.amplitudes.tobytes() == before.tobytes()
+    assert state.time == 0.0
+
+
+def test_zero_steps_return_a_copy():
+    h = build_branch_hamiltonian(small_model())
+    state = evolve(BranchState.from_standard(h.basis), h, None, 4)
+    same = evolve(state, h, None, 0)
+    assert same is not state
+    assert not np.shares_memory(same.amplitudes, state.amplitudes)
+    assert same.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert same.time == state.time
 
 
 def test_le_occupation_partitions_the_atom_number():

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams
+from lecollapse.exact import LatticeModel, build_branch_hamiltonian
 from lecollapse.fokker_planck import (
     ComparisonError,
     FPDensity,
@@ -22,7 +24,6 @@ from lecollapse.fokker_planck import (
 )
 from lecollapse.fokker_planck import (
     _cached_operator,
-    _matvec,
     _operator,
     _reduced_coefficients,
 )
@@ -246,6 +247,9 @@ def test_step_rejects_unstable_dt():
     with pytest.raises(StabilityError):
         fp_step(density, s, params, 2 * bound)
     fp_step(density, s, params, 0.9 * bound)
+    # NaN slips past the bound comparison, so the sign check must catch it
+    with pytest.raises(ValueError, match="dt"):
+        fp_step(density, s, params, float("nan"), steps=3)
 
 
 def test_three_channel_step_conserves_mass_inside_the_triangle():
@@ -506,14 +510,23 @@ def test_many_steps_still_check_the_bound():
 
 @pytest.mark.parametrize("case", range(3))
 def test_bound_kernel_equals_the_sparse_product(case):
-    # fp_step calls scipy's CSR kernel directly; a change in that private
-    # binding must show here, not as drift in the solver's output
+    # fp_step and exact.evolve call scipy's CSR kernel directly; a change
+    # in that private binding must show here, not as drift in the output
+    # of either stepper: the real FP generator and the complex branch one
     grid, s, p0 = stepping_cases()[case]
-    g = _operator(grid, s, desk_params()).generator
-    phi = np.random.default_rng(case).random(g.shape[1])
-    out = np.zeros(g.shape[0])
-    _matvec(g)(phi, out)
-    assert out.tobytes() == (g @ phi).tobytes()
+    model = LatticeModel(sites=2 + case % 2, atoms=2 + case // 2,
+                         channels=1 + case % 2, hop_amplitude=0.9,
+                         u_strength=0.8, v_strength=0.5,
+                         a_tracks=((0,), (1,))[:1 + case % 2])
+    rng = np.random.default_rng(case)
+    for g in (_operator(grid, s, desk_params()).generator,
+              build_branch_hamiltonian(model).generator):
+        v = rng.random(g.shape[1]).astype(g.dtype)
+        if g.dtype.kind == "c":
+            v += 1j * rng.random(g.shape[1])
+        out = np.zeros(g.shape[0], dtype=g.dtype)
+        bind_matvec(g)(v, out)
+        assert out.tobytes() == (g @ v).tobytes()
 
 
 @pytest.mark.parametrize("channels", [2, 3])
