@@ -53,6 +53,10 @@ __all__ = [
 # largest incoherence strength in the random-matrix limit
 W_CEILING = 4.0 / (3.0 * np.pi)
 
+# a frozen background draws about _DRAW_BUDGET Poisson counts per call,
+# in blocks of at most _BLOCK_MAX steps
+_DRAW_BUDGET, _BLOCK_MAX = 2**15, 128
+
 
 class DegenerateStateError(RuntimeError):
     """Every channel was absorbed in the same update."""
@@ -144,25 +148,15 @@ class SlipParams:
         if not 0.0 < self.absorb_floor < 1.0:
             raise ValueError("absorb_floor must lie strictly between 0 and 1")
 
-    @property
-    def cell_volume(self) -> float:
-        return self.lam**3
-
-    @property
-    def collision_rate_per_cell(self) -> float:
-        """Incoherent pair-collision rate per cell, n_a lam^3 / (2 tau)."""
-        return self.n_a * self.cell_volume / (2.0 * self.tau)
-
 
 def slip_delta(p, j: int, f_j: float, f_0: float, params: SlipParams,
                sign: int) -> np.ndarray:
     """Probability transfer of a single slip on channel ``j``.
 
     delta_j = sign * W p_j (1 - p_j) f_j f_0 / (2 N_c) and every other
-    channel loses sign * W p_j p_k f_j f_0 / (2 N_c); the components sum
-    to exactly 0.0. The last nonzero component absorbs the float closure
-    residual (a relative 1e-16 adjustment), which keeps the simplex walk
-    exactly zero-sum; channels already at probability 0 stay untouched.
+    channel loses sign * W p_j p_k f_j f_0 / (2 N_c). This is the
+    trajectory update ``_slip_step`` for one slip: for K < 8 the components
+    sum to exactly 0.0, and channels at probability 0 stay untouched.
     """
     p = probability_vector(p)
     if sign not in (1, -1):
@@ -171,37 +165,22 @@ def slip_delta(p, j: int, f_j: float, f_0: float, params: SlipParams,
         raise ValueError("fractions must lie in [0, 1]")
     if not 0 <= j < p.size:
         raise ValueError(f"channel {j} outside 0..{p.size - 1}")
-    amp = sign * params.w * f_j * f_0 / (2.0 * params.n_c)
-    delta = -amp * p[j] * p
-    delta[j] = amp * p[j] * (1.0 - p[j])
-    nz = np.flatnonzero(delta)
-    if nz.size:
-        # short-vector float sums run left to right, so closing on the
-        # last nonzero entry cancels the prefix exactly
-        last = nz[-1]
-        delta[last] = -delta[:last].sum()
-        for _ in range(8):
-            resid = delta.sum()
-            if resid == 0.0:
-                break
-            delta[last] -= resid
-    return delta
+    g = np.zeros((1, p.size))
+    g[0, j] = sign * params.w * f_j * f_0 / (2.0 * params.n_c)
+    return _slip_step(p[None], g, params.absorb_floor)[1][0]
 
 
 def _slip_rates(f_cells, f0_cells, params: SlipParams, dt: float):
     """Poisson mean per sign and per-slip kick of every cell.
 
     ``f_cells`` is (..., K, cells) and ``f0_cells`` (..., cells). The mean
-    is collision_rate_per_cell * rate_calibration * dt * f_j f_0 * W/2;
-    one slip of sign s on channel j adds s * W f_j f_0 / (2 N_c) to the
-    kick g_j that ``_slip_step`` applies.
+    is the pair-collision rate per cell, n_a lam^3 / (2 tau), times
+    rate_calibration * dt * f_j f_0 * W/2; one slip of sign s on channel j
+    adds s * W f_j f_0 / (2 N_c) to the kick g_j that ``_slip_step``
+    applies.
     """
-    rate = (
-        params.rate_calibration
-        * params.collision_rate_per_cell
-        * dt
-        * (params.w / 2.0)
-    )
+    collisions = params.n_a * params.lam**3 / (2.0 * params.tau)
+    rate = params.rate_calibration * collisions * dt * (params.w / 2.0)
     f0 = f0_cells[..., None, :]
     return rate * f_cells * f0, params.w * f_cells * f0 / (2.0 * params.n_c)
 
@@ -209,12 +188,11 @@ def _slip_rates(f_cells, f0_cells, params: SlipParams, dt: float):
 def _grouped_rates(f_cells, f0_cells, params: SlipParams, dt: float):
     """Poisson means and per-slip kicks per group of identical cells.
 
-    Cells whose (f_cells[:, c], f0_cells[c]) columns are equal give slips
-    of the same amplitude, and a sum of independent Poisson counts is
-    Poisson with the summed mean, so a group takes one draw whose mean is
-    the per-cell mean times the group's multiplicity. This is exact in
-    distribution (the superposition step of tau-leaping). Returns
-    (mu, amp, multiplicity) with mu and amp of shape (K, groups).
+    Cells with equal (f_cells[:, c], f0_cells[c]) columns slip with equal
+    amplitudes, and a sum of independent Poisson counts is Poisson with the
+    summed mean, so a group takes one draw of the per-cell mean times its
+    multiplicity, exact in law (the superposition step of tau-leaping).
+    Returns (mu, amp, multiplicity), mu and amp of shape (K, groups).
     """
     cols, mult = np.unique(
         np.vstack([f_cells, f0_cells]), axis=1, return_counts=True
@@ -223,59 +201,73 @@ def _grouped_rates(f_cells, f0_cells, params: SlipParams, dt: float):
     return mu * mult, amp, mult
 
 
-def _draw_kicks(streams, mu, amp):
-    """Poisson slip counts and the net kick g of every (row, channel).
+def _draw_kicks(streams, mu, amp, steps: int):
+    """Poisson slip counts of ``steps`` steps at one step's means ``mu``.
 
     ``mu`` is (rows, K, cells or groups) and ``amp`` broadcasts against it.
-    ``streams`` is one generator that draws every row at once, or a list
-    of generators, one per row, each drawing its row alone. Both signs
-    come from one draw, all plus counts before all minus counts, so a row
-    drawn alone takes the same numbers as a one-row batch from its stream.
-    Returns (counts of shape (2,) + mu.shape, g of shape (rows, K)).
+    ``streams`` is one generator for every row, or one generator per row.
+    Plus counts come before minus counts within a step, so a row drawn
+    alone takes the same numbers as a one-row batch from its stream, and a
+    one-step block those of a single step. Returns each channel's slips
+    and its net kick g for ``_slip_step``, both (steps, rows, K).
     """
     if isinstance(streams, np.random.Generator):
-        counts = streams.poisson(mu, (2,) + mu.shape)
+        parts = [(streams, slice(None))]
     else:
-        counts = np.empty((2,) + mu.shape, dtype=np.int64)
-        for r, (rng, m) in enumerate(zip(streams, mu)):
-            counts[:, r] = rng.poisson(m, (2,) + m.shape)
-    return counts, ((counts[0] - counts[1]) * amp).sum(axis=-1)
+        parts = [(rng, slice(r, r + 1)) for r, rng in enumerate(streams)]
+    slips = np.empty((steps,) + mu.shape[:2], dtype=np.int64)
+    g = np.empty(slips.shape)
+    amp = np.broadcast_to(amp, mu.shape)
+    for rng, rows in parts:
+        counts = rng.poisson(mu[rows], (steps, 2) + mu[rows].shape)
+        slips[:, rows] = counts.sum(axis=(1, -1))
+        g[:, rows] = ((counts[:, 0] - counts[:, 1]) * amp[rows]).sum(axis=-1)
+    return slips, g
 
 
-def _slip_step(p, g, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one step of slips to every row of ``p``.
+def _live_channels(p):
+    """Live mask, flat index of each row's last live channel, live count."""
+    live = p > 0.0
+    last = p.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    return live, last + p.shape[1] * np.arange(len(p)), np.count_nonzero(live)
+
+
+def _slip_step(p, g, floor: float, live=None):
+    """Apply one step of slips to every row of ``p``; returns (q, delta).
 
     ``g[r, j]`` is row r's net kick on channel j: signed slip counts times
-    their per-slip kicks, summed over cells. The increment
-    delta = p * (g - sum_k g_k p_k) is the count-weighted sum of
-    ``slip_delta`` terms at the incoming p. Each row is closed on its last
-    live channel, as ``slip_delta`` does, so it sums to exactly 0.0.
-    Channels at 0 stay at 0. A live channel driven to or below ``floor``
-    becomes exactly 0 and its row is renormalized. Returns (q, delta),
-    delta being the increment before absorption.
+    their per-slip kicks, summed over cells. delta = p * (g - sum_k g_k p_k)
+    sums the single-slip transfers (``slip_delta``) at the incoming p.
+    Closed on its last live channel, a row of K < 8 sums to exactly 0.0,
+    but q = p + delta rounds: sum q is 1 only to about one unit roundoff
+    per step. Channels at 0 stay at 0; a live channel driven to or below
+    ``floor`` becomes 0 and its row is renormalized (delta is the increment
+    before that). ``live`` is ``_live_channels(p)``, which a caller can
+    keep until a channel absorbs.
     """
-    live = p > 0.0
-    delta = p * (g - (g * p).sum(axis=1, keepdims=True))
-    rows = np.arange(p.shape[0])
-    last = p.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-    delta[rows, last] = 0.0
-    # numpy sums short rows left to right, so one pass cancels them
-    # exactly; long rows are summed pairwise and may need a few more
-    for _ in range(8):
+    live, last, n_live = _live_channels(p) if live is None else live
+    delta = np.multiply(g, p)
+    np.subtract(g, delta.sum(axis=1, keepdims=True), out=delta)
+    delta *= p
+    closing = delta.reshape(-1)  # a view: delta is fresh and contiguous
+    closing[last] = 0.0
+    # numpy sums rows shorter than 8 left to right, so one pass cancels
+    # them exactly; longer rows are summed pairwise and may need more
+    closing[last] -= delta.sum(axis=1)
+    for _ in range(7 if p.shape[1] >= 8 else 0):
         resid = delta.sum(axis=1)
         if not resid.any():
             break
-        delta[rows, last] -= resid
+        closing[last] -= resid
     q = p + delta
-    hit = (q <= floor) & live
-    if hit.any():
+    # fewer live channels above the floor than live ones: some absorbed
+    if np.count_nonzero(q > floor) < n_live:
+        hit = (q <= floor) & live
         q[hit] = 0.0
         hit_rows = hit.any(axis=1)
         totals = q[hit_rows].sum(axis=1)
         if (totals <= 0.0).any():
-            raise DegenerateStateError(
-                "every channel was absorbed in one update"
-            )
+            raise DegenerateStateError("every channel was absorbed in one update")
         q[hit_rows] /= totals[:, None]
     return q, delta
 
@@ -435,19 +427,15 @@ def _evolve_batch(
     Each step advances the fields (``_field_step``), works out the slip
     rates from their cell means (``_cell_means``, ``_slip_rates``), draws
     per-cell Poisson counts of both signs (``_draw_kicks``) and updates p
-    (``_slip_step``). With advancing fields every (run, channel, cell,
-    sign) takes its own Poisson draw. With frozen fields the per-cell rates never change, so
-    they are worked out once and cells with identical (f_cell, f0_cell)
-    share one draw per (run, channel, sign) (``_grouped_rates``): a uniform
-    background needs one draw instead of one per cell, with the same law.
-    Absorbed channels get a zero mean, so they draw no slips.
-
-    An int ``seed`` draws every run from one stream. Dropping absorbed rows
-    changes the shapes of later draws, so the numbers then depend on
-    (setup, seed, n_runs) as a whole; replays with the same triple are
-    bit-identical. A sequence of ``n_runs`` seeds gives run r its own
-    stream, ``philox_stream(seed[r], 0)``, so run r does not depend on the
-    other runs at all.
+    (``_slip_step``). On a frozen background the rates are worked out once,
+    cells with equal (f_cell, f0_cell) share one draw (``_grouped_rates``)
+    and one call draws a block of steps: ``_DRAW_BUDGET`` over the counts a
+    step takes from one stream, at most ``_BLOCK_MAX`` and the steps left,
+    so a run with its own stream gets the same blocks in any batch.
+    Advancing fields draw one step per call. Poisson counts are
+    independent, so both are exact in law. A channel absorbed before a
+    block gets a zero mean; one that absorbs in it, and a run that ends in
+    it, take none of the block's remaining slips and kicks.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -485,53 +473,69 @@ def _evolve_batch(
     # trajectory frames: (time, run ids, their p), one per recording step
     frames = [(0.0, gids, p.copy())] if every else None
     warned = False
+    live = None  # _live_channels(p), kept until a channel absorbs
 
     step = 0
     while step < setup.max_steps and p.shape[0]:
-        step += 1
         if setup.advance_fields:
             f = _field_step(f, p, grid, kin, setup.dt)
             f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
             mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
+            block = 1
+        else:  # a per-run stream draws its one row, whatever the others do
+            per_step = 2 * mu_base.size * (len(p) if shared else 1)
+            block = max(1, min(_BLOCK_MAX, _DRAW_BUDGET // per_step,
+                               setup.max_steps - step))
         mu = np.where((p == 0.0)[:, :, None], 0.0, mu_base)
         # the rare-event threshold applies per cell, not per merged group
         if not warned and (mu > 0.1 * mult).any():
             warnings.warn(
                 f"Poisson mean {(mu / mult).max():.3g} per cell at step "
-                f"{step}: slips are aggregated per step, not individually "
+                f"{step + 1}: slips are aggregated per step, not individually "
                 f"resolved (each step's update stays exactly zero-sum)",
-                SmallNumbersWarning,
-                stacklevel=3,
+                SmallNumbersWarning, stacklevel=3,
             )
             warned = True
-        counts, g = _draw_kicks(
-            streams if shared else [streams[r] for r in gids], mu, amp
-        )
-        slip_counts[gids] += counts.sum(axis=(0, 2, 3))
-        try:
-            p, _ = _slip_step(p, g, slips.absorb_floor)
-        except DegenerateStateError as exc:
-            raise DegenerateStateError(f"{exc} at step {step}") from None
-        done = (p > 0.0).sum(axis=1) == 1
-        if done.any():
-            ids = gids[done]
-            winner[ids] = np.argmax(p[done], axis=1)
-            t_abs[ids] = step * setup.dt
-            p_store[ids] = p[done]
-        if every and (step % every == 0 or done.any()):
-            rec = done if step % every else slice(None)
-            frames.append((step * setup.dt, gids[rec], p[rec].copy()))
-        if next_cp is not None and step >= next_cp:
-            p_store[gids] = p
-            while next_cp is not None and step >= next_cp:
-                snaps.append(p_store.copy())
-                next_cp = next(cp_iter, None)
-        if done.any():
-            keep = ~done
-            p = p[keep]
-            gids = gids[keep]
-            if setup.advance_fields:
-                f = f[keep]
+        rngs = streams if shared else [streams[r] for r in gids]
+        n_slips, kicks = _draw_kicks(rngs, mu, amp, block)
+        taken, drawn_for = np.arange(len(p)), gids  # block row of each row
+        for b in range(block):
+            step += 1
+            live = live or _live_channels(p)
+            g = kicks[b] if taken.size == kicks.shape[1] else kicks[b, taken]
+            try:
+                p, _ = _slip_step(p, g, slips.absorb_floor, live)
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(f"{exc} at step {step}") from None
+            done = None
+            if np.count_nonzero(p) < live[2]:  # a channel absorbed
+                ended = np.count_nonzero(p, axis=1) == 1
+                # absorbed channels and ended runs take no more of the block
+                rows, cols = np.nonzero((live[0] & (p == 0.0)) | ended[:, None])
+                kicks[b + 1:, taken[rows], cols] = 0.0
+                n_slips[b + 1:, taken[rows], cols] = 0
+                live = None
+                if ended.any():
+                    done, ids = ended, gids[ended]
+                    winner[ids] = np.argmax(p[done], axis=1)
+                    t_abs[ids] = step * setup.dt
+                    p_store[ids] = p[done]
+            if every and (step % every == 0 or done is not None):
+                rec = done if step % every else slice(None)
+                frames.append((step * setup.dt, gids[rec], p[rec].copy()))
+            if next_cp is not None and step >= next_cp:
+                p_store[gids] = p
+                while next_cp is not None and step >= next_cp:
+                    snaps.append(p_store.copy())
+                    next_cp = next(cp_iter, None)
+            if done is not None:
+                keep = ~done
+                p, gids, taken = p[keep], gids[keep], taken[keep]
+                if setup.advance_fields:
+                    f = f[keep]
+                if not len(p):
+                    break
+        slip_counts[drawn_for] += n_slips.sum(axis=(0, 2))
     if p.shape[0]:
         p_store[gids] = p
     while next_cp is not None:
@@ -588,18 +592,18 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Vectorized batch of independent trajectories.
 
-    With an int ``seed`` the batch draws all runs' Poisson counts from a
-    single Philox stream in a fixed order. With a sequence of ``n_runs``
-    seeds run r draws from its own stream ``philox_stream(seed[r], 0)``,
-    in the same shapes and order as a one-run batch, so run r equals
-    ``run_collapse(setup, seed[r])`` bit for bit (a sweep is one such
-    batch). On a frozen background (``advance_fields=False``)
-    cells with identical field values share one draw per run, channel and
-    sign, so a uniform background costs one draw per step instead of one
-    per cell; the law of every trajectory is the same either way.
-    ``checkpoint_steps`` requests ensemble snapshots of p after the given
-    steps (absorbed runs hold their terminal value). Every run records its
-    trajectory when ``setup.record_every`` is positive.
+    With an int ``seed`` all runs draw from one Philox stream, so the
+    numbers depend on (setup, seed, n_runs) as a whole. With a sequence of
+    ``n_runs`` seeds run r draws from its own stream
+    ``philox_stream(seed[r], 0)`` and equals ``run_collapse(setup,
+    seed[r])`` bit for bit (a sweep is one such batch). On a frozen
+    background (``advance_fields=False``) cells with equal field values
+    share one draw, and one Poisson call serves a block of up to 128 steps,
+    fewer while many runs draw from one stream; the law of every trajectory
+    is the same either way. Each step's increment sums to exactly 0.0 for
+    K < 8, but sum p is 1 only to rounding. ``checkpoint_steps`` asks for
+    snapshots of p after the given steps (absorbed runs hold their last
+    value). Every run records its trajectory if ``setup.record_every`` > 0.
     """
     return _evolve_batch(setup, seed, n_runs, tuple(checkpoint_steps))
 
@@ -619,7 +623,7 @@ class BornStatistics:
     p_value: float
 
 
-def born_statistics(results, p0=None) -> BornStatistics:
+def born_statistics(results) -> BornStatistics:
     """Aggregate winner frequencies over an ensemble of runs.
 
     Requires at least 100 results sharing one initial condition; runs that
@@ -636,11 +640,7 @@ def born_statistics(results, p0=None) -> BornStatistics:
     for r in results:
         if r.p0 != first:
             raise AggregationError("results mix different initial conditions")
-    if p0 is None:
-        p0 = np.asarray(first)
-    p0 = probability_vector(p0)
-    if p0.size != len(first):
-        raise AggregationError("p0 does not match the results' channel count")
+    p0 = probability_vector(first)
     k = p0.size
     counts = np.zeros(k, dtype=np.int64)
     resolved = 0

@@ -450,6 +450,8 @@ def evolve(
     buffers allocated once per call, in the evaluation order of the plain
     RK4 expressions, so the amplitudes equal theirs bit for bit. The
     caller's amplitudes are never modified; ``steps = 0`` returns a copy.
+    The clock adds ``dt`` once per step, as ``fp_step`` does, so the time
+    reached does not depend on how a run is split into calls.
 
     The watchdog tracks the norm of the reconstructed standard state, which
     the exact dynamics conserves; a drift beyond 1e-6, or one that is not
@@ -465,6 +467,7 @@ def evolve(
     # k_i = gen @ x_i with x_1 = psi and x_(i+1) = psi + c_i * k_i
     stages = ((k1, 0.5 * dt), (k2, 0.5 * dt), (k3, dt), (k4, None))
     ref = np.linalg.norm(_word_sums(state.basis, psi))
+    time = state.time
     for n in range(steps):
         x = psi
         for k, c in stages:
@@ -485,7 +488,8 @@ def evolve(
                 f"reconstructed norm drifted by {drift:.3e} at step {n + 1} "
                 f"(dt={dt:.3e}); reduce the step"
             )
-    return BranchState(state.basis, psi, state.time + steps * dt)
+        time += dt
+    return BranchState(state.basis, psi, time)
 
 
 def reconstruct_standard(state: BranchState) -> np.ndarray:

@@ -72,7 +72,6 @@ __all__ = [
     "RunManifest",
     "run_experiment",
     "format_csv",
-    "parse_csv",
     "write_json",
 ]
 
@@ -115,16 +114,6 @@ def format_csv(header, rows) -> str:
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str):
-    """(header, float rows) back from format_csv output."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        raise ValueError("empty CSV text")
-    header = lines[0].split(",")
-    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
-    return header, rows
 
 
 def write_json(path, obj) -> None:

@@ -385,8 +385,8 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     s2 = np.zeros(2)
     s01 = 0.0
     for _ in range(n // chunk):
-        _, g = _draw_kicks(rng, mu, amp)
-        q, _ = _slip_step(rows, g, params.absorb_floor)
+        _, g = _draw_kicks(rng, mu, amp, 1)
+        q, _ = _slip_step(rows, g[0], params.absorb_floor)
         d = q - rows
         s += d.sum(axis=0)
         s2 += (d * d).sum(axis=0)

@@ -1,6 +1,7 @@
 """Slip mechanics, Poisson sampling and the collapse random walk."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -166,14 +167,16 @@ def test_sampled_rates_match_the_poisson_mean():
     mu, amp = cell_rates(fields, params, dt)
     assert mu.shape == (2, 8)
     assert np.allclose(mu, mu_formula, rtol=1e-12, atol=0)
-    rows = 20_000
-    counts, g = _draw_kicks(philox_stream(12, 0),
-                            np.broadcast_to(mu, (rows,) + mu.shape), amp)
-    assert counts.shape == (2, rows, 2, 8) and g.shape == (rows, 2)
-    n = counts[0].size
-    se = np.sqrt(mu_formula / n)
-    for sign in counts:
-        assert abs(sign.sum() / n - mu_formula) < 3 * se
+    rows, steps = 5_000, 4
+    slips, g = _draw_kicks(philox_stream(12, 0),
+                           np.broadcast_to(mu, (rows,) + mu.shape), amp, steps)
+    assert slips.shape == g.shape == (steps, rows, 2)
+    # each (step, row, channel) pools 2 signs times 8 cells
+    n = slips.size * 16
+    assert abs(slips.sum() / n - mu_formula) < 3 * np.sqrt(mu_formula / n)
+    # equal rates for the two signs: the net kick has mean 0
+    se = amp[0, 0] * np.sqrt(16 * mu_formula / g.size)
+    assert abs(g.mean()) < 3 * se
 
 
 def test_saturated_or_empty_fields_give_no_events():
@@ -221,8 +224,8 @@ def test_slip_steps_keep_p_on_the_simplex():
     p = np.tile([0.25, 0.35, 0.4], (50, 1))
     for _ in range(200):
         _, g = _draw_kicks(rng, np.where((p == 0.0)[:, :, None], 0.0, mu),
-                           amp)
-        p, _ = _slip_step(p, g, params.absorb_floor)
+                           amp, 1)
+        p, _ = _slip_step(p, g[0], params.absorb_floor)
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-14
         assert (p >= 0).all()
 
@@ -244,17 +247,18 @@ def test_absorption_is_permanent():
 
 def test_slip_step_rows_sum_to_exactly_zero():
     rng = np.random.default_rng(17)
-    p = rng.dirichlet(np.ones(3), size=2000)
-    p[::7, 1] = 0.0  # some rows carry an absorbed channel
-    p /= p.sum(axis=1, keepdims=True)
-    g = rng.normal(scale=0.5, size=p.shape)
-    q, delta = _slip_step(p, g, 1e-9)
-    assert (delta.sum(axis=1) == 0.0).all()
-    unclosed = p * (g - (g * p).sum(axis=1, keepdims=True))
-    assert (unclosed.sum(axis=1) != 0.0).any()  # the closure is needed
-    assert np.allclose(delta, unclosed, rtol=0, atol=1e-15)
-    assert (q[p == 0.0] == 0.0).all() and (q >= 0.0).all()
-    assert np.allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    for k in (2, 3, 9):
+        p = rng.dirichlet(np.ones(k), size=2000)
+        p[::7, 1] = 0.0  # some rows carry an absorbed channel
+        p /= p.sum(axis=1, keepdims=True)
+        g = rng.normal(scale=0.5, size=p.shape)
+        q, delta = _slip_step(p, g, 1e-9)
+        assert (delta.sum(axis=1) == 0.0).all()
+        unclosed = p * (g - (g * p).sum(axis=1, keepdims=True))
+        assert (unclosed.sum(axis=1) != 0.0).any()  # the closure is needed
+        assert np.allclose(delta, unclosed, rtol=0, atol=1e-15)
+        assert (q[p == 0.0] == 0.0).all() and (q >= 0.0).all()
+        assert np.allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_no_events_is_the_identity():
@@ -308,8 +312,8 @@ def test_variance_matched_rate_reproduces_the_formula_variance():
     mu, amp = cell_rates(fields, params, dt)
     n = 20_000
     _, g = _draw_kicks(philox_stream(17, 0),
-                       np.broadcast_to(mu, (n,) + mu.shape), amp)
-    q, _ = _slip_step(np.tile(p0, (n, 1)), g, params.absorb_floor)
+                       np.broadcast_to(mu, (n,) + mu.shape), amp, 1)
+    q, _ = _slip_step(np.tile(p0, (n, 1)), g[0], params.absorb_floor)
     deltas = q[:, 0] - 0.5
     var_mc = float((deltas**2).mean())
     cov_th = step_moments(p0, fields, params, dt)
@@ -356,12 +360,18 @@ def test_run_collapse_reaches_a_boundary_and_is_deterministic():
 
 
 def test_single_run_matches_the_ensemble_batch():
-    setup = frozen_setup()
-    single = run_collapse(setup, seed=9)
-    batch = run_ensemble(setup, seed=9, n_runs=1).results[0]
-    assert single.winner == batch.winner
-    assert single.collapse_time == batch.collapse_time
-    assert single.slip_count == batch.slip_count
+    # frozen runs draw blocks of steps; a lone run gets the same blocks
+    # whether its seed comes as an int or as a one-seed sequence
+    for p0 in ((0.5, 0.5), (0.2, 0.3, 0.5)):
+        setup = frozen_setup(p0=p0, record_every=40)
+        single = run_collapse(setup, seed=9)
+        assert single.status == "collapsed"
+        for seed in (9, (9,)):
+            batch = run_ensemble(setup, seed, 1).results[0]
+            assert (single.winner, single.collapse_time,
+                    single.slip_count) == (batch.winner, batch.collapse_time,
+                                           batch.slip_count)
+            assert single.trajectory.tobytes() == batch.trajectory.tobytes()
 
 
 def seeded_setup(p0=(0.3, 0.7), **kw):
@@ -407,10 +417,14 @@ def test_ensemble_mean_stays_at_the_initial_probabilities():
     out = run_ensemble(setup, seed=31, n_runs=300,
                        checkpoint_steps=(500, 1000, 1500))
     assert out.checkpoint_p.shape == (3, 300, 2)
-    for snap in out.checkpoint_p:
+    eps = np.finfo(float).eps
+    for step, snap in zip(out.checkpoint_steps, out.checkpoint_p):
         mean = snap[:, 0].mean()
         se = snap[:, 0].std(ddof=1) / np.sqrt(300)
         assert abs(mean - 0.3) < max(3 * se, 1e-3)
+        # increments sum to exactly 0.0, but p + delta rounds: sum p may
+        # drift from 1 by about one unit roundoff per step
+        assert np.abs(snap.sum(axis=1) - 1.0).max() <= (step + 4) * eps
 
 
 def test_timeout_reports_partial_state():
@@ -470,27 +484,119 @@ def test_small_numbers_warning_tests_the_per_cell_mean(advance_fields):
         run_ensemble(hot, seed=3, n_runs=4)
 
 
+def born_box(**kw):
+    """The criterion 7/8 box: a frozen uniform background at 960 slips per
+    cell, channel and sign per step, K = 3 unless p0 says otherwise."""
+    kw.setdefault("p0", (0.2, 0.3, 0.5))
+    kw.setdefault("slips", SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0,
+                                      rate_calibration=1e4,
+                                      absorb_floor=1e-5))
+    kw.setdefault("dt", 0.04)
+    kw.setdefault("max_steps", 20000)
+    return frozen_setup(**kw)
+
+
+def record_blocks(monkeypatch):
+    """Record every block drawn, as drawn, and every step's (p, g)."""
+    blocks, steps = [], []
+    draw, step = engine._draw_kicks, engine._slip_step
+
+    def drawing(streams, mu, amp, n):
+        slips, g = draw(streams, mu, amp, n)
+        blocks.append((slips.copy(), g.copy()))
+        return slips, g
+
+    def stepping(p, g, floor, live=None):
+        steps.append((p.copy(), g.copy()))
+        return step(p, g, floor, live)
+
+    monkeypatch.setattr(engine, "_draw_kicks", drawing)
+    monkeypatch.setattr(engine, "_slip_step", stepping)
+    return blocks, steps
+
+
+def ensemble_digest(out):
+    h = hashlib.sha256()
+    for r in out.results:
+        h.update(repr((r.winner, r.collapse_time, r.slip_count,
+                       r.status)).encode())
+        if r.trajectory is not None:
+            h.update(r.trajectory.tobytes())
+    if out.checkpoint_p is not None:
+        h.update(out.checkpoint_p.tobytes())
+    return h.hexdigest()
+
+
+def test_one_step_blocks_reproduce_the_per_step_draws(monkeypatch):
+    # digests taken when every frozen step made its own Poisson call; a
+    # budget of one draw makes every block one step long
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", 1)
+    shared = run_ensemble(born_box(), 2027, 40,
+                          checkpoint_steps=(25, 100, 400))
+    assert ensemble_digest(shared) == (
+        "8d296e02f12e18aec15388b38c958a705bc010d6ce58b08c72956bdff5b122d3")
+    own = run_ensemble(born_box(record_every=50), (4, 11, 0, 7), 4)
+    assert ensemble_digest(own) == (
+        "48a639e66a01bef548340f5a44eb1f71d6820ac51b7d9297628cc4ffae218b4a")
+
+
+@pytest.mark.parametrize("seed", [4, (4,)], ids=["int", "sequence"])
+def test_a_frozen_run_times_out_at_exactly_max_steps(monkeypatch, seed):
+    blocks, steps = record_blocks(monkeypatch)
+    # one run draws 6 counts per step, so blocks are 128 steps long and
+    # the last one is cut to the 44 steps left
+    setup = born_box(p0=(0.5, 0.5), max_steps=300, record_every=100)
+    out = run_ensemble(setup, seed, 1, checkpoint_steps=(300, 400))
+    run = out.results[0]
+    assert run.status == "timeout" and run.collapse_time is None
+    assert [b[0].shape[0] for b in blocks] == [128, 128, 44]
+    assert len(steps) == 300
+    assert run.slip_count == sum(int(b[0].sum()) for b in blocks)
+    assert run.trajectory[-1, 0] == 300 * setup.dt
+    # the budget ran out at step 300: the snapshot after it is the last p
+    assert np.array_equal(out.checkpoint_p[0], out.checkpoint_p[1])
+    assert np.array_equal(out.checkpoint_p[0, 0], run.trajectory[-1, 1:])
+
+
+def check_dead_channels(blocks, steps, out):
+    """Dead channels take no kick and add no slips; returns the count of
+    drawn slips the loop dropped on dead channels."""
+    drawn = [(s, g) for slips, kicks in blocks for s, g in zip(slips, kicks)]
+    assert len(drawn) >= len(steps)
+    expected = dropped = 0
+    for (p, g), (slips, kicks) in zip(steps, drawn):
+        dead = p == 0.0
+        assert dead[:, 0].all()
+        assert (g[dead] == 0.0).all()
+        assert np.array_equal(g[~dead], kicks[~dead])
+        expected += int(slips[~dead].sum())
+        dropped += int(slips[dead].sum())
+    assert sum(r.slip_count for r in out.results) == expected > 0
+    return dropped
+
+
 def test_absorbed_channels_draw_no_events(monkeypatch):
-    draws = []
-    original = engine._draw_kicks
-
-    def recording(rng, mu, amp):
-        counts, g = original(rng, mu, amp)
-        draws.append(counts)
-        return counts, g
-
-    monkeypatch.setattr(engine, "_draw_kicks", recording)
-    for advance_fields in (False, True):
-        draws.clear()
-        setup = frozen_setup(p0=(0.0, 0.4, 0.6), max_steps=300,
-                             advance_fields=advance_fields)
-        out = run_ensemble(setup, seed=4, n_runs=6, checkpoint_steps=(300,))
-        assert len(draws) == 300
-        assert not any(c[:, :, 0].any() for c in draws)
-        assert sum(int(c[:, :, 1:].sum()) for c in draws) > 0
-        assert sum(r.slip_count for r in out.results) == sum(
-            int(c.sum()) for c in draws)
-        assert (out.checkpoint_p[..., 0] == 0.0).all()
+    blocks, steps = record_blocks(monkeypatch)
+    # one run at a time, so each block's rows are that run's; a channel
+    # that absorbs inside a block has counts left in it
+    setup = born_box(p0=(0.0, 0.3, 0.2, 0.5))
+    dropped = 0
+    for seed in (1, 2, 3):
+        blocks.clear()
+        steps.clear()
+        out = run_ensemble(setup, seed, 1)
+        assert out.results[0].status == "collapsed"
+        dropped += check_dead_channels(blocks, steps, out)
+    assert dropped > 0
+    # advancing fields draw one step per block, for every run at once
+    blocks.clear()
+    steps.clear()
+    setup = frozen_setup(p0=(0.0, 0.4, 0.6), max_steps=300,
+                         advance_fields=True)
+    out = run_ensemble(setup, seed=4, n_runs=6, checkpoint_steps=(300,))
+    check_dead_channels(blocks, steps, out)
+    assert len(blocks) == len(steps) == 300
+    assert (out.checkpoint_p[..., 0] == 0.0).all()
 
 
 def test_setup_validation():

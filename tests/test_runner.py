@@ -10,11 +10,17 @@ import pytest
 import lecollapse.runner as runner
 from lecollapse.config import build_fp_setup, load_config
 from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
-from lecollapse.runner import (
-    format_csv,
-    parse_csv,
-    run_experiment,
-)
+from lecollapse.runner import format_csv, run_experiment
+
+
+def parse_csv(text: str):
+    """(header, float rows) back from format_csv output."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError("empty CSV text")
+    header = lines[0].split(",")
+    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+    return header, rows
 
 
 def run(tmp_path, sub="out", **overrides):
@@ -73,6 +79,14 @@ def test_exact_mode_writes_scalars_and_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["norm_drift"]) < 1e-8
     assert manifest.status == "success"
+    # one step per call reaches the same clock as the default chunks
+    cfg, _ = run(tmp_path, sub="single", mode="exact", t_final="2.0",
+                 record_every="1")
+    out = Path(cfg.out_dir)
+    single = json.loads((out / "summary.json").read_text())
+    assert single["t_final"] == summary["t_final"]
+    _, single_rows = parse_csv((out / "scalars.csv").read_text())
+    assert {r[0] for r in rows} <= {r[0] for r in single_rows}
 
 
 def test_wave_mode_writes_front_and_speed(tmp_path):
