@@ -212,16 +212,15 @@ def _draw_kicks(streams, mu, amp, steps: int):
     and its net kick g for ``_slip_step``, both (steps, rows, K).
     """
     if isinstance(streams, np.random.Generator):
-        parts = [(streams, slice(None))]
-    else:
-        parts = [(rng, slice(r, r + 1)) for r, rng in enumerate(streams)]
-    slips = np.empty((steps,) + mu.shape[:2], dtype=np.int64)
-    g = np.empty(slips.shape)
-    amp = np.broadcast_to(amp, mu.shape)
-    for rng, rows in parts:
-        counts = rng.poisson(mu[rows], (steps, 2) + mu[rows].shape)
-        slips[:, rows] = counts.sum(axis=(1, -1))
-        g[:, rows] = ((counts[:, 0] - counts[:, 1]) * amp[rows]).sum(axis=-1)
+        counts = streams.poisson(mu, (steps, 2) + mu.shape)
+    else:  # each row's counts from its own stream, side by side
+        counts = np.concatenate([
+            rng.poisson(mu[r:r + 1], (steps, 2, 1) + mu.shape[1:])
+            for r, rng in enumerate(streams)
+        ], axis=2)
+    # one reduction over all rows; each row keeps its own axis and order
+    slips = counts.sum(axis=(1, -1))
+    g = ((counts[:, 0] - counts[:, 1]) * amp).sum(axis=-1)
     return slips, g
 
 

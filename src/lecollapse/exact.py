@@ -497,22 +497,27 @@ def reconstruct_standard(state: BranchState) -> np.ndarray:
     return _word_sums(state.basis, state.amplitudes)
 
 
-def le_occupation(state: BranchState, r: int) -> float:
+def le_occupation(state: BranchState, r):
     """Mean number of atoms carrying le index ``r``, branch weighted.
 
     Weights are the squared branch amplitudes normalized over the whole
     branch vector, so summing over r = 0..K returns the atom number exactly.
+    A sequence of indices gives a list, each value bit for bit its own call.
     """
     basis = state.basis
-    if not 0 <= r <= basis.model.channels:
-        raise ValueError(f"index {r} outside 0..{basis.model.channels}")
-    counts = (basis.word_digits == r).sum(axis=1).astype(np.float64)
+    single = isinstance(r, (int, np.integer))
+    indices = [r] if single else list(r)
+    for i in indices:
+        if not 0 <= i <= basis.model.channels:
+            raise ValueError(f"index {i} outside 0..{basis.model.channels}")
     w2 = np.abs(state.amplitudes) ** 2
     total = w2.sum()
     if total == 0.0:
         raise ValueError("state has zero norm")
     per_word = w2.reshape(basis.n_configs, basis.n_words).sum(axis=0)
-    return float(per_word @ counts / total)
+    occ = [float(per_word @ (basis.word_digits == i).sum(axis=1).astype(float)
+                 / total) for i in indices]
+    return occ[0] if single else occ
 
 
 def local_probabilities(

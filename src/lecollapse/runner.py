@@ -112,7 +112,10 @@ def _cell(v) -> str:
 def format_csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        try:  # a row of floats, the common case, joins without _cell
+            lines.append(",".join(map(float.__repr__, row)))
+        except TypeError:
+            lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -171,7 +174,7 @@ def _run_exact(job: _Job) -> str:
     header = ["time", "norm", "hermitian_defect"] + occ_names + ["cross_term"]
 
     def row(s: BranchState):
-        occ = [le_occupation(s, r) for r in range(model.channels + 1)]
+        occ = le_occupation(s, range(model.channels + 1))
         cross = local_probabilities(s, cell)[1]
         norm = float(np.linalg.norm(reconstruct_standard(s)))
         return [s.time, norm, h.hermitian_defect, *occ, cross]
@@ -252,7 +255,7 @@ def _run_wave(job: _Job) -> str:
     if grid.dims > 1:
         center = tuple(s // 2 for s in grid.shape[1:])
         profile = f[(slice(None),) + center]
-    profile_rows = list(zip(coords, profile))
+    profile_rows = np.column_stack([coords, profile]).tolist()
     job.csv("profile.csv", ["position", "f"], profile_rows)
 
     summary = {

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+
+from lecollapse._csr import bind_matvec
 
 __all__ = [
     "StabilityError",
@@ -219,28 +222,36 @@ def laplacian(f: np.ndarray, spacing: float, axes=None) -> np.ndarray:
     return lap
 
 
-@functools.lru_cache(maxsize=3)
-def _padded_slices(ndim: int):
-    """Index tuples into a field padded by one cell on every side.
+# a run steps with one (shape, c); at MAX_CELLS in 3d one operator holds
+# about 92 MB, so the cache keeps only two
+@functools.lru_cache(maxsize=2)
+def _step_operator(shape: tuple[int, ...], c: float) -> sparse.csr_array:
+    """One diffusion step I + c L as a read-only CSR matrix, c = D dt / h^2.
 
-    Returns (inside, walls, stencil): the unpadded field; one (wall, edge)
-    pair per axis and side, where copying edge into wall gives
-    zero-gradient walls; and the (hi, lo) neighbours of every inside cell
-    along each axis. Corners are never read.
+    L is the second difference with zero-gradient walls (edge
+    replication): a wall cell lacks the neighbour beyond the wall and its
+    diagonal the matching -1, so rows of L sum to zero. The neighbours
+    come from a Kronecker sum of one path graph per axis (row-major, in
+    increasing index). Each row holds c per neighbour, then its diagonal
+    1 - s, s being those c summed as the kernel adds them: a constant row
+    sums to exactly the constant, so f = 0 and f = 1 stay fixed.
     """
-    inside = (slice(1, -1),) * ndim
-
-    def at(ax, s):
-        return inside[:ax] + (s,) + inside[ax + 1:]
-
-    walls = tuple(
-        pair for ax in range(ndim)
-        for pair in ((at(ax, slice(0, 1)), at(ax, slice(1, 2))),
-                     (at(ax, slice(-1, None)), at(ax, slice(-2, -1))))
+    paths = [sparse.diags_array([np.ones(n - 1)] * 2, offsets=[-1, 1])
+             for n in shape]
+    adj = functools.reduce(
+        lambda a, p: sparse.kronsum(p, a, format="csr"), paths).tocsr()
+    neighbours = np.diff(adj.indptr)
+    ends = adj.indptr[1:]
+    rows = np.arange(adj.shape[0] + 1, dtype=adj.indptr.dtype)
+    diag = 1.0 - np.cumsum(np.full(neighbours.max(), c))[neighbours - 1]
+    op = sparse.csr_array(
+        (np.insert(np.full(adj.nnz, c), ends, diag),
+         np.insert(adj.indices, ends, rows[:-1]), adj.indptr + rows),
+        shape=adj.shape,
     )
-    stencil = tuple((at(ax, slice(2, None)), at(ax, slice(0, -2)))
-                    for ax in range(ndim))
-    return inside, walls, stencil
+    for a in (op.data, op.indices, op.indptr):
+        a.setflags(write=False)
+    return op
 
 
 def _check_step(
@@ -268,12 +279,14 @@ def kpp_step(
     """``steps`` explicit steps of the single-field probability wave.
 
     Walls are no-flux. With ``contagion`` false only diffusion acts, which
-    conserves the field sum exactly. Each step's result is clamped to
-    [0, 1]; the scheme is monotone under the step bound so the clamp only
-    removes rounding residue, and f = 0 and f = 1 are exact fixed points.
-    The step bound is checked once per call. One call with ``steps = n``
-    equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
-    copy. The caller's array is never modified.
+    conserves the field sum to rounding. A step writes the reaction
+    (dt / tau) g (1 - g), lets the shared CSR kernel add (I + c L) g from
+    the cached ``_step_operator``, and clamps the result to [0, 1]; the
+    scheme is monotone under the step bound so the clamp only removes
+    rounding residue, and f = 0 and f = 1 are exact fixed points. The step
+    bound is checked once per call. One call with ``steps = n`` equals n
+    calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a copy.
+    The caller's array is never modified.
     """
     _check_step(grid, params, dt, reaction=contagion)
     if steps < 0:
@@ -281,47 +294,22 @@ def kpp_step(
     f = np.asarray(f, dtype=np.float64)
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    inside, walls, stencil = _padded_slices(f.ndim)
-    d, tau, inv_h2 = params.d_coeff, params.tau, 1.0 / grid.spacing**2
-    # two fields, each padded by one wall cell per axis side; a step reads
-    # the views of one and writes the inside of the other
-    views = []
-    for _ in range(2):
-        buf = np.empty(tuple(n + 2 for n in f.shape))
-        views.append((
-            buf[inside],
-            [(buf[hi], buf[lo]) for hi, lo in stencil],
-            [(buf[wall], buf[edge]) for wall, edge in walls],
-        ))
-    views[0][0][...] = f
-    for wall, edge in views[0][2]:
-        wall[...] = edge
-    two_f, term, rate = (np.empty(f.shape) for _ in range(3))
-    for n in range(steps):
-        g, neighbours, _ = views[n % 2]
-        new, _, new_walls = views[(n + 1) % 2]
-        np.multiply(2.0, g, out=two_f)
-        for ax, (hi, lo) in enumerate(neighbours):
-            acc = rate if ax == 0 else term
-            # (hi - 2 f + lo) / h^2, summed over the axes in order
-            np.subtract(hi, two_f, out=acc)
-            np.add(acc, lo, out=acc)
-            np.multiply(acc, inv_h2, out=acc)
-            if ax:
-                np.add(rate, term, out=rate)
-        np.multiply(d, rate, out=rate)
-        if contagion:
-            np.subtract(1.0, g, out=term)
-            np.multiply(g, term, out=term)
-            np.divide(term, tau, out=term)
-            np.add(rate, term, out=rate)
-        np.multiply(dt, rate, out=rate)
-        np.add(g, rate, out=new)
-        np.maximum(new, 0.0, out=new)
-        np.minimum(new, 1.0, out=new)
-        for wall, edge in new_walls:
-            wall[...] = edge
-    return views[steps % 2][0].copy()
+    matvec = bind_matvec(_step_operator(
+        grid.shape, params.d_coeff * dt / grid.spacing**2))
+    rate = dt / params.tau
+    g, y = f.ravel().copy(), np.empty(f.size)
+    for _ in range(steps):
+        if contagion:  # the reaction term, exactly 0 at g = 0 and g = 1
+            np.subtract(1.0, g, out=y)
+            np.multiply(g, y, out=y)
+            np.multiply(rate, y, out=y)
+        else:
+            y.fill(0.0)
+        matvec(g, y)
+        np.maximum(y, 0.0, out=y)
+        np.minimum(y, 1.0, out=y)
+        g, y = y, g
+    return g.reshape(f.shape)
 
 
 @dataclass
@@ -436,14 +424,19 @@ def front_position(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    down = np.flatnonzero((prof[:-1] >= level) & (level > prof[1:]))
-    if down.size == 0:
-        if (prof >= level).all():
-            raise FrontUndefinedError(f"profile saturated above level {level}")
-        if (prof < level).all():
-            raise FrontUndefinedError(f"profile everywhere below level {level}")
-        raise FrontUndefinedError(f"no downward crossing of level {level}")
-    i = down[-1]
+    above = prof >= level
+    # no pair after the last cell at or above the level can cross, so that
+    # cell starts the outermost crossing unless it is the last cell or the
+    # next one is NaN; only then does every pair need scanning
+    i = above.size - 1 - int(above[::-1].argmax())
+    if not (above[i] and i + 1 < prof.size and level > prof[i + 1]):
+        down = np.flatnonzero(above[:-1] & (level > prof[1:]))
+        if down.size == 0:
+            what = ("profile saturated above" if above.all() else
+                    "profile everywhere below" if (prof < level).all() else
+                    "no downward crossing of")
+            raise FrontUndefinedError(f"{what} level {level}")
+        i = down[-1]
     x = grid.axis_coords(axis)
     frac = (prof[i] - level) / (prof[i] - prof[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))

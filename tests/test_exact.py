@@ -403,6 +403,11 @@ def test_le_occupation_partitions_the_atom_number():
     out = evolve(state, h, default_timestep(h), 300)
     occ = [le_occupation(out, r) for r in range(model.channels + 1)]
     assert sum(occ) == pytest.approx(model.atoms, abs=1e-9)
+    # one call over every index gives each single call's float exactly
+    assert le_occupation(out, range(model.channels + 1)) == occ
+    assert le_occupation(out, (np.int64(2), 0)) == [occ[2], occ[0]]
+    with pytest.raises(ValueError, match="index 3"):
+        le_occupation(out, [0, 3])
     assert occ[1] > 1e-4 and occ[2] > 1e-4
     assert occ[0] < model.atoms
 

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lecollapse.runner as runner
@@ -65,6 +66,23 @@ def test_csv_round_trip_is_exact():
 def test_csv_cells_for_ints_and_bools():
     text = format_csv(["n", "flag", "x"], [[3, True, 0.5]])
     assert text.splitlines()[1] == "3,true,0.5"
+
+
+def test_csv_rows_match_the_cell_by_cell_path():
+    # rows of plain floats take a joined fast path; every row must read
+    # as the per-cell formatting makes it
+    rows = [
+        [0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2],
+        [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), 2.5],
+        [3, True, False, np.int64(-7), np.bool_(True), 0.25],
+        [np.float32(0.1), np.float64(math.inf), 0.5],
+        [1.0, 2],
+        [],
+    ]
+    want = "\n".join(
+        ["h"] + [",".join(runner._cell(v) for v in row) for row in rows]
+    ) + "\n"
+    assert format_csv(["h"], rows) == want
 
 
 # --- per-mode smoke, files and manifest inventory ---

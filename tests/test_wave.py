@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
+from lecollapse._csr import bind_matvec
 from lecollapse.engine import _field_step
 from lecollapse.wave import (
     FrontUndefinedError,
@@ -22,7 +24,7 @@ from lecollapse.wave import (
     laplacian,
     seed_field,
 )
-from lecollapse.wave import _edge_index
+from lecollapse.wave import _edge_index, _step_operator
 
 UNIT = KineticParams(lam=1.0, tau=1.0)
 
@@ -84,12 +86,48 @@ def test_pure_diffusion_conserves_mass_exactly():
 
 
 def test_fixed_points_are_exact():
-    g = Grid(extent=(8.0,), spacing=0.25)
-    dt = 0.5 * g.cfl_limit(UNIT)
-    zero = np.zeros(g.shape)
-    one = np.ones(g.shape)
-    assert (kpp_step(zero, g, UNIT, dt) == 0.0).all()
-    assert (kpp_step(one, g, UNIT, dt) == 1.0).all()
+    # 0.5 of the diffusion bound gives c = 1/4 in 1d, where any summation
+    # order is exact; the other fractions give c with a full mantissa
+    for extent in ((8.0,), (3.0, 2.5), (1.5, 1.25, 1.0)):
+        g = Grid(extent=extent, spacing=0.25)
+        zero = np.zeros(g.shape)
+        one = np.ones(g.shape)
+        for contagion in (True, False):
+            limit = g.monotone_limit(UNIT) if contagion else g.cfl_limit(UNIT)
+            fracs = (0.1, 0.3, 0.7, 0.9, 0.99, 1.0)
+            for dt in (0.5 * g.cfl_limit(UNIT), *(x * limit for x in fracs)):
+                if dt > limit:
+                    continue
+                for field in (zero, one):
+                    out = kpp_step(field, g, UNIT, dt, contagion, steps=3)
+                    assert out.tobytes() == field.tobytes()
+
+
+@pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
+def test_diffusion_step_is_the_stencil_step(extent):
+    g = Grid(extent=extent, spacing=0.25)
+    dt = 0.9 * g.cfl_limit(UNIT)
+    c = UNIT.d_coeff * dt / g.spacing**2
+    op = _step_operator(g.shape, c)
+    # I + c L: each row of a constant field sums, in the kernel's order, to
+    # exactly that constant, and the operator is the stencil's
+    one = np.ones(op.shape[0])
+    y = np.zeros(op.shape[0])
+    bind_matvec(op)(one, y)
+    assert (y == 1.0).all()
+    lap = op - sparse.eye_array(op.shape[0])
+    for col in range(0, op.shape[0], 7):
+        e = np.zeros(g.shape)
+        e.flat[col] = 1.0
+        assert np.allclose(lap[:, [col]].toarray().ravel(),
+                           c * g.spacing**2 * laplacian(e, g.spacing).ravel(),
+                           rtol=0.0, atol=4 * np.finfo(float).eps)
+    rng = np.random.default_rng(len(extent))
+    f = rng.uniform(0.0, 1.0, g.shape)
+    got = kpp_step(f, g, UNIT, dt, contagion=False)
+    want = f + dt * UNIT.d_coeff * laplacian(f, g.spacing)
+    # both sum at most 2 * 3 + 1 terms of size <= 1, each rounding once
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
 
 
 def test_step_rejects_unstable_dt():
@@ -109,6 +147,27 @@ def test_step_rejects_unstable_dt():
             kpp_step(np.zeros(g.shape), g, UNIT, float("nan"), contagion)
 
 
+def _written_out_step(f, g, dt, contagion):
+    """One step in the kernel's order: the reaction, each neighbour's c f
+    in increasing flat index, then the diagonal 1 - (those c summed), the
+    clamp last."""
+    c = UNIT.d_coeff * dt / g.spacing**2
+    y = dt / UNIT.tau * (f * (1.0 - f)) if contagion else np.zeros(f.shape)
+    s = np.zeros(f.shape)
+    # the row-major lower neighbours run from axis 0 in, the upper ones out
+    order = [(ax, -1) for ax in range(f.ndim)]
+    order += [(ax, 1) for ax in reversed(range(f.ndim))]
+    for ax, step in order:
+        neighbour = np.roll(f, -step, axis=ax)
+        has = np.ones(f.shape, dtype=bool)
+        wall = [slice(None)] * f.ndim
+        wall[ax] = 0 if step < 0 else -1
+        has[tuple(wall)] = False
+        y = np.where(has, y + c * neighbour, y)
+        s = np.where(has, s + c, s)
+    return np.clip(y + (1.0 - s) * f, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
 @pytest.mark.parametrize("contagion", [True, False])
 def test_many_steps_in_one_call_equal_single_steps(extent, contagion):
@@ -119,13 +178,9 @@ def test_many_steps_in_one_call_equal_single_steps(extent, contagion):
     f[f < 0.3] = 0.0  # include both fixed points
     f[f > 0.9] = 1.0
     before = f.copy()
-    # one step written out: the stencil, the reaction, then the clamp
     ref = f
     for _ in range(37):
-        rate = UNIT.d_coeff * laplacian(ref, g.spacing)
-        if contagion:
-            rate = rate + ref * (1.0 - ref) / UNIT.tau
-        ref = np.clip(ref + dt * rate, 0.0, 1.0)
+        ref = _written_out_step(ref, g, dt, contagion)
     single = f
     for _ in range(37):
         single = kpp_step(single, g, UNIT, dt, contagion)
@@ -296,6 +351,24 @@ def test_front_position_matches_the_reverse_scan():
                               lambda: _scan_front(prof, x, level))
             outcomes.add(type(out))
     assert outcomes == {float, str}
+
+
+_CELLS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, np.nan]),
+                  st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prof=arrays(np.float64, 32, elements=_CELLS),
+       level=st.sampled_from([0.1, 0.5, 0.9]))
+# NaN right after the last cell at the level, and a profile ending above it
+@example(prof=np.r_[np.ones(4), np.nan, np.zeros(27)], level=0.5)
+@example(prof=np.r_[np.ones(4), np.zeros(27), 1.0], level=0.5)
+@example(prof=np.r_[np.full(8, 0.5), np.full(8, 0.1), np.ones(16)], level=0.5)
+def test_front_position_equals_the_full_scan(prof, level):
+    # plateaus and cells exactly at the level come from the sampled values
+    g = Grid(extent=(8.0,), spacing=0.25)
+    _same_front(lambda: front_position(prof, g, level),
+                lambda: _scan_front(prof, g.axis_coords(), level))
 
 
 def test_front_position_along_a_line_of_a_2d_field():
