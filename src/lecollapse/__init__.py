@@ -18,53 +18,7 @@ reproducible command-line workflow.
 
 __version__ = "0.1.0"
 
-from lecollapse.exact import (
-    BranchHamiltonian,
-    BranchState,
-    ContagionMatrices,
-    DivergenceError,
-    LatticeBasis,
-    LatticeModel,
-    build_branch_hamiltonian,
-    evolve,
-    le_occupation,
-    local_probabilities,
-    reconstruct_standard,
-)
-from lecollapse.wave import (
-    FrontSpeedFit,
-    FrontUndefinedError,
-    Grid,
-    KineticParams,
-    ScalarFieldSet,
-    StabilityError,
-    front_position,
-    front_speed,
-    front_width,
-    kpp_step,
-    seed_field,
-)
-from lecollapse.engine import (
-    CollapseSetup,
-    DegenerateStateError,
-    EnsembleResult,
-    RunResult,
-    SlipParams,
-    SmallNumbersWarning,
-    born_statistics,
-    run_collapse,
-    run_ensemble,
-)
-from lecollapse.fokker_planck import (
-    FPDensity,
-    SimplexGrid,
-    boundary_current,
-    compare_histogram,
-    edge_mass,
-    ensemble_histogram,
-    fp_step,
-    stable_step,
-)
-from lecollapse.config import ConfigError, ExperimentConfig, load_config
-from lecollapse.runner import RunManifest, run_experiment
-from lecollapse.plotting import PLOT_KINDS, PlotSchemaError, emit_plot
+# the library quick start; everything else is imported from its module
+from lecollapse.engine import (CollapseSetup, SlipParams, born_statistics,
+                               run_ensemble)
+from lecollapse.wave import Grid, KineticParams

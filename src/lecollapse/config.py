@@ -13,8 +13,9 @@ and the like) own every check on a single value: load_config builds the
 mode's objects once and turns their ValueErrors into ConfigErrors, so a
 config that loads cannot fail construction later. This module owns what
 no constructor sees: the key tables and per-channel key names, defaults
-and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3), the keys only
-the run loops read, and each mode's cross-field rules.
+and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3), the range of
+each key only the run loops read (checked by that key's parser, so the
+error names the line and key), and each mode's cross-field rules.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "build_compare_setup",
 ]
 
-MODES = ("exact", "wave", "collapse", "fp", "sweep", "compare")
 FORMATS = ("csv", "json", "svg")
 
 
@@ -72,8 +72,8 @@ def _float(s: str) -> float:
         v = float(s)
     except ValueError:
         raise ValueError(f"expected a number, got {s!r}") from None
-    if math.isnan(v):
-        raise ValueError("nan is not a valid parameter value")
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not a valid parameter value")
     return v
 
 
@@ -86,25 +86,45 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected true or false, got {s!r}")
 
 
-def _floats(s: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in s.split(",")]
-    if not all(parts):
-        raise ValueError(f"expected comma-separated numbers, got {s!r}")
-    return tuple(_float(p) for p in parts)
+def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(s: str) -> tuple:
+        parts = [p.strip() for p in s.split(",")]
+        if not all(parts):
+            raise ValueError(f"expected a comma-separated list, got {s!r}")
+        return tuple(item(p) for p in parts)
+
+    return parse
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",")]
-    if not all(parts):
-        raise ValueError(f"expected comma-separated integers, got {s!r}")
-    return tuple(_int(p) for p in parts)
+def _checked(parse: Callable[[str], object], ok: Callable[[object], bool],
+             what: str) -> Callable[[str], object]:
+    """``parse``, then reject a value for which ``ok`` is false."""
+    def checked(s: str):
+        v = parse(s)
+        if not ok(v):
+            raise ValueError(f"{what}, got {s}")
+        return v
+
+    return checked
+
+
+# Philox keys are 64-bit words
+_seed = _checked(_int, lambda v: 0 <= v < 2**64, "must lie in 0..2^64-1")
+_positive = _checked(_float, lambda v: v > 0, "must be positive")
+_fraction = _checked(_float, lambda v: 0 < v <= 1.0, "must lie in (0, 1]")
+_open_unit = _checked(_float, lambda v: 0.0 < v < 1.0,
+                      "must lie strictly in (0, 1)")
+_count = _checked(_int, lambda v: v >= 1, "must be at least 1")
+# fp and compare start their density strictly inside the simplex
+_interior = _checked(_list(_float), lambda p: all(0.0 < x < 1.0 for x in p),
+                     "must lie strictly inside the simplex")
 
 
 def _seed_range(s: str) -> tuple[int, ...]:
     m = re.fullmatch(r"(-?\d+)\s*\.\.\s*(-?\d+)", s)
     if m is None:
         raise ValueError(f"expected a seed range like 0..9, got {s!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = _seed(m.group(1)), _seed(m.group(2))
     if hi < lo:
         raise ValueError(f"seed range {s!r} runs backwards")
     return tuple(range(lo, hi + 1))
@@ -130,13 +150,10 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-_REQUIRED = object()
-
-
 @dataclass(frozen=True)
 class _Key:
     parse: Callable[[str], object]
-    default: object = _REQUIRED
+    default: object
 
 
 # Key tables. Shared fragments first; each mode's table is the complete
@@ -166,22 +183,23 @@ _EXACT_KEYS = {
     "v_strength": _Key(_float, 0.5),
     "cross_channel_coupling": _Key(_choice("diagonal", "none"), "diagonal"),
     "bosonic": _Key(_bool, True),
-    "t_final": _Key(_float, 20.0),
-    "dt": _Key(_float, None),
-    "record_every": _Key(_int, 10),
-    "cell": _Key(_ints, None),
+    "t_final": _Key(_positive, 20.0),
+    "dt": _Key(_positive, None),
+    "record_every": _Key(_count, 10),
+    "cell": _Key(_list(_int), None),
 }
 
 _WAVE_KEYS = {
     **_KINETIC,
-    "extent": _Key(_floats, (400.0,)),
+    "extent": _Key(_list(_float), (400.0,)),
     "spacing": _Key(_float, 0.125),
-    "seed_region": _Key(_floats, (0.0, 2.0)),
+    "seed_region": _Key(_list(_float), (0.0, 2.0)),
     "inside": _Key(_float, 1.0),
-    "dt_fraction": _Key(_float, 0.2),
-    "t_final": _Key(_float, 60.0),
-    "record_every": _Key(_int, 10),
-    "transient": _Key(_float, None),
+    "dt_fraction": _Key(_fraction, 0.2),
+    "t_final": _Key(_positive, 60.0),
+    "record_every": _Key(_count, 10),
+    "transient": _Key(_checked(_float, lambda v: v >= 0,
+                               "must be nonnegative"), None),
 }
 
 _COLLAPSE_KEYS = {
@@ -190,9 +208,9 @@ _COLLAPSE_KEYS = {
     # inside the step budget; individual slips are aggregated, not resolved
     "rate_calibration": _Key(_float, 5000.0),
     "absorb_floor": _Key(_float, 1e-5),
-    "extent": _Key(_floats, (32.0,)),
+    "extent": _Key(_list(_float), (32.0,)),
     "spacing": _Key(_float, 0.25),
-    "p0": _Key(_floats, (0.3, 0.7)),
+    "p0": _Key(_list(_float), (0.3, 0.7)),
     "dt": _Key(_float, 0.04),
     "max_steps": _Key(_int, 20000),
     "f_init": _Key(_float, None),
@@ -206,49 +224,36 @@ _FP_KEYS = {
     **_SLIPS,
     "channels": _Key(_int, 2),
     "resolution": _Key(_int, 100),
-    "p0": _Key(_floats, (0.5, 0.5)),
+    "p0": _Key(_interior, (0.5, 0.5)),
     "width_cells": _Key(_float, 2.0),
-    "f_init": _Key(_float, 0.4),
-    "extent": _Key(_floats, (16.0,)),
+    "f_init": _Key(_open_unit, 0.4),
+    "extent": _Key(_list(_float), (16.0,)),
     "spacing": _Key(_float, 0.25),
-    "dt_fraction": _Key(_float, 0.5),
-    "n_steps": _Key(_int, 2000),
-    "snapshot_every": _Key(_int, 0),
-    "current_every": _Key(_int, 10),
+    "dt_fraction": _Key(_fraction, 0.5),
+    "n_steps": _Key(_count, 2000),
+    "snapshot_every": _Key(_checked(_int, lambda v: v >= 0,
+                                    "must be nonnegative"), 0),
+    "current_every": _Key(_count, 10),
 }
 
 _COMPARE_KEYS = {
     **_SLIPS,
-    "extent": _Key(_floats, (16.0,)),
+    "extent": _Key(_list(_float), (16.0,)),
     "spacing": _Key(_float, 0.25),
-    "p0": _Key(_floats, (0.5, 0.5)),
+    "p0": _Key(_interior, (0.5, 0.5)),
     "dt": _Key(_float, 0.005),
-    "f_init": _Key(_float, 0.4),
+    "f_init": _Key(_open_unit, 0.4),
     "advance_fields": _Key(_bool, False),
     "resolution": _Key(_int, 100),
     "width_cells": _Key(_float, 2.0),
-    "dt_fraction": _Key(_float, 0.5),
+    "dt_fraction": _Key(_fraction, 0.5),
     "t_final": _Key(_float, 5.0),
-    "n_runs": _Key(_int, 1000),
-    "boundary_cells": _Key(_int, 1),
+    "n_runs": _Key(_checked(_int, lambda v: v >= 100, "compare needs at "
+                            "least 100 runs for a meaningful histogram"),
+                   1000),
+    "boundary_cells": _Key(_count, 1),
 }
 
-_MODE_KEYS = {
-    "exact": _EXACT_KEYS,
-    "wave": _WAVE_KEYS,
-    "collapse": _COLLAPSE_KEYS,
-    "fp": _FP_KEYS,
-    "sweep": _COLLAPSE_KEYS,
-    "compare": _COMPARE_KEYS,
-}
-
-# per-channel keys matched by pattern rather than listed in the tables
-_DYNAMIC = {
-    "exact": (re.compile(r"track_(\d+)"), _ints),
-    "collapse": (re.compile(r"seed_region_(\d+)"), _floats),
-    "sweep": (re.compile(r"seed_region_(\d+)"), _floats),
-    "compare": (re.compile(r"seed_region_(\d+)"), _floats),
-}
 
 
 @dataclass(frozen=True)
@@ -393,7 +398,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
                 f"{mode} takes seed = N"
             )
         try:
-            seeds = (_int(seed_raw),) if seed_raw is not None else (0,)
+            seeds = (_seed(seed_raw),) if seed_raw is not None else (0,)
         except ValueError as exc:
             raise ConfigError(f"{seed_loc}: seed: {exc}") from None
 
@@ -410,14 +415,13 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{traj_loc}: trajectory: {exc}") from None
 
-    table = _MODE_KEYS[mode]
-    dynamic = _DYNAMIC.get(mode)
+    table, per_channel, rules, build = _MODES[mode]
     params: dict = {}
     for key, (value, loc) in entries.items():
         if key in table:
             parse = table[key].parse
-        elif dynamic is not None and dynamic[0].fullmatch(key):
-            parse = dynamic[1]
+        elif per_channel is not None and per_channel[0].fullmatch(key):
+            parse = per_channel[1]
         else:
             raise ConfigError(f"{loc}: unknown key {key!r} for mode {mode}")
         try:
@@ -425,15 +429,13 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{loc}: {key}: {exc}") from None
     for key, spec in table.items():
-        if key not in params:
-            if spec.default is _REQUIRED:
-                raise ConfigError(f"mode {mode} requires key {key!r}")
-            params[key] = spec.default
+        params.setdefault(key, spec.default)
 
     if trajectory:
         params["record_every"] = max(1, params["record_every"])
 
-    _MODE_RULES[mode](params)
+    if rules is not None:
+        rules(params)
     config = ExperimentConfig(
         mode=mode,
         seeds=seeds,
@@ -446,16 +448,16 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     # value now, not mid-run. This comes before _derive, which divides by
     # tau and overwrites n_c; a given n_c reaches SlipParams as written
     # and is compared with N_c = n_a*lam^3 there.
-    _BUILDERS[mode](config)
+    build(config)
     _derive(params)
     return replace(config, source=_canonical(mode, seeds, formats, params))
 
 
 # ----------------------------------------------------------- mode rules
 #
-# Only what no constructor sees lives here: per-channel key names,
-# defaults that depend on other keys, the keys only the run loops read,
-# and the rules a mode adds on top of its objects.
+# Only what neither a constructor nor a key's own parser sees lives here:
+# per-channel key names, defaults that depend on other keys, and the rules
+# that relate two or more keys.
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -536,10 +538,6 @@ def _check_regions(params: dict) -> None:
 
 
 def _exact_rules(params: dict) -> None:
-    _require(params["t_final"] > 0, "t_final must be positive")
-    _require(params["record_every"] >= 1, "record_every must be at least 1")
-    if params["dt"] is not None:
-        _require(params["dt"] > 0, "dt must be positive")
     track_keys = _numbered_keys(params, "track")
     expected = [f"track_{k}" for k in range(1, params["channels"] + 1)]
     if not track_keys and params["channels"] == 1:
@@ -556,39 +554,15 @@ def _exact_rules(params: dict) -> None:
 
 
 def _wave_rules(params: dict) -> None:
-    _require(0 < params["dt_fraction"] <= 1.0,
-             "dt_fraction must lie in (0, 1]")
-    _require(params["t_final"] > 0, "t_final must be positive")
-    _require(params["record_every"] >= 1, "record_every must be at least 1")
-    if params["transient"] is not None:
-        _require(params["transient"] >= 0, "transient must be nonnegative")
     _check_box("seed_region", params["seed_region"], params["extent"])
 
 
-def _fp_rules(params: dict) -> None:
-    _require(all(0.0 < x < 1.0 for x in params["p0"]),
-             "fp needs p0 strictly inside the simplex")
-    _require(0.0 < params["f_init"] < 1.0,
-             "f_init must lie strictly in (0, 1)")
-    _require(0 < params["dt_fraction"] <= 1.0,
-             "dt_fraction must lie in (0, 1]")
-    _require(params["n_steps"] >= 1, "n_steps must be at least 1")
-    _require(params["snapshot_every"] >= 0,
-             "snapshot_every must be nonnegative")
-    _require(params["current_every"] >= 1,
-             "current_every must be at least 1")
-
-
 def _compare_rules(params: dict) -> None:
-    _require(all(0.0 < x < 1.0 for x in params["p0"]),
-             "compare needs p0 strictly inside the simplex")
     if _numbered_keys(params, "seed_region"):
         raise ConfigError(
             "compare requires the uniform f_init background, "
             "not seed regions"
         )
-    _require(0.0 < params["f_init"] < 1.0,
-             "f_init must lie strictly in (0, 1)")
     if params["advance_fields"]:
         raise ConfigError(
             "compare requires advance_fields = false: the diffusion "
@@ -596,32 +570,24 @@ def _compare_rules(params: dict) -> None:
         )
     _require(params["t_final"] >= params["dt"],
              "t_final must cover at least one step")
-    _require(0 < params["dt_fraction"] <= 1.0,
-             "dt_fraction must lie in (0, 1]")
-    _require(params["n_runs"] >= 100,
-             "compare needs at least 100 runs for a meaningful histogram")
-    _require(params["boundary_cells"] >= 1,
-             "boundary_cells must be at least 1")
-
-
-_MODE_RULES = {
-    "exact": _exact_rules,
-    "wave": _wave_rules,
-    "collapse": _check_regions,
-    "fp": _fp_rules,
-    "sweep": _check_regions,
-    "compare": _compare_rules,
-}
 
 
 # -------------------------------------------------------------- builders
 
 def _build(mode: str, make):
-    """Run a constructor, converting its ValueErrors into ConfigErrors."""
+    """Run a constructor; its ValueErrors and overflows become ConfigErrors."""
     try:
         return make()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid {mode} parameters: {exc}") from None
+
+
+def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
+    """The kinetic scales and a grid that resolves them."""
+    kin = KineticParams(lam=params["lam"], tau=params["tau"])
+    grid = Grid(extent=params["extent"], spacing=params["spacing"])
+    grid.check_resolution(kin)
+    return kin, grid
 
 
 def build_lattice_model(config: ExperimentConfig) -> LatticeModel:
@@ -653,9 +619,7 @@ def build_wave_setup(config: ExperimentConfig):
     p = config.params
 
     def make():
-        kin = KineticParams(lam=p["lam"], tau=p["tau"])
-        grid = Grid(extent=p["extent"], spacing=p["spacing"])
-        grid.check_resolution(kin)
+        kin, grid = _kinetics_grid(p)
         region = _box_pairs(p["seed_region"])
         f = seed_field(grid, region, inside=p["inside"])
         return kin, grid, f
@@ -685,21 +649,18 @@ def _slip_params(params: dict) -> SlipParams:
     )
 
 
-def build_collapse_setup(
-    config: ExperimentConfig, max_steps: int | None = None
-) -> CollapseSetup:
+def build_collapse_setup(config: ExperimentConfig) -> CollapseSetup:
     p = config.params
 
     def make():
-        kin = KineticParams(lam=p["lam"], tau=p["tau"])
-        grid = Grid(extent=p["extent"], spacing=p["spacing"])
+        kin, grid = _kinetics_grid(p)
         return CollapseSetup(
             kinetics=kin,
             slips=_slip_params(p),
             grid=grid,
             p0=p["p0"],
             dt=p["dt"],
-            max_steps=p["max_steps"] if max_steps is None else max_steps,
+            max_steps=p["max_steps"],
             seed_regions=_regions_from_params(p),
             f_init=p["f_init"],
             advance_fields=p["advance_fields"],
@@ -711,9 +672,7 @@ def build_collapse_setup(
 
 def _uniform_summary(params: dict, channels: int) -> FieldSummary:
     """Overlap of a uniform f_init background, shared by fp and compare."""
-    kin = KineticParams(lam=params["lam"], tau=params["tau"])
-    grid = Grid(extent=params["extent"], spacing=params["spacing"])
-    grid.check_resolution(kin)
+    _, grid = _kinetics_grid(params)
     f = np.full((channels,) + grid.shape, float(params["f_init"]))
     fields = ScalarFieldSet(grid, f, np.asarray(params["p0"]))
     return field_summary(fields, _slip_params(params))
@@ -747,8 +706,7 @@ def build_compare_setup(config: ExperimentConfig):
     p = config.params
 
     def make():
-        kin = KineticParams(lam=p["lam"], tau=p["tau"])
-        grid = Grid(extent=p["extent"], spacing=p["spacing"])
+        kin, grid = _kinetics_grid(p)
         setup = CollapseSetup(
             kinetics=kin,
             slips=_slip_params(p),
@@ -779,11 +737,19 @@ def build_compare_setup(config: ExperimentConfig):
     return _build("compare", make)
 
 
-_BUILDERS = {
-    "exact": build_lattice_model,
-    "wave": build_wave_setup,
-    "collapse": build_collapse_setup,
-    "fp": build_fp_setup,
-    "sweep": build_collapse_setup,
-    "compare": build_compare_setup,
+# mode: (key table, per-channel key pattern and its parser, cross-field
+# rules, builder)
+_SEED_REGIONS = (re.compile(r"seed_region_\d+"), _list(_float))
+_MODES = {
+    "exact": (_EXACT_KEYS, (re.compile(r"track_\d+"), _list(_int)),
+              _exact_rules, build_lattice_model),
+    "wave": (_WAVE_KEYS, None, _wave_rules, build_wave_setup),
+    "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
+                 build_collapse_setup),
+    "fp": (_FP_KEYS, None, None, build_fp_setup),
+    "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
+              build_collapse_setup),
+    "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_rules,
+                build_compare_setup),
 }
+MODES = tuple(_MODES)

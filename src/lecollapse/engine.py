@@ -24,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
-from lecollapse.wave import Grid, KineticParams, cell_averages
+from lecollapse.wave import Grid, KineticParams, cell_averages, cell_counts
 from lecollapse.wave import laplacian as _laplacian
 from lecollapse.wave import seed_field
 
@@ -322,6 +322,7 @@ class CollapseSetup:
         if abs(self.kinetics.tau - self.slips.tau) > 1e-12 * self.kinetics.tau:
             raise ValueError("kinetics and slips disagree on tau")
         self.grid.check_resolution(self.kinetics)
+        cell_counts(self.grid, self.slips.lam)  # the slips sample lam cells
         if (self.seed_regions is None) == (self.f_init is None):
             raise ValueError("give either seed_regions or f_init, not both")
         if self.seed_regions is not None:
@@ -668,7 +669,7 @@ def born_statistics(results) -> BornStatistics:
         )
         dof = int(live.sum()) - 1
         if dof >= 1:
-            pval = float(chi2_dist.sf(stat, dof))
+            pval = float(chdtrc(dof, stat))  # chi-square survival function
         else:
             pval = 1.0 if stat == 0.0 else 0.0
     return BornStatistics(

@@ -149,9 +149,8 @@ class _Job:
 
     def json(self, name: str, obj) -> None:
         if "json" in self.config.formats:
-            self._record(
-                name, json.dumps(obj, indent=2, sort_keys=True) + "\n"
-            )
+            write_json(self.out / name, obj)
+            self.files.append(self.out / name)
 
     def svg(self, name: str, header, rows, kind: str) -> None:
         if "svg" in self.config.formats:

@@ -1,6 +1,9 @@
 """Command-line behaviour: flags, messages and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,63 @@ def test_defaults_run_without_a_config_file(tmp_path):
     rc = main(["fp", "--out", str(tmp_path / "fp")])
     assert rc == EXIT_SUCCESS
     assert (tmp_path / "fp" / "summary.json").exists()
+
+
+def config_error(tmp_path, capsys, mode, text, *flags):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"),
+               *flags])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,text,flags,where", [
+    ("collapse", "", ("--seed", "-1"), "command line: seed: "),
+    ("compare", "", ("--seed", "-1"), "command line: seed: "),
+    ("collapse", "seed = 18446744073709551616\n", (), "line 1: seed: "),
+    ("sweep", "", ("--seeds=-1..2",), "command line: seeds: "),
+    ("sweep", "seeds = 0..18446744073709551616\n", (), "line 1: seeds: "),
+])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, mode, text, flags,
+                                      where):
+    err = config_error(tmp_path, capsys, mode, text, *flags)
+    assert f"config error: {where}must lie in 0..2^64-1" in err
+
+
+@pytest.mark.parametrize("mode,key", [
+    ("wave", "t_final"),
+    ("exact", "t_final"),
+    ("compare", "t_final"),
+    ("exact", "hop_amplitude"),
+    ("exact", "u_strength"),
+    ("collapse", "dt"),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, mode, key, value):
+    err = config_error(tmp_path, capsys, mode, f"{key} = {value}\n")
+    assert f"config error: line 1: {key}: {value} is not a valid" in err
+
+
+def test_step_count_overflow_exits_2(tmp_path, capsys):
+    # t_final / dt overflows to inf before it becomes a step count
+    err = config_error(tmp_path, capsys, "compare",
+                       "t_final = 1e300\ndt = 1e-10\n")
+    assert "config error: invalid compare parameters" in err
+
+
+@pytest.mark.parametrize("mode", ["collapse", "sweep"])
+def test_extent_off_the_cell_size_exits_2(tmp_path, capsys, mode):
+    err = config_error(tmp_path, capsys, mode, "extent = 32.5\n")
+    assert "extent 32.5 must be an integral multiple of lam" in err
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    code = ("import sys, lecollapse.cli; "
+            "print('scipy.stats' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -349,6 +349,56 @@ def test_constructor_checks_are_config_errors_naming_the_key(
     assert re.search(rf"\b{key}\b", str(info.value)), str(info.value)
 
 
+# Each row is a range check made by the key's own parser, so the error
+# names the line (or the command line) and the key.
+KEY_CHECKS = [
+    ("wave", "dt_fraction", "1.5"),
+    ("fp", "dt_fraction", "0"),
+    ("compare", "dt_fraction", "-0.5"),
+    ("wave", "t_final", "0"),
+    ("exact", "t_final", "-1"),
+    ("wave", "record_every", "0"),
+    ("exact", "record_every", "0"),
+    ("wave", "transient", "-1"),
+    ("exact", "dt", "0"),
+    ("fp", "n_steps", "0"),
+    ("fp", "snapshot_every", "-1"),
+    ("fp", "current_every", "0"),
+    ("compare", "n_runs", "99"),
+    ("compare", "boundary_cells", "0"),
+    ("fp", "p0", "0,1"),
+    ("compare", "p0", "1,0"),
+    ("fp", "f_init", "1"),
+    ("compare", "f_init", "0"),
+]
+
+
+@pytest.mark.parametrize("mode,key,value", KEY_CHECKS,
+                         ids=[f"{m}-{k}={v}" for m, k, v in KEY_CHECKS])
+def test_key_range_checks_name_the_place_and_key(tmp_path, mode, key, value):
+    with pytest.raises(ConfigError, match=rf"^line 2: {key}: .*, got {value}$"):
+        load_text(tmp_path, f"mode = {mode}\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^command line: {key}: "):
+        load_config(overrides={"mode": mode, key: value})
+
+
+def test_seed_must_fit_64_bits():
+    assert load_config(overrides={"mode": "collapse",
+                                  "seed": str(2**64 - 1)}).seed == 2**64 - 1
+    for overrides in ({"mode": "collapse", "seed": "-1"},
+                      {"mode": "fp", "seed": str(2**64)},
+                      {"mode": "sweep", "seeds": "-2..3"}):
+        with pytest.raises(ConfigError, match=r"0\.\.2\^64-1"):
+            load_config(overrides=overrides)
+
+
+def test_infinity_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="line 2: t_final: inf"):
+        load_text(tmp_path, "mode = wave\nt_final = inf\n")
+    with pytest.raises(ConfigError, match="line 2: w: -inf"):
+        load_text(tmp_path, "mode = collapse\nw = -inf\n")
+
+
 def test_zero_absorb_floor_is_rejected():
     # jumps are multiplicative, so a floor of exactly 0 is never reached
     with pytest.raises(ValueError, match="absorb_floor"):

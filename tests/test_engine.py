@@ -613,6 +613,9 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         # fields advancing: dt must respect the monotone bound
         frozen_setup(advance_fields=True, dt=0.5)
+    with pytest.raises(ValueError, match="extent 32.5"):
+        # the slips sample whole lam-sized cells
+        frozen_setup(grid=Grid(extent=(32.5,), spacing=0.25))
 
 
 # --- aggregation ---
@@ -668,6 +671,16 @@ def test_born_statistics_input_guards():
         born_statistics(mixed)
     with pytest.raises(AggregationError):
         born_statistics(fake_results([], timeouts=150))
+
+
+def test_born_p_value_is_the_chi_square_survival_bit_for_bit():
+    from scipy.stats import chi2
+
+    for winners, p0 in (([0] * 60 + [1] * 140, (0.3, 0.7)),
+                        ([0] * 75 + [1] * 125, (0.3, 0.7)),
+                        ([0] * 50 + [1] * 50 + [2] * 100, (0.2, 0.3, 0.5))):
+        stats = born_statistics(fake_results(winners, p0=p0))
+        assert stats.p_value == float(chi2.sf(stats.chi_square, len(p0) - 1))
 
 
 # --- the closed-form time scale ---

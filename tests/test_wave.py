@@ -80,9 +80,11 @@ def test_pure_diffusion_conserves_mass_exactly():
     f = rng.uniform(0.0, 1.0, g.shape)
     dt = 0.9 * g.cfl_limit(UNIT)
     total = f.sum()
-    for _ in range(200):
+    steps = 200
+    for _ in range(steps):
         f = kpp_step(f, g, UNIT, dt, contagion=False)
-    assert f.sum() == pytest.approx(total, abs=1e-8 * f.size)
+    # rounding only: at most one unit in the last place per cell and step
+    assert abs(f.sum() - total) <= steps * f.size * np.finfo(float).eps
 
 
 def test_fixed_points_are_exact():
