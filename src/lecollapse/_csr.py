@@ -1,8 +1,12 @@
-"""SciPy's CSR matrix-vector kernel, called without the operator dispatch."""
+"""SciPy's CSR matrix-vector kernel, called without the operator dispatch.
+
+The kernel is imported inside ``bind_matvec``, not with this module, so
+importing lecollapse loads numpy alone; ``scipy.sparse`` loads at the first
+operator build, which only the ``wave``, ``fp``, ``exact`` and ``compare``
+modes do.
+"""
 
 from functools import partial
-
-from scipy.sparse import _sparsetools
 
 
 def bind_matvec(g):
@@ -13,5 +17,7 @@ def bind_matvec(g):
     terms. The kernel's type is g's dtype, real or complex, and x and y
     must have it too. Skipping the dispatch of ``@`` keeps a matvec cheap.
     """
+    from scipy.sparse import _sparsetools
+
     return partial(_sparsetools.csr_matvec, *g.shape, g.indptr, g.indices,
                    g.data)

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from lecollapse.wave import Grid, KineticParams, cell_averages, cell_counts
 from lecollapse.wave import laplacian as _laplacian
@@ -629,7 +628,9 @@ def born_statistics(results) -> BornStatistics:
     Requires at least 100 results sharing one initial condition; runs that
     timed out are excluded from the frequencies but counted in n_results.
     Wilson intervals are at 95%; the chi-square statistic compares winner
-    counts to the expected multinomial p0 * n_resolved.
+    counts to the expected multinomial p0 * n_resolved. Its p-value comes
+    from ``scipy.special.chdtrc``, imported here at the first call: the
+    engine itself runs on numpy alone.
     """
     results = list(results)
     if len(results) < 100:
@@ -669,7 +670,9 @@ def born_statistics(results) -> BornStatistics:
         )
         dof = int(live.sum()) - 1
         if dof >= 1:
-            pval = float(chdtrc(dof, stat))  # chi-square survival function
+            from scipy.special import chdtrc  # chi-square survival function
+
+            pval = float(chdtrc(dof, stat))
         else:
             pval = 1.0 if stat == 0.0 else 0.0
     return BornStatistics(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy import sparse
 
 from lecollapse._csr import bind_matvec
 
@@ -300,6 +299,8 @@ def _track_count(model: LatticeModel, basis: LatticeBasis) -> np.ndarray:
 
 def _hop_matrix(model: LatticeModel, basis: LatticeBasis) -> sparse.coo_matrix:
     """Nearest-neighbour hopping over configurations, one atom at a time."""
+    from scipy import sparse
+
     cd, rad_c = basis.config_digits, basis.config_radix
     rows, cols = [], []
     for i in range(model.atoms):
@@ -347,6 +348,8 @@ def build_branch_hamiltonian(
     BranchHamiltonian
         Sparse real matrix plus the cached operator norm of (H - H^T).
     """
+    from scipy import sparse
+
     if basis is None:
         basis = LatticeBasis(model, cap=cap)
     n_w, n = basis.n_words, basis.n_basis

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from scipy import sparse
 
 from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams, _cell_means, probability_vector
@@ -321,6 +320,8 @@ def _operator(
 def _cached_operator(
     grid: SimplexGrid, overlap: bytes, params: SlipParams
 ) -> _Operator:
+    from scipy import sparse
+
     closures = _reduced_coefficients(
         grid, FieldSummary(np.frombuffer(overlap)), params
     )

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from lecollapse._csr import bind_matvec
 
@@ -32,6 +31,7 @@ __all__ = [
     "ScalarFieldSet",
     "seed_field",
     "laplacian",
+    "step_operator",
     "kpp_step",
     "cell_averages",
     "cell_counts",
@@ -230,28 +230,51 @@ def _step_operator(shape: tuple[int, ...], c: float) -> sparse.csr_array:
 
     L is the second difference with zero-gradient walls (edge
     replication): a wall cell lacks the neighbour beyond the wall and its
-    diagonal the matching -1, so rows of L sum to zero. The neighbours
-    come from a Kronecker sum of one path graph per axis (row-major, in
-    increasing index). Each row holds c per neighbour, then its diagonal
-    1 - s, s being those c summed as the kernel adds them: a constant row
-    sums to exactly the constant, so f = 0 and f = 1 stay fixed.
+    diagonal the matching -1, so rows of L sum to zero. Cells are in
+    row-major order. Each row holds c per neighbour, by ascending column,
+    then its diagonal 1 - s, s being those c summed as the kernel adds
+    them: a constant row sums to exactly the constant, so f = 0 and f = 1
+    stay fixed. The CSR arrays are written straight from per-axis
+    neighbour masks, so a build needs little memory beyond the operator.
     """
-    paths = [sparse.diags_array([np.ones(n - 1)] * 2, offsets=[-1, 1])
-             for n in shape]
-    adj = functools.reduce(
-        lambda a, p: sparse.kronsum(p, a, format="csr"), paths).tocsr()
-    neighbours = np.diff(adj.indptr)
-    ends = adj.indptr[1:]
-    rows = np.arange(adj.shape[0] + 1, dtype=adj.indptr.dtype)
-    diag = 1.0 - np.cumsum(np.full(neighbours.max(), c))[neighbours - 1]
-    op = sparse.csr_array(
-        (np.insert(np.full(adj.nnz, c), ends, diag),
-         np.insert(adj.indices, ends, rows[:-1]), adj.indptr + rows),
-        shape=adj.shape,
-    )
+    from scipy import sparse
+
+    n, dims = math.prod(shape), len(shape)
+    below, above = [], []  # (has the neighbour, its column offset)
+    for axis, m in enumerate(shape):
+        stride = math.prod(shape[axis + 1:])
+        at = np.arange(m).reshape([-1 if a == axis else 1 for a in range(dims)])
+        below.append((np.broadcast_to(at > 0, shape).ravel(), -stride))
+        above.append((np.broadcast_to(at < m - 1, shape).ravel(), stride))
+    # neighbour columns ascend: below by falling stride, above by rising
+    kinds = below + above[::-1]
+    count = np.zeros(n, dtype=np.int8)
+    for has, _ in kinds:
+        count += has
+    # a grid holds at most MAX_CELLS cells, so int32 indices always fit
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(count + 1, dtype=np.int32, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.full(indptr[-1], c)
+    slot = indptr[:-1].copy()  # each row's next free entry
+    for has, offset in kinds:
+        rows = np.flatnonzero(has)
+        indices[slot[rows]] = rows + offset
+        slot[rows] += 1
+    indices[slot] = np.arange(n)
+    sums = np.concatenate(([0.0], np.cumsum(np.full(len(kinds), c))))
+    data[slot] = 1.0 - sums[count]
+    op = sparse.csr_array((data, indices, indptr), shape=(n, n))
     for a in (op.data, op.indices, op.indptr):
         a.setflags(write=False)
     return op
+
+
+def step_operator(
+    grid: Grid, params: KineticParams, dt: float
+) -> sparse.csr_array:
+    """The cached I + c L that ``kpp_step`` applies on this grid at this dt."""
+    return _step_operator(grid.shape, params.d_coeff * dt / grid.spacing**2)
 
 
 def _check_step(
@@ -281,7 +304,7 @@ def kpp_step(
     Walls are no-flux. With ``contagion`` false only diffusion acts, which
     conserves the field sum to rounding. A step writes the reaction
     (dt / tau) g (1 - g), lets the shared CSR kernel add (I + c L) g from
-    the cached ``_step_operator``, and clamps the result to [0, 1]; the
+    the cached ``step_operator``, and clamps the result to [0, 1]; the
     scheme is monotone under the step bound so the clamp only removes
     rounding residue, and f = 0 and f = 1 are exact fixed points. The step
     bound is checked once per call. One call with ``steps = n`` equals n
@@ -294,8 +317,7 @@ def kpp_step(
     f = np.asarray(f, dtype=np.float64)
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    matvec = bind_matvec(_step_operator(
-        grid.shape, params.d_coeff * dt / grid.spacing**2))
+    matvec = bind_matvec(step_operator(grid, params, dt))
     rate = dt / params.tau
     g, y = f.ravel().copy(), np.empty(f.size)
     for _ in range(steps):

@@ -170,11 +170,31 @@ def test_extent_off_the_cell_size_exits_2(tmp_path, capsys, mode):
     assert "extent 32.5 must be an integral multiple of lam" in err
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    code = ("import sys, lecollapse.cli; "
-            "print('scipy.stats' in sys.modules)")
+def scipy_modules(tmp_path, code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    probe = (f"{code}\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def run_at_defaults(mode):
+    return ("from lecollapse.cli import main\n"
+            f"assert main(['{mode}', '--out', 'out']) == 0")
+
+
+@pytest.mark.parametrize("code", [
+    "import lecollapse", "import lecollapse.cli",
+    run_at_defaults("collapse"), run_at_defaults("sweep"),
+], ids=["import", "import-cli", "collapse", "sweep"])
+def test_engine_only_runs_leave_scipy_out(tmp_path, code):
+    assert scipy_modules(tmp_path, code) == set()
+
+
+def test_wave_loads_scipy_sparse_but_not_special(tmp_path):
+    loaded = scipy_modules(tmp_path, run_at_defaults("wave"))
+    assert "scipy.sparse" in loaded
+    assert "scipy.special" not in loaded

@@ -223,6 +223,18 @@ def test_defect_blocks_reassemble_the_antisymmetric_part():
             )
 
 
+def test_defect_of_a_large_basis_comes_from_svds_and_matches_the_blocks():
+    # past a 2048^2 dense budget the defect comes from sparse svds; the
+    # batched SVD of the per-configuration blocks must give the same norm
+    model = small_model(atoms=4, channels=3, a_tracks=((0,), (1,), (2,)))
+    h = build_branch_hamiltonian(model)
+    n_w = h.basis.n_words
+    assert h.basis.n_basis * n_w > 2048 * 2048
+    blocks = _config_blocks((h.matrix - h.matrix.T).tocoo(), n_w)
+    want = np.linalg.svd(blocks, compute_uv=False).max()
+    assert h.hermitian_defect == pytest.approx(want, rel=1e-10)
+
+
 def test_defect_blocks_reject_an_entry_across_configurations():
     a = sparse.coo_matrix(([1.0, -1.0], ([0, 2], [2, 0])), shape=(4, 4))
     with pytest.raises(ValueError, match="configurations"):

@@ -1,5 +1,7 @@
 """Probability-wave properties: bounds, conservation, fronts, speeds."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +132,36 @@ def test_diffusion_step_is_the_stencil_step(extent):
     want = f + dt * UNIT.d_coeff * laplacian(f, g.spacing)
     # both sum at most 2 * 3 + 1 terms of size <= 1, each rounding once
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+
+def _kronsum_step_operator(shape, c):
+    """The step operator as a Kronecker sum of per-axis path graphs."""
+    paths = [sparse.diags_array([np.ones(n - 1)] * 2, offsets=[-1, 1])
+             for n in shape]
+    adj = functools.reduce(
+        lambda a, p: sparse.kronsum(p, a, format="csr"), paths).tocsr()
+    neighbours = np.diff(adj.indptr)
+    ends = adj.indptr[1:]
+    rows = np.arange(adj.shape[0] + 1, dtype=adj.indptr.dtype)
+    diag = 1.0 - np.cumsum(np.full(neighbours.max(), c))[neighbours - 1]
+    return sparse.csr_array(
+        (np.insert(np.full(adj.nnz, c), ends, diag),
+         np.insert(adj.indices, ends, rows[:-1]), adj.indptr + rows),
+        shape=adj.shape,
+    )
+
+
+@pytest.mark.parametrize("shape", [(800,), (3200,), (40, 4), (20, 2, 2),
+                                   (7, 5, 3), (1, 9), (16, 1, 3)])
+@pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.49, 1e-3])
+def test_step_operator_equals_the_kronecker_sum_byte_for_byte(shape, c):
+    want = _kronsum_step_operator(shape, c)
+    got = _step_operator(shape, c)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_step_rejects_unstable_dt():
