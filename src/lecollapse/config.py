@@ -27,7 +27,12 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from lecollapse.engine import CollapseSetup, SlipParams
-from lecollapse.exact import LatticeModel, check_basis_size
+from lecollapse.exact import (
+    STEP_FACTOR,
+    LatticeModel,
+    check_basis_size,
+    row_sum_bound,
+)
 from lecollapse.fokker_planck import (
     FieldSummary,
     FPDensity,
@@ -52,6 +57,16 @@ __all__ = [
 ]
 
 FORMATS = ("csv", "json", "svg")
+
+# The longest run a config may ask for: ten times the 10^5 steps of
+# criterion 9's diffusion solve, the longest gate or benchmark run.
+MAX_STEPS = 10**6
+# The most runs a sweep or compare may ask for: ten times the gate's
+# 10^4-run Born ensembles (criteria 7 and 8).
+MAX_RUNS = 10**5
+# The slip step closes a row of K channels to an exact zero sum only for
+# K < 8 (engine._slip_step).
+MAX_CHANNELS = 7
 
 
 class ConfigError(ValueError):
@@ -115,6 +130,8 @@ _fraction = _checked(_float, lambda v: 0 < v <= 1.0, "must lie in (0, 1]")
 _open_unit = _checked(_float, lambda v: 0.0 < v < 1.0,
                       "must lie strictly in (0, 1)")
 _count = _checked(_int, lambda v: v >= 1, "must be at least 1")
+_steps = _checked(_int, lambda v: 1 <= v <= MAX_STEPS,
+                  f"must lie in 1..{MAX_STEPS}")
 # fp and compare start their density strictly inside the simplex
 _interior = _checked(_list(_float), lambda p: all(0.0 < x < 1.0 for x in p),
                      "must lie strictly inside the simplex")
@@ -127,6 +144,9 @@ def _seed_range(s: str) -> tuple[int, ...]:
     lo, hi = _seed(m.group(1)), _seed(m.group(2))
     if hi < lo:
         raise ValueError(f"seed range {s!r} runs backwards")
+    if hi - lo >= MAX_RUNS:
+        raise ValueError(f"seed range {s!r} holds {hi - lo + 1} seeds, more "
+                         f"than the {MAX_RUNS} a sweep may run")
     return tuple(range(lo, hi + 1))
 
 
@@ -210,9 +230,12 @@ _COLLAPSE_KEYS = {
     "absorb_floor": _Key(_float, 1e-5),
     "extent": _Key(_list(_float), (32.0,)),
     "spacing": _Key(_float, 0.25),
-    "p0": _Key(_list(_float), (0.3, 0.7)),
+    "p0": _Key(_checked(_list(_float), lambda p: len(p) <= MAX_CHANNELS,
+                        f"must hold at most {MAX_CHANNELS} channels: the "
+                        "slip step closes rows exactly only for K < 8"),
+               (0.3, 0.7)),
     "dt": _Key(_float, 0.04),
-    "max_steps": _Key(_int, 20000),
+    "max_steps": _Key(_steps, 20000),
     "f_init": _Key(_float, None),
     # None means auto: fronts advance when seeded, a uniform background
     # stays frozen (growth would saturate f -> 1 and starve the slips)
@@ -230,7 +253,7 @@ _FP_KEYS = {
     "extent": _Key(_list(_float), (16.0,)),
     "spacing": _Key(_float, 0.25),
     "dt_fraction": _Key(_fraction, 0.5),
-    "n_steps": _Key(_count, 2000),
+    "n_steps": _Key(_steps, 2000),
     "snapshot_every": _Key(_checked(_int, lambda v: v >= 0,
                                     "must be nonnegative"), 0),
     "current_every": _Key(_count, 10),
@@ -248,7 +271,8 @@ _COMPARE_KEYS = {
     "width_cells": _Key(_float, 2.0),
     "dt_fraction": _Key(_fraction, 0.5),
     "t_final": _Key(_float, 5.0),
-    "n_runs": _Key(_checked(_int, lambda v: v >= 100, "compare needs at "
+    "n_runs": _Key(_checked(_int, lambda v: 100 <= v <= MAX_RUNS,
+                            f"must lie in 100..{MAX_RUNS}: compare needs at "
                             "least 100 runs for a meaningful histogram"),
                    1000),
     "boundary_cells": _Key(_count, 1),
@@ -582,6 +606,15 @@ def _build(mode: str, make):
         raise ConfigError(f"invalid {mode} parameters: {exc}") from None
 
 
+def _check_steps(t_final: float, dt: float) -> None:
+    """Reject a t_final that takes more than MAX_STEPS steps of dt."""
+    if not t_final / dt <= MAX_STEPS:
+        raise ValueError(
+            f"t_final = {t_final} takes {t_final / dt:.3g} steps of "
+            f"dt = {dt}, more than the {MAX_STEPS} a run may take"
+        )
+
+
 def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
     """The kinetic scales and a grid that resolves them."""
     kin = KineticParams(lam=params["lam"], tau=params["tau"])
@@ -609,20 +642,29 @@ def build_lattice_model(config: ExperimentConfig) -> LatticeModel:
             cross_channel_coupling=p["cross_channel_coupling"],
         )
         check_basis_size(model)  # the run's LatticeBasis would refuse it
+        # the default dt, STEP_FACTOR over the generator's row-sum norm,
+        # needs the generator; its bound gives at least as many steps
+        bound = row_sum_bound(model)
+        if p["dt"] is None and bound == 0.0:
+            raise ValueError("the generator is zero, so it sets no default "
+                             "dt: give dt")
+        _check_steps(p["t_final"], p["dt"] or STEP_FACTOR / bound)
         return model
 
     return _build("exact", make)
 
 
 def build_wave_setup(config: ExperimentConfig):
-    """(KineticParams, Grid, initial field) for the wave mode."""
+    """(KineticParams, Grid, initial field, dt, step count) for wave."""
     p = config.params
 
     def make():
         kin, grid = _kinetics_grid(p)
         region = _box_pairs(p["seed_region"])
         f = seed_field(grid, region, inside=p["inside"])
-        return kin, grid, f
+        dt = p["dt_fraction"] * grid.monotone_limit(kin)
+        _check_steps(p["t_final"], dt)
+        return kin, grid, f, dt, max(1, math.ceil(p["t_final"] / dt))
 
     return _build("wave", make)
 
@@ -718,6 +760,7 @@ def build_compare_setup(config: ExperimentConfig):
             advance_fields=False,
         )
         # dt is known positive only once CollapseSetup has checked it
+        _check_steps(p["t_final"], p["dt"])
         n_mc = max(1, int(round(p["t_final"] / p["dt"])))
         setup = replace(setup, max_steps=n_mc)
         channels = len(p["p0"])
@@ -727,6 +770,7 @@ def build_compare_setup(config: ExperimentConfig):
                                        width_cells=p["width_cells"])
         bound = stable_step(sgrid, summary, setup.slips)
         if np.isfinite(bound):
+            _check_steps(p["t_final"], p["dt_fraction"] * bound)
             n_fp = max(1, math.ceil(p["t_final"]
                                     / (p["dt_fraction"] * bound)))
         else:

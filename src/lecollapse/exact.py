@@ -36,6 +36,7 @@ __all__ = [
     "ContagionMatrices",
     "LatticeModel",
     "check_basis_size",
+    "row_sum_bound",
     "LatticeBasis",
     "BranchState",
     "BranchHamiltonian",
@@ -193,6 +194,23 @@ def check_basis_size(
             f"basis size {model.basis_size} (sites^atoms * "
             f"(channels+1)^atoms) exceeds the cap {cap}"
         )
+
+
+def row_sum_bound(model: LatticeModel) -> float:
+    """Upper bound on the branch generator's row-sum norm, from parameters.
+
+    A row of H holds at most two hops per atom, a diagonal of at most u
+    per atom and track plus v per atom pair, one 0 -> k track transition
+    per atom and two contact transitions per pair. A term with nothing to
+    act on (one site, no track site, one atom) counts 0, so the bound is 0
+    exactly when H is. STEP_FACTOR over it is at most ``default_timestep``
+    without building H.
+    """
+    n = model.atoms
+    tracks = sum(1 for t in model.a_tracks if t)
+    hops = 2 * n * abs(model.hop_amplitude) if model.sites > 1 else 0.0
+    track = n * (tracks + 1) * abs(model.u_strength) if tracks else 0.0
+    return hops + track + 3 * (n * (n - 1) // 2) * abs(model.v_strength)
 
 
 class LatticeBasis:

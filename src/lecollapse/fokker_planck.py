@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import Callable
 
 import numpy as np
 
@@ -185,8 +186,8 @@ class FPDensity:
     phi holds the probability mass per cell divided by the cell volume;
     invalid cells (outside the triangle) carry exactly 0. ``clamped``
     accumulates the (mass-neutral) positivity repairs of the mixed-term
-    stencil, a solver diagnostic; it stays at rounding level in one
-    dimension and small in two.
+    stencil, a solver diagnostic; it stays exactly 0 in one dimension
+    below the step bound, where no repair runs, and small in two.
     """
 
     grid: SimplexGrid
@@ -287,11 +288,11 @@ def _reduced_coefficients(
 class _Operator:
     """The explicit scheme, fixed by (grid, summary, params).
 
-    ``generator`` is the flux-form operator G on the cells in C order, so
-    a step is phi + dt * G phi; ``current`` is the row vector c with
-    boundary_current = c . phi; ``bound`` is the step bound. Cells
-    outside the triangle have empty rows and columns in G and zeros in c.
-    Every array is read-only.
+    ``generator`` is the flux-form operator G on the cells in C order,
+    from which ``_cached_step`` forms the step I + dt G; ``current`` is
+    the row vector c with boundary_current = c . phi; ``bound`` is the
+    step bound. Cells outside the triangle have empty rows and columns in
+    G and zeros in c. Every array is read-only.
     """
 
     generator: sparse.csr_array
@@ -308,8 +309,6 @@ def _operator(
     grid: SimplexGrid, summary: FieldSummary, params: SlipParams
 ) -> _Operator:
     """The operator for this grid and coefficient set, built once."""
-    if summary.channels != grid.channels:
-        raise ValueError("summary and grid disagree on channel count")
     return _cached_operator(grid, summary.overlap.tobytes(), params)
 
 
@@ -322,6 +321,8 @@ def _cached_operator(
 ) -> _Operator:
     from scipy import sparse
 
+    if len(overlap) != 8 * grid.channels:  # eight bytes per float64
+        raise ValueError("summary and grid disagree on channel count")
     closures = _reduced_coefficients(
         grid, FieldSummary(np.frombuffer(overlap)), params
     )
@@ -376,6 +377,48 @@ def _cached_operator(
                      bound=bound)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One explicit step, fixed by (grid, summary, params, dt).
+
+    ``operator`` is A = I + dt G, with the identity on the valid cells
+    only, so cells outside the triangle map to exactly 0; ``matvec`` is
+    the CSR kernel bound to A. ``nonnegative`` says that no entry of A is
+    negative: then a nonnegative density stays nonnegative exactly,
+    rounding included, and the positivity repair can never fire. Below
+    the step bound that holds in one dimension (at the bound itself a
+    diagonal entry can round to just under zero); the mixed term of two
+    puts negative entries off the diagonal.
+    """
+
+    operator: sparse.csr_array
+    matvec: Callable
+    nonnegative: bool
+
+
+# keyed like _cached_operator plus dt, which a run holds fixed; every hit
+# is a dt already checked against the bound
+@lru_cache(maxsize=2)
+def _cached_step(
+    grid: SimplexGrid, overlap: bytes, params: SlipParams, dt: float
+) -> _Step:
+    from scipy import sparse
+
+    op = _cached_operator(grid, overlap, params)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if dt > op.bound * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt = {dt} exceeds the diffusion bound {op.bound}"
+        )
+    identity = sparse.diags_array(grid.valid().ravel().astype(float))
+    a = (identity + dt * op.generator).tocsr()
+    for arr in (a.data, a.indices, a.indptr):
+        arr.setflags(write=False)
+    return _Step(operator=a, matvec=bind_matvec(a),
+                 nonnegative=not (a.data < 0.0).any())
+
+
 def stable_step(
     grid: SimplexGrid, summary: FieldSummary, params: SlipParams
 ) -> float:
@@ -392,54 +435,50 @@ def fp_step(
 ) -> FPDensity:
     """``steps`` explicit steps of the simplex Fokker-Planck equation.
 
-    A step is phi + dt * G phi with G the flux-form generator, assembled
-    once per (grid, summary, params). Along each axis the face flux is the
-    difference of (a Phi) across the face, and in two dimensions the
-    mixed term 2 d1 d2 (q12 Phi) runs through the cell corners. Each
-    face or corner feeds its cells with opposite signs, so every column
-    of G sums to zero and the total mass is conserved to rounding. Faces
-    and corners that touch a cell outside the triangle carry nothing, and
-    the coefficients vanish on the simplex boundary, so mass can pile up
-    near the boundary but never cross it. Rounding-level negative cells
-    are clamped and the removed mass accumulated in ``clamped``.
+    A step is one product with A = I + dt G, G the flux-form generator.
+    Along each axis the face flux is the difference of (a Phi) across the
+    face, and in two dimensions the mixed term 2 d1 d2 (q12 Phi) runs
+    through the cell corners. Each face or corner feeds its cells with
+    opposite signs, so every column of G sums to zero and the total mass
+    is conserved to rounding. Faces and corners that touch a cell outside
+    the triangle carry nothing, and the coefficients vanish on the simplex
+    boundary, so mass can pile up near the boundary but never cross it.
+    A is assembled, checked against the step bound and bound to the CSR
+    kernel once per (grid, summary, params, dt). Only when A has a
+    negative entry, as the two-dimensional mixed term gives it, can a
+    cell go negative; then negative cells are clamped, the density is
+    rescaled to its mass before the step, and the removed mass is
+    accumulated in ``clamped``. Otherwise no repair runs.
 
-    The step bound is checked once per call. One call with ``steps = n``
-    equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
-    copy. The caller's density is never modified.
+    One call with ``steps = n`` equals n calls with ``steps = 1`` bit for
+    bit; ``steps = 0`` returns a copy. The caller's density is never
+    modified.
     """
-    grid = density.grid
-    op = _operator(grid, summary, params)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if dt > op.bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt} exceeds the diffusion bound {op.bound}"
-        )
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    matvec = bind_matvec(op.generator)
+    grid = density.grid
+    step = _cached_step(grid, summary.overlap.tobytes(), params, dt)
+    matvec, repair = step.matvec, not step.nonnegative
     cell = grid.spacing**grid.dims
-    phi = density.phi.copy()
-    new, gphi = np.empty(phi.shape), np.empty(phi.size)
-    neg = np.empty(phi.shape, dtype=bool)
+    phi = density.phi.flatten()
+    new, neg = np.empty(phi.size), np.empty(phi.size, dtype=bool)
     time, clamped = density.time, density.clamped
     for _ in range(steps):
-        gphi.fill(0.0)
-        matvec(phi.ravel(), gphi)
-        np.multiply(dt, gphi, out=gphi)
-        np.add(phi, gphi.reshape(phi.shape), out=new)
-        np.less(new, 0.0, out=neg)
-        if np.count_nonzero(neg):
-            # the mixed stencil can push sharply curved cells slightly
-            # negative; clip and rescale so the repair stays mass neutral
-            clamped += float(-new[neg].sum() * cell)
-            np.clip(new, 0.0, None, out=new)
-            total = new.sum()
-            if total > 0.0:
-                new *= phi.sum() / total
+        new.fill(0.0)
+        matvec(phi, new)
+        if repair:
+            np.less(new, 0.0, out=neg)
+            if np.count_nonzero(neg):
+                # clip and rescale so the repair stays mass neutral
+                clamped += float(-new[neg].sum() * cell)
+                np.clip(new, 0.0, None, out=new)
+                total = new.sum()
+                if total > 0.0:
+                    new *= phi.sum() / total
         phi, new = new, phi
         time = time + dt
-    return FPDensity(grid=grid, phi=phi, time=time, clamped=clamped)
+    return FPDensity(grid=grid, phi=phi.reshape(grid.shape), time=time,
+                     clamped=clamped)
 
 
 def boundary_current(

@@ -212,9 +212,7 @@ def _run_exact(job: _Job) -> str:
 
 def _run_wave(job: _Job) -> str:
     p = job.config.params
-    kin, grid, f = build_wave_setup(job.config)
-    dt = p["dt_fraction"] * grid.monotone_limit(kin)
-    n_steps = max(1, math.ceil(p["t_final"] / dt))
+    kin, grid, f, dt, n_steps = build_wave_setup(job.config)
 
     times, rows = [], []
     tracking = True

@@ -164,6 +164,46 @@ def test_step_count_overflow_exits_2(tmp_path, capsys):
     assert "config error: invalid compare parameters" in err
 
 
+@pytest.mark.parametrize("mode,text,key", [
+    ("exact", "t_final = 1e300\n", "t_final"),  # at the default dt
+    ("exact", "t_final = 2e6\ndt = 1\n", "t_final"),
+    ("wave", "t_final = 1e300\n", "t_final"),
+    # the engine side first, then the density side alone
+    ("compare", "t_final = 1e300\n", "t_final"),
+    ("compare", "t_final = 1e5\ndt = 1\n", "t_final"),
+    ("fp", "n_steps = 1000001\n", "n_steps"),
+    ("collapse", "max_steps = 1000001\n", "max_steps"),
+], ids=["exact-default-dt", "exact", "wave", "compare-engine",
+        "compare-density", "fp", "collapse"])
+def test_step_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, key):
+    err = config_error(tmp_path, capsys, mode, text)
+    assert key in err and "1000000" in err
+
+
+def test_a_zero_exact_generator_without_dt_exits_2(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "exact", "hop_amplitude = 0\n"
+                       "u_strength = 0\nv_strength = 0\n")
+    assert "give dt" in err
+
+
+@pytest.mark.parametrize("mode,text,flags,key", [
+    ("sweep", "seeds = 0..999999999\n", (), "line 1: seeds: "),
+    ("sweep", "", ("--seeds", "5..100005"), "command line: seeds: "),
+    ("compare", "n_runs = 100001\n", (), "line 1: n_runs: "),
+])
+def test_run_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, flags,
+                                        key):
+    err = config_error(tmp_path, capsys, mode, text, *flags)
+    assert f"config error: {key}" in err and "100000" in err
+
+
+@pytest.mark.parametrize("mode", ["collapse", "sweep"])
+def test_eight_channels_exit_2(tmp_path, capsys, mode):
+    err = config_error(tmp_path, capsys, mode, "p0 = " + ",".join(
+        ["0.125"] * 8) + "\n")
+    assert "config error: line 1: p0: must hold at most 7 channels" in err
+
+
 @pytest.mark.parametrize("mode", ["collapse", "sweep"])
 def test_extent_off_the_cell_size_exits_2(tmp_path, capsys, mode):
     err = config_error(tmp_path, capsys, mode, "extent = 32.5\n")

@@ -5,6 +5,8 @@ import re
 import pytest
 
 from lecollapse.config import (
+    MAX_RUNS,
+    MAX_STEPS,
     ConfigError,
     ExperimentConfig,
     MODES,
@@ -411,6 +413,23 @@ def test_exact_basis_over_the_cap_is_rejected_at_load():
     # 8^6 configurations times 2^6 words = 16 777 216 > 2^20 basis states
     with pytest.raises(ConfigError, match="basis size 16777216"):
         load_config(overrides={"mode": "exact", "sites": "8", "atoms": "6"})
+
+
+def test_caps_admit_their_own_value():
+    # each cap rejects one past it (tests/test_cli.py) and loads at it
+    fp = load_config(overrides={"mode": "fp", "n_steps": str(MAX_STEPS)})
+    assert fp.params["n_steps"] == MAX_STEPS
+    sweep = load_config(overrides={"mode": "sweep",
+                                   "seeds": f"7..{6 + MAX_RUNS}"})
+    assert len(sweep.seeds) == MAX_RUNS
+    # a wave t_final just inside the cap at the default dt loads
+    dt = build_wave_setup(load_config(overrides={"mode": "wave"}))[3]
+    edge = load_config(overrides={"mode": "wave",
+                                  "t_final": repr(0.999 * MAX_STEPS * dt)})
+    assert build_wave_setup(edge)[4] <= MAX_STEPS
+    seven = ",".join(["0.125"] * 6 + ["0.25"])
+    assert len(load_config(overrides={"mode": "collapse",
+                                      "p0": seven}).params["p0"]) == 7
 
 
 def test_region_covering_no_cell_is_rejected_at_load():

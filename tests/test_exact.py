@@ -32,6 +32,7 @@ from lecollapse.exact import (
     local_probabilities,
     permutation_index_map,
     reconstruct_standard,
+    row_sum_bound,
 )
 
 
@@ -188,6 +189,27 @@ def test_spectrum_is_real_despite_non_hermiticity():
     assert h.hermitian_defect > 0.1
     eig = np.linalg.eigvals(h.matrix.toarray())
     assert np.abs(eig.imag).max() < 1e-8
+
+
+@pytest.mark.parametrize("sites,atoms,channels",
+                         list(product((1, 2, 3), (1, 2, 3), (1, 2))))
+def test_row_sum_bound_holds_and_is_zero_only_with_the_generator(
+        sites, atoms, channels):
+    # the config caps an exact run's default step count with this bound,
+    # so it must never fall below the norm default_timestep divides by
+    rng = np.random.default_rng(sites * 100 + atoms * 10 + channels)
+    track_sets = [(), (0,), (sites - 1, 0, 0)]
+    for k in range(12):
+        hop, u, v = rng.uniform(-2.0, 2.0, size=3) * (rng.random(3) < 0.7)
+        tracks = tuple(track_sets[(k + c) % 3] for c in range(channels))
+        coupling = ("diagonal", "none")[k % 2]
+        model = LatticeModel(sites=sites, atoms=atoms, channels=channels,
+                             hop_amplitude=hop, u_strength=u, v_strength=v,
+                             a_tracks=tracks, cross_channel_coupling=coupling)
+        norm = build_branch_hamiltonian(model).row_sum_norm
+        bound = row_sum_bound(model)
+        assert norm <= bound * (1 + 1e-12)
+        assert (bound == 0.0) == (norm == 0.0)
 
 
 def test_hermitian_defect_matches_dense_norm_and_vanishes_without_contagion():

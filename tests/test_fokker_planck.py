@@ -24,6 +24,7 @@ from lecollapse.fokker_planck import (
 )
 from lecollapse.fokker_planck import (
     _cached_operator,
+    _cached_step,
     _operator,
     _reduced_coefficients,
 )
@@ -508,17 +509,29 @@ def test_many_steps_still_check_the_bound():
             fp_step(density, s, params, 1.01 * bound, steps=steps)
 
 
+def step_of(grid, s):
+    """dt at 0.9 of the bound and the cached step fp_step takes at it."""
+    dt = 0.9 * stable_step(grid, s, desk_params())
+    return dt, _cached_step(grid, s.overlap.tobytes(), desk_params(), dt)
+
+
 @pytest.mark.parametrize("case", range(3))
 def test_bound_kernel_equals_the_sparse_product(case):
     # fp_step and exact.evolve call scipy's CSR kernel directly; a change
     # in that private binding must show here, not as drift in the output
-    # of either stepper: the real FP generator and the complex branch one
+    # of either stepper: the real FP generator, the step I + dt G that
+    # fp_step applies and the complex branch generator
     grid, s, p0 = stepping_cases()[case]
     model = LatticeModel(sites=2 + case % 2, atoms=2 + case // 2,
                          channels=1 + case % 2, hop_amplitude=0.9,
                          u_strength=0.8, v_strength=0.5,
                          a_tracks=((0,), (1,))[:1 + case % 2])
     rng = np.random.default_rng(case)
+    _, step = step_of(grid, s)
+    v = rng.random(grid.resolution**grid.dims)
+    out = np.zeros(v.size)
+    step.matvec(v, out)
+    assert out.tobytes() == (step.operator @ v).tobytes()
     for g in (_operator(grid, s, desk_params()).generator,
               build_branch_hamiltonian(model).generator):
         v = rng.random(g.shape[1]).astype(g.dtype)
@@ -544,46 +557,98 @@ def test_generator_conserves_mass_and_leaves_invalid_cells_empty(
     assert (largest[~invalid] > 0).all()
 
 
+def clear_caches():
+    _cached_operator.cache_clear()
+    _cached_step.cache_clear()
+
+
 def test_interleaved_coefficient_sets_step_as_if_run_alone():
     base = desk_params()
+    # (summary, params, share of the common dt)
     pairs = [
-        (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base),
-        (FieldSummary(np.array([150.0, 220.0, 90.0])), base),
+        (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base, 1.0),
+        (FieldSummary(np.array([150.0, 220.0, 90.0])), base, 1.0),
         # same summary, changed w: must never reuse the w = 0.4 operator
         (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])),
-         dataclasses.replace(base, w=0.2)),
+         dataclasses.replace(base, w=0.2), 1.0),
+        # the first set at half its dt: must never reuse the first's step
+        (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base, 0.5),
     ]
     grid = SimplexGrid(channels=3, resolution=24)
     start = FPDensity.near_delta(grid, (0.2, 0.3, 0.5))
-    dt = 0.5 * min(stable_step(grid, s, p) for s, p in pairs)
+    dt = 0.5 * min(stable_step(grid, s, p) for s, p, _ in pairs)
 
     def run(states, order):
         currents = []
         for k in order:
-            s, p = pairs[k]
-            states[k] = fp_step(states[k], s, p, dt)
+            s, p, share = pairs[k]
+            states[k] = fp_step(states[k], s, p, share * dt)
             currents.append((k, boundary_current(states[k], s, p)))
         return currents
 
+    # alternating two sets reuses cached operators; each switch of block
+    # evicts one, the third block follows w = 0.4 with w = 0.2 and the
+    # last alternates one coefficient set between two dt
+    order = [0, 1] * 10 + [1, 2] * 10 + [0, 2] * 10 + [0, 3] * 10
     alone = {}
     currents_alone = []
     for k in range(len(pairs)):
-        _cached_operator.cache_clear()
+        clear_caches()
         states = {k: start}
-        currents_alone += run(states, [k] * 20)
+        currents_alone += run(states, [k] * order.count(k))
         alone[k] = states[k]
-    _cached_operator.cache_clear()
+    clear_caches()
     states = dict.fromkeys(range(len(pairs)), start)
-    # alternating two sets reuses cached operators; each switch of block
-    # evicts one, and the last block follows w = 0.4 with w = 0.2
-    currents_mixed = run(states, [0, 1] * 10 + [1, 2] * 10 + [0, 2] * 10)
+    currents_mixed = run(states, order)
     for k in range(len(pairs)):
         assert states[k].phi.tobytes() == alone[k].phi.tobytes()
         assert [c for i, c in currents_mixed if i == k] == \
             [c for i, c in currents_alone if i == k]
     assert states[0].phi.tobytes() != states[2].phi.tobytes()
-    assert stable_step(grid, *pairs[2]) == pytest.approx(
-        2.0 * stable_step(grid, *pairs[0]), rel=1e-12)
+    assert stable_step(grid, *pairs[2][:2]) == pytest.approx(
+        2.0 * stable_step(grid, *pairs[0][:2]), rel=1e-12)
+
+
+def test_step_caches_stay_bounded():
+    # a script that walks through coefficient sets and step sizes keeps
+    # at most two operators and two steps alive
+    grid = SimplexGrid(channels=2, resolution=100)
+    start = FPDensity.near_delta(grid, (0.3, 0.7))
+    for k in range(5):
+        s = uniform_summary(2, level=0.2 + 0.1 * k)
+        fp_step(start, s, desk_params(), (0.5 + 0.1 * k)
+                * stable_step(grid, s, desk_params()))
+    assert _cached_operator.cache_info().currsize <= 2
+    assert _cached_step.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_the_repair_runs_only_where_the_step_has_a_negative_entry(case):
+    grid, s, p0 = stepping_cases()[case]
+    dt, step = step_of(grid, s)
+    end = fp_step(FPDensity.near_delta(grid, p0), s, desk_params(), dt,
+                  steps=40)
+    negative = bool((step.operator.data < 0.0).any())
+    assert step.nonnegative != negative
+    if grid.dims == 1:
+        # below the bound I + dt G is nonnegative in one dimension, so a
+        # nonnegative density stays so exactly and the repair never runs
+        assert not negative and end.clamped == 0.0
+    elif case == 1:
+        assert negative and end.clamped > 0.0
+
+
+def test_a_long_solve_keeps_its_mass_to_rounding():
+    # criterion 9's solve: I + dt G has columns that sum to 1 only to
+    # rounding, so the drift may grow by at most an ulp per cell and step
+    grid = SimplexGrid(channels=2, resolution=100)
+    s = uniform_summary(2, p_ref=np.array([0.3, 0.7]))
+    params = desk_params()
+    steps = 100_000
+    end = fp_step(FPDensity.near_delta(grid, (0.3, 0.7)), s, params,
+                  0.5 * stable_step(grid, s, params), steps=steps)
+    assert abs(end.mass - 1.0) <= steps * grid.resolution * np.finfo(float).eps
+    assert end.clamped == 0.0
 
 
 # --- histogram comparison ---
