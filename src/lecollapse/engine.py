@@ -52,9 +52,10 @@ __all__ = [
 # largest incoherence strength in the random-matrix limit
 W_CEILING = 4.0 / (3.0 * np.pi)
 
-# a frozen background draws about _DRAW_BUDGET Poisson counts per call,
-# in blocks of at most _BLOCK_MAX steps
-_DRAW_BUDGET, _BLOCK_MAX = 2**15, 128
+# a frozen background draws about _DRAW_BUDGET Poisson counts per shard
+# and call, in blocks of at most _BLOCK_MAX steps; an int seed splits its
+# runs into shards of _SHARD_RUNS, each on its own stream
+_DRAW_BUDGET, _BLOCK_MAX, _SHARD_RUNS = 2**15, 128, 256
 
 
 class DegenerateStateError(RuntimeError):
@@ -73,9 +74,9 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream).
 
     All randomness in the package flows from one 64-bit seed; independent
-    streams (one per trajectory or per subsystem) are obtained by putting
-    the stream index in the second Philox key word, so any subset of
-    streams can be drawn in parallel and reproduced bit for bit.
+    streams (one per shard of an ensemble, or per subsystem) are obtained
+    by putting the stream index in the second Philox key word, so any
+    subset of streams can be drawn in parallel and reproduced bit for bit.
     """
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -200,23 +201,21 @@ def _grouped_rates(f_cells, f0_cells, params: SlipParams, dt: float):
     return mu * mult, amp, mult
 
 
-def _draw_kicks(streams, mu, amp, steps: int):
+def _draw_kicks(shards, mu, amp, steps: int):
     """Poisson slip counts of ``steps`` steps at one step's means ``mu``.
 
     ``mu`` is (rows, K, cells or groups) and ``amp`` broadcasts against it.
-    ``streams`` is one generator for every row, or one generator per row.
-    Plus counts come before minus counts within a step, so a row drawn
-    alone takes the same numbers as a one-row batch from its stream, and a
-    one-step block those of a single step. Returns each channel's slips
-    and its net kick g for ``_slip_step``, both (steps, rows, K).
+    ``shards`` lists (generator, a, b): rows a to b - 1 take one draw of
+    shape (steps, 2, b - a, ...) from that generator, and the shards are
+    joined on the row axis, so a shard's numbers depend only on its own
+    rows. Plus counts come before minus counts within a step, and a
+    one-step block draws what a single step does. Returns each channel's
+    slips and its net kick g for ``_slip_step``, both (steps, rows, K).
     """
-    if isinstance(streams, np.random.Generator):
-        counts = streams.poisson(mu, (steps, 2) + mu.shape)
-    else:  # each row's counts from its own stream, side by side
-        counts = np.concatenate([
-            rng.poisson(mu[r:r + 1], (steps, 2, 1) + mu.shape[1:])
-            for r, rng in enumerate(streams)
-        ], axis=2)
+    counts = np.concatenate([
+        rng.poisson(mu[a:b], (steps, 2, b - a) + mu.shape[1:])
+        for rng, a, b in shards
+    ], axis=2)
     # one reduction over all rows; each row keeps its own axis and order
     slips = counts.sum(axis=(1, -1))
     g = ((counts[:, 0] - counts[:, 1]) * amp).sum(axis=-1)
@@ -415,39 +414,37 @@ def _field_step(f, p, grid: Grid, kin: KineticParams, dt: float):
     return new_f
 
 
-def _evolve_batch(
-    setup: CollapseSetup,
-    seed,
-    n_runs: int,
-    checkpoint_steps: tuple[int, ...],
-) -> EnsembleResult:
+def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
+                  checkpoint_steps: tuple[int, ...]) -> EnsembleResult:
     """Shared trajectory loop; active runs are compacted as they absorb.
 
+    The runs form a row of shards, each on one stream (``run_ensemble``).
     Each step advances the fields (``_field_step``), works out the slip
     rates from their cell means (``_cell_means``, ``_slip_rates``), draws
-    per-cell Poisson counts of both signs (``_draw_kicks``) and updates p
-    (``_slip_step``). On a frozen background the rates are worked out once,
-    cells with equal (f_cell, f0_cell) share one draw (``_grouped_rates``)
-    and one call draws a block of steps: ``_DRAW_BUDGET`` over the counts a
-    step takes from one stream, at most ``_BLOCK_MAX`` and the steps left,
-    so a run with its own stream gets the same blocks in any batch.
-    Advancing fields draw one step per call. Poisson counts are
-    independent, so both are exact in law. A channel absorbed before a
-    block gets a zero mean; one that absorbs in it, and a run that ends in
-    it, take none of the block's remaining slips and kicks.
+    per-cell Poisson counts of both signs, one call per shard
+    (``_draw_kicks``), and updates p (``_slip_step``). On a frozen
+    background the rates are worked out once, cells with equal (f_cell,
+    f0_cell) share one draw (``_grouped_rates``) and a call draws a block
+    of B steps: ``_DRAW_BUDGET`` over the counts a full shard takes per
+    step, at most ``_BLOCK_MAX``, set once per run and cut only by the
+    steps left. Advancing fields draw one step per call. Poisson counts
+    are independent, so both are exact in law. A channel absorbed before
+    a block gets a zero mean; one that absorbs in it, and a run that ends
+    in it, take none of the block's remaining slips and kicks.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    shared = isinstance(seed, (int, np.integer))
-    if shared:
-        seeds, streams = [seed] * n_runs, philox_stream(seed, 0)
+    if isinstance(seed, (int, np.integer)):
+        seeds, width = [seed] * n_runs, min(_SHARD_RUNS, n_runs)
+        streams = [philox_stream(seed, s) for s in range(-(-n_runs // width))]
     else:
-        seeds = list(seed)
+        seeds, width = list(seed), 1
         if len(seeds) != n_runs:
             raise ValueError(
                 f"got {len(seeds)} seeds for {n_runs} runs; need one per run"
             )
         streams = [philox_stream(s, 0) for s in seeds]
+    shard_of = np.arange(n_runs) // width
     kin, slips, grid = setup.kinetics, setup.slips, setup.grid
     base = setup.initial_fields()
     p = np.tile(np.asarray(setup.p0), (n_runs, 1))
@@ -464,6 +461,8 @@ def _evolve_batch(
         mu_base, amp, mult = _grouped_rates(
             f_cells[0], f0_cells[0], slips, setup.dt
         )
+        block_max = max(1, min(_BLOCK_MAX,
+                               _DRAW_BUDGET // (2 * mu_base.size * width)))
     checkpoints = sorted(set(int(s) for s in checkpoint_steps))
     snaps = [] if checkpoints else None
     cp_iter = iter(checkpoints)
@@ -473,6 +472,7 @@ def _evolve_batch(
     frames = [(0.0, gids, p.copy())] if every else None
     warned = False
     live = None  # _live_channels(p), kept until a channel absorbs
+    shards = None  # _draw_kicks' (stream, a, b) rows, kept until a run ends
 
     step = 0
     while step < setup.max_steps and p.shape[0]:
@@ -481,10 +481,8 @@ def _evolve_batch(
             f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
             mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
             block = 1
-        else:  # a per-run stream draws its one row, whatever the others do
-            per_step = 2 * mu_base.size * (len(p) if shared else 1)
-            block = max(1, min(_BLOCK_MAX, _DRAW_BUDGET // per_step,
-                               setup.max_steps - step))
+        else:
+            block = min(block_max, setup.max_steps - step)
         mu = np.where((p == 0.0)[:, :, None], 0.0, mu_base)
         # the rare-event threshold applies per cell, not per merged group
         if not warned and (mu > 0.1 * mult).any():
@@ -495,8 +493,11 @@ def _evolve_batch(
                 SmallNumbersWarning, stacklevel=3,
             )
             warned = True
-        rngs = streams if shared else [streams[r] for r in gids]
-        n_slips, kicks = _draw_kicks(rngs, mu, amp, block)
+        if shards is None:  # rows stay in run order, so shards contiguous
+            owner, first = np.unique(shard_of[gids], return_index=True)
+            shards = list(zip([streams[s] for s in owner], first,
+                              np.append(first[1:], len(gids))))
+        n_slips, kicks = _draw_kicks(shards, mu, amp, block)
         taken, drawn_for = np.arange(len(p)), gids  # block row of each row
         for b in range(block):
             step += 1
@@ -530,6 +531,7 @@ def _evolve_batch(
             if done is not None:
                 keep = ~done
                 p, gids, taken = p[keep], gids[keep], taken[keep]
+                shards = None
                 if setup.advance_fields:
                     f = f[keep]
                 if not len(p):
@@ -551,20 +553,14 @@ def _evolve_batch(
         order = np.argsort(runs, kind="stable")  # each run's rows in time order
         bounds = np.searchsorted(runs[order], np.arange(n_runs + 1))
         trajectories = [rows[order[a:b]] for a, b in zip(bounds, bounds[1:])]
-    results = []
-    for r in range(n_runs):
-        collapsed = winner[r] >= 0
-        results.append(
-            RunResult(
-                winner=int(winner[r]) if collapsed else None,
-                collapse_time=float(t_abs[r]) if collapsed else None,
-                slip_count=int(slip_counts[r]),
-                seed=seeds[r],
-                p0=setup.p0,
-                status="collapsed" if collapsed else "timeout",
-                trajectory=trajectories[r],
-            )
-        )
+    results = [
+        RunResult(winner=int(winner[r]) if winner[r] >= 0 else None,
+                  collapse_time=float(t_abs[r]) if winner[r] >= 0 else None,
+                  slip_count=int(slip_counts[r]), seed=seeds[r], p0=setup.p0,
+                  status="collapsed" if winner[r] >= 0 else "timeout",
+                  trajectory=trajectories[r])
+        for r in range(n_runs)
+    ]
     return EnsembleResult(
         results=results,
         checkpoint_steps=tuple(checkpoints),
@@ -591,18 +587,20 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Vectorized batch of independent trajectories.
 
-    With an int ``seed`` all runs draw from one Philox stream, so the
-    numbers depend on (setup, seed, n_runs) as a whole. With a sequence of
-    ``n_runs`` seeds run r draws from its own stream
-    ``philox_stream(seed[r], 0)`` and equals ``run_collapse(setup,
-    seed[r])`` bit for bit (a sweep is one such batch). On a frozen
-    background (``advance_fields=False``) cells with equal field values
-    share one draw, and one Poisson call serves a block of up to 128 steps,
-    fewer while many runs draw from one stream; the law of every trajectory
-    is the same either way. Each step's increment sums to exactly 0.0 for
-    K < 8, but sum p is 1 only to rounding. ``checkpoint_steps`` asks for
-    snapshots of p after the given steps (absorbed runs hold their last
-    value). Every run records its trajectory if ``setup.record_every`` > 0.
+    The runs form shards, contiguous run ranges on one Philox stream each.
+    An int ``seed`` gives shards of 256 runs, shard s on
+    ``philox_stream(seed, s)``, so a complete shard's runs depend on
+    neither ``n_runs`` nor any other shard. A sequence of ``n_runs`` seeds
+    gives one-run shards on ``philox_stream(seed[r], 0)``, so run r equals
+    ``run_collapse(setup, seed[r])`` bit for bit (a sweep is one such
+    batch). On a frozen background (``advance_fields=False``) cells with
+    equal field values share one draw, and a Poisson call per shard serves
+    a block of up to 128 steps, set once per run by the shard width; the
+    law of every trajectory is the same either way. Each step's increment
+    sums to exactly 0.0 for K < 8, but sum p is 1 only to rounding.
+    ``checkpoint_steps`` asks for snapshots of p after the given steps
+    (absorbed runs hold their last value). Every run records its
+    trajectory if ``setup.record_every`` > 0.
     """
     return _evolve_batch(setup, seed, n_runs, tuple(checkpoint_steps))
 

@@ -33,7 +33,6 @@ __all__ = [
     "BasisSizeError",
     "DivergenceError",
     "UndefinedProbabilityError",
-    "ContagionMatrices",
     "LatticeModel",
     "check_basis_size",
     "row_sum_bound",
@@ -71,52 +70,6 @@ class DivergenceError(RuntimeError):
 
 class UndefinedProbabilityError(ValueError):
     """Local probabilities requested for a cell with no expected occupancy."""
-
-
-class ContagionMatrices:
-    """Integer matrices acting on one atom's le index.
-
-    Rows and columns are ordered by descending index, so for one channel the
-    order is (1, 0): ``p0`` picks an index-0 atom and keeps it, ``p1`` picks
-    an index-1 atom and keeps it, and ``s`` raises 0 to 1. They satisfy
-    p0 + p1 = 1, s s = 0, p1 s = s and s p0 = s. For ``channels`` > 1 the
-    raiser ``raiser(k)`` sends 0 to k and ``projector(r)`` picks index r.
-
-    There is deliberately no adjoint of ``s`` anywhere in this class or this
-    module: an index is never lowered, which is what makes the branch
-    generator non-self-adjoint.
-    """
-
-    def __init__(self, channels: int = 1):
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        self.channels = int(channels)
-        # letter held by row/column i, in descending order (K, ..., 1, 0)
-        self.letters = np.arange(self.channels, -1, -1)
-        self.p0 = self.projector(0)
-        self.p1 = self.projector(1)
-        self.s = self.raiser(1)
-
-    def projector(self, r: int) -> np.ndarray:
-        """Projector that picks le index ``r`` and keeps it unchanged."""
-        if not 0 <= r <= self.channels:
-            raise ValueError(f"index {r} outside 0..{self.channels}")
-        return np.diag((self.letters == r).astype(np.int64))
-
-    def raiser(self, k: int) -> np.ndarray:
-        """Matrix sending le index 0 to ``k``; every other index goes to zero."""
-        if not 1 <= k <= self.channels:
-            raise ValueError(f"channel {k} outside 1..{self.channels}")
-        n = self.channels + 1
-        m = np.zeros((n, n), dtype=np.int64)
-        row = int(np.nonzero(self.letters == k)[0][0])
-        col = int(np.nonzero(self.letters == 0)[0][0])
-        m[row, col] = 1
-        return m
-
-    def entangled(self) -> np.ndarray:
-        """Projector onto any nonzero index (sum of per-channel projectors)."""
-        return np.diag((self.letters >= 1).astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -246,42 +246,33 @@ class FPDensity:
 def _reduced_coefficients(
     grid: SimplexGrid, summary: FieldSummary, params: SlipParams
 ):
-    """Analytic diffusion coefficients on cell faces and centers.
+    """Analytic diffusion coefficients at the cell centres.
 
     For two channels the equation reduces to d_t Phi = d11 [ a(p) Phi ]
     with a(p) = M_11(p). For three, eliminating p_3 gives the 2x2 matrix
-    Q_ab = M_ab - M_a3 - M_b3 + M_33 over (p_1, p_2). Entries are
-    evaluated exactly where the scheme needs them: second differences use
-    cell centers, mixed differences use the corner-averaged values.
+    Q_ab = M_ab - M_a3 - M_b3 + M_33 over (p_1, p_2). Returns (a11,) or
+    (q11, q22, q12), each an array of ``grid.shape`` at the cell centres;
+    the scheme takes every coefficient there, and its mixed term averages
+    q12 Phi over the four cells of each corner.
     """
     s = summary.overlap
     scale = params.w / (params.tau * params.n_c**2)
-
+    x = grid.centers()
     if grid.dims == 1:
-
-        def a11(x):
-            return scale * s[0] * x * (1.0 - x)
-
-        return (a11,)
-
+        return (scale * s[0] * x * (1.0 - x),)
     sbar = 0.5 * (s[:, None] + s[None, :])
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    p = np.stack([xx, yy, 1.0 - xx - yy])
 
-    def q(a, b, x, y):
-        # M entries at p = (x, y, 1 - x - y), mean pair combination
-        p = np.stack([x, y, 1.0 - x - y])
+    def m(i, j):  # M entries at p = (x, y, 1 - x - y), mean pair combination
+        if i == j:
+            return scale * s[i] * p[i] * (1.0 - p[i])
+        return -scale * sbar[i, j] * p[i] * p[j]
 
-        def m(i, j):
-            if i == j:
-                return scale * s[i] * p[i] * (1.0 - p[i])
-            return -scale * sbar[i, j] * p[i] * p[j]
-
+    def q(a, b):
         return m(a, b) - m(a, 2) - m(b, 2) + m(2, 2)
 
-    return (
-        lambda x, y: q(0, 0, x, y),
-        lambda x, y: q(1, 1, x, y),
-        lambda x, y: q(0, 1, x, y),
-    )
+    return q(0, 0), q(1, 1), q(0, 1)
 
 
 @dataclass(frozen=True)
@@ -323,15 +314,13 @@ def _cached_operator(
 
     if len(overlap) != 8 * grid.channels:  # eight bytes per float64
         raise ValueError("summary and grid disagree on channel count")
-    closures = _reduced_coefficients(
-        grid, FieldSummary(np.frombuffer(overlap)), params
-    )
-    dims, r, h = grid.dims, grid.resolution, grid.spacing
-    centers = np.meshgrid(*[grid.centers()] * dims, indexing="ij")
     # one centre coefficient per axis, then in two dimensions the mixed
     # q12; the bound spans the whole square: it is taken before the cells
     # outside the triangle are zeroed
-    coeffs = [q(*centers) for q in closures]
+    coeffs = _reduced_coefficients(
+        grid, FieldSummary(np.frombuffer(overlap)), params
+    )
+    dims, r, h = grid.dims, grid.resolution, grid.spacing
     rate = (sum(np.abs(q) for q in coeffs[:dims])
             + sum(2 * np.abs(q) for q in coeffs[dims:]))
     amax = float(rate.max())

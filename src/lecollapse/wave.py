@@ -513,8 +513,9 @@ def front_speed(
         transient = 10.0 * params.tau
     if min_span is None:
         min_span = 20.0 * params.tau
-    keep = t >= t.min() + transient
-    t, x = t[keep], x[keep]
+    if t.size:  # an empty history goes straight to the length check
+        keep = t >= t.min() + transient
+        t, x = t[keep], x[keep]
     if t.size < 3 or t.max() - t.min() < min_span:
         raise ValueError(
             f"front history too short after the transient: need at least "

@@ -161,8 +161,8 @@ def family_scan():
     # occupation by ~1e-4 through branch-weight interference, a genuine
     # feature of the exact dynamics, so the irreversibility regression
     # pins the coupling point and randomizes the lattice instead; the
-    # structural one-way property of the generator itself is asserted for
-    # arbitrary couplings in the contagion unit tests
+    # structural one-way property of the generator itself is asserted in
+    # test_exact.py::test_letters_never_decrease_along_matrix_elements
     rng = np.random.default_rng(11)
     t0 = time.perf_counter()
     records = []
@@ -385,7 +385,7 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     s2 = np.zeros(2)
     s01 = 0.0
     for _ in range(n // chunk):
-        _, g = _draw_kicks(rng, mu, amp, 1)
+        _, g = _draw_kicks([(rng, 0, chunk)], mu, amp, 1)
         q, _ = _slip_step(rows, g[0], params.absorb_floor)
         d = q - rows
         s += d.sum(axis=0)

@@ -120,6 +120,17 @@ def test_defaults_run_without_a_config_file(tmp_path):
     assert (tmp_path / "fp" / "summary.json").exists()
 
 
+def test_wave_without_a_front_notes_the_short_history(tmp_path):
+    # a seed region over the whole box leaves no front to track
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("seed_region = 0.0,400.0\n")
+    rc = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_SUCCESS
+    speed = json.loads((tmp_path / "o" / "speed.json").read_text())
+    assert speed["front_samples"] == 0 and speed["speed"] is None
+    assert speed["fit_note"].startswith("front history too short")
+
+
 def config_error(tmp_path, capsys, mode, text, *flags):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -168,7 +168,7 @@ def test_sampled_rates_match_the_poisson_mean():
     assert mu.shape == (2, 8)
     assert np.allclose(mu, mu_formula, rtol=1e-12, atol=0)
     rows, steps = 5_000, 4
-    slips, g = _draw_kicks(philox_stream(12, 0),
+    slips, g = _draw_kicks([(philox_stream(12, 0), 0, rows)],
                            np.broadcast_to(mu, (rows,) + mu.shape), amp, steps)
     assert slips.shape == g.shape == (steps, rows, 2)
     # each (step, row, channel) pools 2 signs times 8 cells
@@ -223,8 +223,8 @@ def test_slip_steps_keep_p_on_the_simplex():
     rng = philox_stream(21, 0)
     p = np.tile([0.25, 0.35, 0.4], (50, 1))
     for _ in range(200):
-        _, g = _draw_kicks(rng, np.where((p == 0.0)[:, :, None], 0.0, mu),
-                           amp, 1)
+        _, g = _draw_kicks([(rng, 0, len(p))],
+                           np.where((p == 0.0)[:, :, None], 0.0, mu), amp, 1)
         p, _ = _slip_step(p, g[0], params.absorb_floor)
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-14
         assert (p >= 0).all()
@@ -311,7 +311,7 @@ def test_variance_matched_rate_reproduces_the_formula_variance():
     p0 = np.array([0.5, 0.5])
     mu, amp = cell_rates(fields, params, dt)
     n = 20_000
-    _, g = _draw_kicks(philox_stream(17, 0),
+    _, g = _draw_kicks([(philox_stream(17, 0), 0, n)],
                        np.broadcast_to(mu, (n,) + mu.shape), amp, 1)
     q, _ = _slip_step(np.tile(p0, (n, 1)), g[0], params.absorb_floor)
     deltas = q[:, 0] - 0.5
@@ -501,8 +501,8 @@ def record_blocks(monkeypatch):
     blocks, steps = [], []
     draw, step = engine._draw_kicks, engine._slip_step
 
-    def drawing(streams, mu, amp, n):
-        slips, g = draw(streams, mu, amp, n)
+    def drawing(shards, mu, amp, n):
+        slips, g = draw(shards, mu, amp, n)
         blocks.append((slips.copy(), g.copy()))
         return slips, g
 
@@ -538,6 +538,41 @@ def test_one_step_blocks_reproduce_the_per_step_draws(monkeypatch):
     own = run_ensemble(born_box(record_every=50), (4, 11, 0, 7), 4)
     assert ensemble_digest(own) == (
         "48a639e66a01bef548340f5a44eb1f71d6820ac51b7d9297628cc4ffae218b4a")
+
+
+def test_a_complete_shard_does_not_depend_on_the_ensemble_size(monkeypatch):
+    # 300-run shards draw blocks of 2^15 // (2 * 3 * 300) = 18 steps, so
+    # a block length sized from all active rows would differ between the
+    # three ensembles below
+    monkeypatch.setattr(engine, "_SHARD_RUNS", 300)
+    first = None
+    for n_runs in (300, 350, 900):
+        out = run_ensemble(born_box(), 2027, n_runs,
+                           checkpoint_steps=(25, 100, 400))
+        head = ([(r.winner, r.collapse_time, r.slip_count, r.status)
+                 for r in out.results[:300]], out.checkpoint_p[:, :300])
+        if first is None:
+            first = head
+            assert {r.status for r in out.results} == {"collapsed"}
+        else:
+            assert head[0] == first[0]
+            assert np.array_equal(head[1], first[1])
+    # the second shard draws from its own stream, not a copy of the first
+    assert out.checkpoint_p[0, 300:600].tobytes() != first[1][0].tobytes()
+
+
+def test_frozen_blocks_keep_one_length_as_runs_absorb(monkeypatch):
+    blocks, _ = record_blocks(monkeypatch)
+    setup = born_box(max_steps=1000)
+    out = run_ensemble(setup, 2027, 50)
+    assert {r.status for r in out.results} == {"collapsed", "timeout"}
+    # K = 3 channels on one group of identical cells, 50 runs in one shard
+    block = min(engine._BLOCK_MAX, engine._DRAW_BUDGET // (2 * 3 * 1 * 50))
+    assert block == 109
+    # the runs that end inside a block leave the later blocks shorter in
+    # rows, never in steps; only max_steps cuts the last block
+    assert [b[0].shape[0] for b in blocks] == [block] * 9 + [19]
+    assert blocks[0][0].shape[1] == 50 > blocks[-1][0].shape[1]
 
 
 @pytest.mark.parametrize("seed", [4, (4,)], ids=["int", "sequence"])

@@ -183,6 +183,20 @@ def test_letters_never_decrease_along_matrix_elements():
         assert (wr >= wc).all()
 
 
+def test_one_atom_on_its_track_follows_the_literal_contagion_rule():
+    # basis letters (0, 1): an index-1 atom keeps its index and feels u,
+    # an index-0 atom is raised to 1 at amplitude u, and nothing lowers an
+    # index. In descending letter order (1, 0) this is u (p1 + s), with p1
+    # the index-1 projector and s the raiser from 0 to 1
+    u = 0.8
+    model = small_model(sites=1, atoms=1, u_strength=u, v_strength=0.5,
+                        a_tracks=((0,),))
+    h = build_branch_hamiltonian(model)
+    assert h.basis.word_digits.ravel().tolist() == [0, 1]
+    assert np.array_equal(h.matrix.toarray(), u * np.array([[0.0, 0.0],
+                                                            [1.0, 1.0]]))
+
+
 def test_spectrum_is_real_despite_non_hermiticity():
     model = small_model()
     h = build_branch_hamiltonian(model)

@@ -307,17 +307,15 @@ def boundary_current_loop(density, summary, params):
     coeffs = _reduced_coefficients(grid, summary, params)
     h = grid.spacing
     phi = density.phi
-    x = grid.centers()
     if grid.dims == 1:
         (a11,) = coeffs
-        g = a11(x) * phi
+        g = a11 * phi
         left = (g[1] - g[0]) / h
         right = (g[-2] - g[-1]) / h
         return float(left + right), abs(left) + abs(right)
     q11, q22, q12 = coeffs
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    g1 = q11(xx, yy) * phi
-    g2 = q22(xx, yy) * phi
+    g1 = q11 * phi
+    g2 = q22 * phi
     valid = grid.valid()
     g1[~valid] = 0.0
     g2[~valid] = 0.0
@@ -366,10 +364,9 @@ def fp_step_stencil(density, summary, params, dt):
     grid = density.grid
     h = grid.spacing
     phi = density.phi
-    x = grid.centers()
-    closures = _reduced_coefficients(grid, summary, params)
+    coeffs = _reduced_coefficients(grid, summary, params)
     if grid.dims == 1:
-        g = closures[0](x) * phi
+        g = coeffs[0] * phi
         flux = (g[1:] - g[:-1]) / h
         dphi = np.zeros(phi.shape)
         dphi[:-1] += flux
@@ -377,9 +374,7 @@ def fp_step_stencil(density, summary, params, dt):
         new = phi + dt * dphi / h
     else:
         valid = grid.valid()
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        g1, g2, g12 = (np.where(valid, q(xx, yy), 0.0) * phi
-                       for q in closures)
+        g1, g2, g12 = (np.where(valid, q, 0.0) * phi for q in coeffs)
         faces = (valid[1:, :] & valid[:-1, :], valid[:, 1:] & valid[:, :-1])
         corners = faces[0][:, 1:] & faces[0][:, :-1]
         dphi = np.zeros(phi.shape)
