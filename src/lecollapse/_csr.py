@@ -9,15 +9,17 @@ modes do.
 from functools import partial
 
 
-def bind_matvec(g):
+def bind_matvec(g, scale=None):
     """The kernel behind ``g @ x`` for a CSR matrix g, bound to g: call (x, y).
 
     It adds each row's products into y in stored order, so a zeroed y gives
     ``g @ x`` and a nonzero one, as ``wave.kpp_step`` passes, keeps its
     terms. The kernel's type is g's dtype, real or complex, and x and y
     must have it too. Skipping the dispatch of ``@`` keeps a matvec cheap.
+    A ``scale`` c binds ``g.data * c`` on g's pattern, the data of ``c * g``.
     """
     from scipy.sparse import _sparsetools
 
+    data = g.data if scale is None else g.data * scale
     return partial(_sparsetools.csr_matvec, *g.shape, g.indptr, g.indices,
-                   g.data)
+                   data)

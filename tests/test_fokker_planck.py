@@ -7,7 +7,11 @@ import pytest
 
 from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams
-from lecollapse.exact import LatticeModel, build_branch_hamiltonian
+from lecollapse.exact import (
+    LatticeModel,
+    build_branch_hamiltonian,
+    default_timestep,
+)
 from lecollapse.fokker_planck import (
     ComparisonError,
     FPDensity,
@@ -515,7 +519,8 @@ def test_bound_kernel_equals_the_sparse_product(case):
     # fp_step and exact.evolve call scipy's CSR kernel directly; a change
     # in that private binding must show here, not as drift in the output
     # of either stepper: the real FP generator, the step I + dt G that
-    # fp_step applies and the complex branch generator
+    # fp_step applies, the complex branch generator, and that generator
+    # scaled by dt/3 as one of evolve's stage operators
     grid, s, p0 = stepping_cases()[case]
     model = LatticeModel(sites=2 + case % 2, atoms=2 + case // 2,
                          channels=1 + case % 2, hop_amplitude=0.9,
@@ -527,14 +532,17 @@ def test_bound_kernel_equals_the_sparse_product(case):
     out = np.zeros(v.size)
     step.matvec(v, out)
     assert out.tobytes() == (step.operator @ v).tobytes()
-    for g in (_operator(grid, s, desk_params()).generator,
-              build_branch_hamiltonian(model).generator):
+    h = build_branch_hamiltonian(model)
+    c = default_timestep(h) / 3
+    for g, scale in ((_operator(grid, s, desk_params()).generator, None),
+                     (h.generator, None), (h.generator, c)):
         v = rng.random(g.shape[1]).astype(g.dtype)
         if g.dtype.kind == "c":
             v += 1j * rng.random(g.shape[1])
         out = np.zeros(g.shape[0], dtype=g.dtype)
-        bind_matvec(g)(v, out)
-        assert out.tobytes() == (g @ v).tobytes()
+        bind_matvec(g, scale)(v, out)
+        want = g @ v if scale is None else (scale * g) @ v
+        assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("channels", [2, 3])
