@@ -64,6 +64,9 @@ MAX_STEPS = 10**6
 # The most runs a sweep or compare may ask for: ten times the gate's
 # 10^4-run Born ensembles (criteria 7 and 8).
 MAX_RUNS = 10**5
+# The most density snapshots an fp run may write, each a CSV of up to half
+# a million cells: twenty times the 5 of the largest test run.
+MAX_SNAPSHOTS = 100
 # The slip step closes a row of K channels to an exact zero sum only for
 # K < 8 (engine._slip_step).
 MAX_CHANNELS = 7
@@ -581,6 +584,16 @@ def _wave_rules(params: dict) -> None:
     _check_box("seed_region", params["seed_region"], params["extent"])
 
 
+def _fp_rules(params: dict) -> None:
+    every = params["snapshot_every"]
+    if every:
+        count = params["n_steps"] // every
+        _require(count <= MAX_SNAPSHOTS,
+                 f"snapshot_every = {every} writes {count} density "
+                 f"snapshots over {params['n_steps']} steps, more than the "
+                 f"{MAX_SNAPSHOTS} an fp run may write")
+
+
 def _compare_rules(params: dict) -> None:
     if _numbered_keys(params, "seed_region"):
         raise ConfigError(
@@ -713,10 +726,15 @@ def build_collapse_setup(config: ExperimentConfig) -> CollapseSetup:
 
 
 def _uniform_summary(params: dict, channels: int) -> FieldSummary:
-    """Overlap of a uniform f_init background, shared by fp and compare."""
+    """Overlap of a uniform f_init background, shared by fp and compare.
+
+    On that background f0 = 1 - f_init whatever p0 is. A one-hot p_ref
+    gives exactly that value, where p0 itself would move it by rounding,
+    so runs that differ only in p0 share one overlap and one operator.
+    """
     _, grid = _kinetics_grid(params)
     f = np.full((channels,) + grid.shape, float(params["f_init"]))
-    fields = ScalarFieldSet(grid, f, np.asarray(params["p0"]))
+    fields = ScalarFieldSet(grid, f, np.eye(channels)[0])
     return field_summary(fields, _slip_params(params))
 
 
@@ -790,7 +808,7 @@ _MODES = {
     "wave": (_WAVE_KEYS, None, _wave_rules, build_wave_setup),
     "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
                  build_collapse_setup),
-    "fp": (_FP_KEYS, None, None, build_fp_setup),
+    "fp": (_FP_KEYS, None, _fp_rules, build_fp_setup),
     "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
               build_collapse_setup),
     "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_rules,

@@ -191,6 +191,14 @@ def test_step_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, key):
     assert key in err and "1000000" in err
 
 
+def test_snapshot_counts_past_the_cap_exit_2(tmp_path, capsys):
+    # a million one-step snapshots would write a million density files
+    err = config_error(tmp_path, capsys, "fp", "n_steps = 1000000\n"
+                       "snapshot_every = 1\nresolution = 1000\nchannels = 3\n")
+    assert "snapshot_every = 1 writes 1000000 density snapshots" in err
+    assert "more than the 100" in err
+
+
 def test_a_zero_exact_generator_without_dt_exits_2(tmp_path, capsys):
     err = config_error(tmp_path, capsys, "exact", "hop_amplitude = 0\n"
                        "u_strength = 0\nv_strength = 0\n")

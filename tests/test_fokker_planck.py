@@ -481,6 +481,21 @@ def test_steps_equal_single_calls_bit_for_bit(case):
     assert np.array_equal(start.phi, FPDensity.near_delta(grid, p0).phi)
 
 
+def test_repaired_steps_leave_a_valid_density():
+    # fp_step builds its result without FPDensity's checks: the repair
+    # keeps the triangle's cells nonnegative and the scatter writes no cell
+    # outside it, which the checks would have caught
+    grid, s, p0 = stepping_cases()[1]
+    params = desk_params()
+    dt = stable_step(grid, s, params)
+    end = fp_step(FPDensity.near_delta(grid, p0), s, params, dt, steps=40)
+    assert end.clamped > 0.0
+    assert (end.phi >= 0.0).all()
+    assert not end.phi[~grid.valid()].any()
+    checked = FPDensity(grid, end.phi)
+    assert checked.phi.tobytes() == end.phi.tobytes()
+
+
 def test_zero_steps_return_an_equal_copy():
     grid, s, p0 = stepping_cases()[1]
     params = desk_params()
@@ -528,7 +543,7 @@ def test_bound_kernel_equals_the_sparse_product(case):
                          a_tracks=((0,), (1,))[:1 + case % 2])
     rng = np.random.default_rng(case)
     _, step = step_of(grid, s)
-    v = rng.random(grid.resolution**grid.dims)
+    v = rng.random(step.operator.shape[1])  # the triangle's cells
     out = np.zeros(v.size)
     step.matvec(v, out)
     assert out.tobytes() == (step.operator @ v).tobytes()

@@ -10,7 +10,12 @@ import pytest
 
 import lecollapse.runner as runner
 from lecollapse.config import build_fp_setup, load_config
-from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
+from lecollapse.fokker_planck import (
+    _cached_operator,
+    boundary_current,
+    edge_mass,
+    fp_step,
+)
 from lecollapse.runner import format_csv, run_experiment
 
 
@@ -149,40 +154,69 @@ def test_fp_mode_conserves_mass(tmp_path):
 
 def test_fp_chunks_write_what_single_steps_give(tmp_path):
     # the runner steps in chunks that end at each current row, snapshot
-    # and the end; rows and summary must equal a one-step-per-call loop
-    cfg, manifest = run(tmp_path, mode="fp", channels="3",
-                        p0="0.2,0.3,0.5", resolution="60", n_steps="53",
-                        current_every="7", snapshot_every="10")
-    out = Path(cfg.out_dir)
-    snapshots = sorted(p.name for p in out.glob("density_*.csv"))
-    assert snapshots == [f"density_{s:06d}.csv" for s in (10, 20, 30, 40, 50)]
+    # and the end; rows, snapshots and summary must equal a one-step-per-
+    # call loop, in two dimensions (the triangle's cells, repaired) and in
+    # one (every cell)
+    for channels, p0, resolution in ((3, "0.2,0.3,0.5", 60),
+                                     (2, "0.3,0.7", 100)):
+        cfg, manifest = run(tmp_path, sub=f"fp{channels}", mode="fp",
+                            channels=str(channels), p0=p0,
+                            resolution=str(resolution), n_steps="53",
+                            current_every="7", snapshot_every="10")
+        out = Path(cfg.out_dir)
+        snapshots = sorted(p.name for p in out.glob("density_*.csv"))
+        assert snapshots == [f"density_{s:06d}.csv"
+                             for s in (10, 20, 30, 40, 50)]
 
-    grid, density, summary, slips, dt = build_fp_setup(cfg)
-    rows = []
-    for step in range(54):
-        if step:
-            density = fp_step(density, summary, slips, dt)
-        if step % 7 == 0 or step == 53:
-            rows.append([density.time,
-                         boundary_current(density, summary, slips),
-                         density.mass, density.clamped])
-    assert (out / "current.csv").read_text() == format_csv(
-        ["time", "boundary_current", "mass", "clamped"], rows)
-    written = json.loads((out / "summary.json").read_text())
-    assert written == {
-        "channels": 3,
-        "resolution": 60,
-        "dt": dt,
-        "n_steps": 53,
-        "t_final": density.time,
-        "overlap": list(summary.overlap),
-        "mass": density.mass,
-        "clamped": density.clamped,
-        "edge_mass": edge_mass(density),
-        "interior_mass": 1.0 - edge_mass(density),
-        "boundary_current_final": rows[-1][1],
-    }
-    assert manifest.status == "success"
+        grid, density, summary, slips, dt = build_fp_setup(cfg)
+        rows = []
+        for step in range(54):
+            if step:
+                density = fp_step(density, summary, slips, dt)
+            if step % 7 == 0 or step == 53:
+                rows.append([density.time,
+                             boundary_current(density, summary, slips),
+                             density.mass, density.clamped])
+            if step in (10, 20, 30, 40, 50):
+                assert (out / f"density_{step:06d}.csv").read_text() == \
+                    format_csv(*runner._cell_table(grid, density=density.phi))
+        assert (out / "current.csv").read_text() == format_csv(
+            ["time", "boundary_current", "mass", "clamped"], rows)
+        written = json.loads((out / "summary.json").read_text())
+        assert written == {
+            "channels": channels,
+            "resolution": resolution,
+            "dt": dt,
+            "n_steps": 53,
+            "t_final": density.time,
+            "overlap": list(summary.overlap),
+            "mass": density.mass,
+            "clamped": density.clamped,
+            "edge_mass": edge_mass(density),
+            "interior_mass": 1.0 - edge_mass(density),
+            "boundary_current_final": rows[-1][1],
+        }
+        assert manifest.status == "success"
+
+
+@pytest.mark.parametrize("channels,p0s", [
+    ("3", ("0.3046,0.2357,0.4597", "0.3915,0.3924,0.21610000000000001")),
+    ("2", ("0.683,0.31699999999999995", "0.2365,0.7635000000000001")),
+])
+def test_uniform_background_overlap_does_not_depend_on_p0(tmp_path, channels,
+                                                          p0s):
+    # f0 = 1 - f_init on a uniform background whatever p0 is; these p0
+    # pairs once gave overlaps an ulp apart, and so two operators
+    configs = [load_config(overrides={
+        "mode": "fp", "channels": channels, "p0": p0, "resolution": "20",
+        "n_steps": "5", "out": str(tmp_path / f"fp{k}")})
+        for k, p0 in enumerate(p0s)]
+    first, second = (build_fp_setup(c)[2] for c in configs)
+    assert first.overlap.tobytes() == second.overlap.tobytes()
+    run_experiment(configs[0])
+    misses = _cached_operator.cache_info().misses
+    run_experiment(configs[1])
+    assert _cached_operator.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("mode,overrides,phases", [
