@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per simulation mode.
+"""Command-line front end: a simulation mode, then flags.
 
     lecollapse collapse --config run.cfg --seed 7 --out runs/demo
     lecollapse sweep --config born.cfg --seeds 0..99 --formats csv,json
@@ -46,31 +46,37 @@ _NUMERICAL_ERRORS = (
 )
 
 
+# flag, then its add_argument options; every flag but --config overrides
+# the config key named by its dest, as the text a config file would hold
+_FLAGS = {
+    "--config": dict(metavar="PATH",
+                     help="key=value config file (defaults apply without "
+                          "one)"),
+    "--seed": dict(type=int, metavar="N", help="rng seed (single-run modes)"),
+    "--seeds": dict(metavar="A..B", help="inclusive seed range (sweep)"),
+    "--out": dict(metavar="DIR", help="output directory (default runs)"),
+    "--formats": dict(metavar="LIST", help="comma list from csv,json,svg"),
+    "--trajectory": dict(action="store_const", const="true",
+                         help="log per-step channel probabilities "
+                              "(collapse, sweep)"),
+    "--max-steps": dict(type=int, metavar="N",
+                        help="step budget per trajectory"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lecollapse",
         description="Desk-scale collapse-from-entanglement simulations.",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=_MODE_BLURBS[mode])
-        sp.add_argument("--config", metavar="PATH",
-                        help="key=value config file (defaults apply "
-                             "without one)")
-        sp.add_argument("--seed", type=int, metavar="N",
-                        help="rng seed (single-run modes)")
-        sp.add_argument("--seeds", metavar="A..B",
-                        help="inclusive seed range (sweep)")
-        sp.add_argument("--out", metavar="DIR",
-                        help="output directory (default runs)")
-        sp.add_argument("--formats", metavar="LIST",
-                        help="comma list from csv,json,svg")
-        sp.add_argument("--trajectory", action="store_true",
-                        help="log per-step channel probabilities "
-                             "(collapse, sweep)")
-        sp.add_argument("--max-steps", type=int, dest="max_steps",
-                        metavar="N", help="step budget per trajectory")
+    parser.add_argument("mode", choices=MODES, metavar="mode", help="; ".join(
+        f"{mode}: {blurb}" for mode, blurb in _MODE_BLURBS.items()))
+    for flag, options in _FLAGS.items():
+        parser.add_argument(flag, **options)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _plain_warnings() -> None:
@@ -83,25 +89,13 @@ def _plain_warnings() -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_PARSER.parse_args(argv))
     _plain_warnings()
 
-    overrides = {"mode": args.mode}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.formats is not None:
-        overrides["formats"] = args.formats
-    if args.trajectory:
-        overrides["trajectory"] = "true"
-    if args.max_steps is not None:
-        overrides["max_steps"] = str(args.max_steps)
-
+    path = args.pop("config")
+    overrides = {k: str(v) for k, v in args.items() if v is not None}
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(path, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,12 +10,14 @@ its own is already a complete runnable config. Validation happens wholly
 at load time, and each check lives in one place. The domain constructors
 (KineticParams, SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel
 and the like) own every check on a single value: load_config builds the
-mode's objects once and turns their ValueErrors into ConfigErrors, so a
-config that loads cannot fail construction later. This module owns what
-no constructor sees: the key tables and per-channel key names, defaults
-and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3), the range of
-each key only the run loops read (checked by that key's parser, so the
-error names the line and key), and each mode's cross-field rules.
+mode's objects once, turns their ValueErrors into ConfigErrors and keeps
+the objects on the config as ``setup``, which the run then uses as they
+are, so nothing is constructed twice or fails construction mid-run. This
+module owns what no constructor sees: the key tables and per-channel key
+names, defaults and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3),
+the range of each key only the run loops read (checked by that key's
+parser, so the error names the line and key), and each mode's cross-field
+rules.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from lecollapse.engine import CollapseSetup, SlipParams
@@ -34,7 +36,6 @@ from lecollapse.exact import (
     row_sum_bound,
 )
 from lecollapse.fokker_planck import (
-    FieldSummary,
     FPDensity,
     SimplexGrid,
     field_summary,
@@ -49,11 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "MODES",
     "load_config",
-    "build_lattice_model",
-    "build_wave_setup",
-    "build_collapse_setup",
-    "build_fp_setup",
-    "build_compare_setup",
 ]
 
 FORMATS = ("csv", "json", "svg")
@@ -288,11 +284,11 @@ class ExperimentConfig:
     """A fully validated experiment: mode, seeds, outputs, parameters.
 
     ``params`` holds plain values only (defaults resolved, derived
-    quantities filled in); the ``build_*`` functions turn them into the
-    domain objects of the selected module. ``source`` is the canonical
-    serialization whose sha256 identifies the experiment; the output
-    directory is deliberately excluded so moving results does not change
-    their identity.
+    quantities filled in); ``setup`` holds the domain objects load_config
+    built from them, which the run uses as they are. ``source`` is the
+    canonical serialization whose sha256 identifies the experiment; the
+    output directory is deliberately excluded so moving results does not
+    change their identity.
     """
 
     mode: str
@@ -301,6 +297,7 @@ class ExperimentConfig:
     formats: tuple[str, ...]
     params: dict
     source: str
+    setup: object = field(compare=False, repr=False)
 
     @property
     def seed(self) -> int:
@@ -358,7 +355,10 @@ def _canonical(mode, seeds, formats, params) -> str:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Load, override, validate, and derive; any failure is a ConfigError.
+    """Load, override, validate, derive, and build the mode's objects.
+
+    Any failure is a ConfigError. The objects land on the returned
+    config's ``setup``, and the run uses them as they are.
 
     ``overrides`` maps key names to raw value strings exactly as they
     would appear in the file; they replace file entries and are reported
@@ -390,8 +390,8 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
 
     mode_raw, mode_loc = take("mode")
     if mode_raw is None:
-        raise ConfigError("mode is required (exact, wave, collapse, fp, "
-                          "sweep, or compare)")
+        raise ConfigError(f"mode is required ({', '.join(MODES[:-1])}, "
+                          f"or {MODES[-1]})")
     if mode_raw not in MODES:
         raise ConfigError(f"{mode_loc}: unknown mode {mode_raw!r}")
     mode = mode_raw
@@ -463,21 +463,20 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
 
     if rules is not None:
         rules(params)
-    config = ExperimentConfig(
+    try:
+        setup = build(params)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid {mode} parameters: {exc}") from None
+    _derive(params)
+    return ExperimentConfig(
         mode=mode,
         seeds=seeds,
         out_dir=out_dir,
         formats=formats,
         params=params,
-        source="",
+        source=_canonical(mode, seeds, formats, params),
+        setup=setup,
     )
-    # Build the mode's objects once: the constructors check every single
-    # value now, not mid-run. This comes before _derive, which divides by
-    # tau and overwrites n_c; a given n_c reaches SlipParams as written
-    # and is compared with N_c = n_a*lam^3 there.
-    build(config)
-    _derive(params)
-    return replace(config, source=_canonical(mode, seeds, formats, params))
 
 
 # ----------------------------------------------------------- mode rules
@@ -610,14 +609,10 @@ def _compare_rules(params: dict) -> None:
 
 
 # -------------------------------------------------------------- builders
-
-def _build(mode: str, make):
-    """Run a constructor; its ValueErrors and overflows become ConfigErrors."""
-    try:
-        return make()
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"invalid {mode} parameters: {exc}") from None
-
+#
+# Each takes the mode's params after its rules and before _derive, and
+# raises ValueError on a bad value; load_config turns that into a
+# ConfigError and stores the result on ExperimentConfig.setup.
 
 def _check_steps(t_final: float, dt: float) -> None:
     """Reject a t_final that takes more than MAX_STEPS steps of dt."""
@@ -636,60 +631,41 @@ def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
     return kin, grid
 
 
-def build_lattice_model(config: ExperimentConfig) -> LatticeModel:
-    p = config.params
-    tracks = tuple(
-        p[f"track_{k}"] for k in range(1, p["channels"] + 1)
+def _lattice_model(p: dict) -> LatticeModel:
+    model = LatticeModel(
+        sites=p["sites"],
+        atoms=p["atoms"],
+        channels=p["channels"],
+        hop_amplitude=p["hop_amplitude"],
+        u_strength=p["u_strength"],
+        v_strength=p["v_strength"],
+        a_tracks=tuple(p[f"track_{k}"] for k in range(1, p["channels"] + 1)),
+        bosonic=p["bosonic"],
+        cross_channel_coupling=p["cross_channel_coupling"],
     )
-
-    def make():
-        model = LatticeModel(
-            sites=p["sites"],
-            atoms=p["atoms"],
-            channels=p["channels"],
-            hop_amplitude=p["hop_amplitude"],
-            u_strength=p["u_strength"],
-            v_strength=p["v_strength"],
-            a_tracks=tracks,
-            bosonic=p["bosonic"],
-            cross_channel_coupling=p["cross_channel_coupling"],
-        )
-        check_basis_size(model)  # the run's LatticeBasis would refuse it
-        # the default dt, STEP_FACTOR over the generator's row-sum norm,
-        # needs the generator; its bound gives at least as many steps
-        bound = row_sum_bound(model)
-        if p["dt"] is None and bound == 0.0:
-            raise ValueError("the generator is zero, so it sets no default "
-                             "dt: give dt")
-        _check_steps(p["t_final"], p["dt"] or STEP_FACTOR / bound)
-        return model
-
-    return _build("exact", make)
+    check_basis_size(model)  # the run's LatticeBasis would refuse it
+    # the default dt, STEP_FACTOR over the generator's row-sum norm, needs
+    # the generator; its bound gives at least as many steps
+    bound = row_sum_bound(model)
+    if p["dt"] is None and bound == 0.0:
+        raise ValueError("the generator is zero, so it sets no default "
+                         "dt: give dt")
+    _check_steps(p["t_final"], p["dt"] or STEP_FACTOR / bound)
+    return model
 
 
-def build_wave_setup(config: ExperimentConfig):
+def _wave_setup(p: dict):
     """(KineticParams, Grid, initial field, dt, step count) for wave."""
-    p = config.params
-
-    def make():
-        kin, grid = _kinetics_grid(p)
-        region = _box_pairs(p["seed_region"])
-        f = seed_field(grid, region, inside=p["inside"])
-        dt = p["dt_fraction"] * grid.monotone_limit(kin)
-        _check_steps(p["t_final"], dt)
-        return kin, grid, f, dt, max(1, math.ceil(p["t_final"] / dt))
-
-    return _build("wave", make)
+    kin, grid = _kinetics_grid(p)
+    f = seed_field(grid, _box_pairs(p["seed_region"]), inside=p["inside"])
+    dt = p["dt_fraction"] * grid.monotone_limit(kin)
+    _check_steps(p["t_final"], dt)
+    return kin, grid, f, dt, max(1, math.ceil(p["t_final"] / dt))
 
 
 def _box_pairs(box: tuple) -> tuple:
     """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box."""
     return tuple(zip(box[0::2], box[1::2]))
-
-
-def _regions_from_params(params: dict):
-    keys = _numbered_keys(params, "seed_region")
-    return tuple(_box_pairs(params[k]) for k in keys) or None
 
 
 def _slip_params(params: dict) -> SlipParams:
@@ -704,99 +680,69 @@ def _slip_params(params: dict) -> SlipParams:
     )
 
 
-def build_collapse_setup(config: ExperimentConfig) -> CollapseSetup:
-    p = config.params
-
-    def make():
-        kin, grid = _kinetics_grid(p)
-        return CollapseSetup(
-            kinetics=kin,
-            slips=_slip_params(p),
-            grid=grid,
-            p0=p["p0"],
-            dt=p["dt"],
-            max_steps=p["max_steps"],
-            seed_regions=_regions_from_params(p),
-            f_init=p["f_init"],
-            advance_fields=p["advance_fields"],
-            record_every=p["record_every"],
-        )
-
-    return _build(config.mode, make)
+def _collapse_setup(p: dict) -> CollapseSetup:
+    kin, grid = _kinetics_grid(p)
+    regions = tuple(_box_pairs(p[k])
+                    for k in _numbered_keys(p, "seed_region")) or None
+    return CollapseSetup(
+        kinetics=kin,
+        slips=_slip_params(p),
+        grid=grid,
+        p0=p["p0"],
+        dt=p["dt"],
+        max_steps=p["max_steps"],
+        seed_regions=regions,
+        f_init=p["f_init"],
+        advance_fields=p["advance_fields"],
+        record_every=p["record_every"],
+    )
 
 
-def _uniform_summary(params: dict, channels: int) -> FieldSummary:
-    """Overlap of a uniform f_init background, shared by fp and compare.
+def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
+    """(simplex grid, density near p0, summary, step bound) for fp and compare.
 
-    On that background f0 = 1 - f_init whatever p0 is. A one-hot p_ref
-    gives exactly that value, where p0 itself would move it by rounding,
-    so runs that differ only in p0 share one overlap and one operator.
+    The summary is the overlap of a uniform f_init background on ``grid``.
+    There f0 = 1 - f_init whatever p0 is. A one-hot p_ref gives exactly
+    that value, where p0 itself would move it by rounding, so runs that
+    differ only in p0 share one overlap and one operator.
     """
-    _, grid = _kinetics_grid(params)
-    f = np.full((channels,) + grid.shape, float(params["f_init"]))
-    fields = ScalarFieldSet(grid, f, np.eye(channels)[0])
-    return field_summary(fields, _slip_params(params))
+    sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
+    density = FPDensity.near_delta(sgrid, np.asarray(p["p0"]),
+                                   width_cells=p["width_cells"])
+    f = np.full((channels,) + grid.shape, float(p["f_init"]))
+    summary = field_summary(ScalarFieldSet(grid, f, np.eye(channels)[0]),
+                            slips)
+    return sgrid, density, summary, stable_step(sgrid, summary, slips)
 
 
-def build_fp_setup(config: ExperimentConfig):
-    """(grid, initial density, summary, slip params, dt) for fp mode."""
-    p = config.params
-
-    def make():
-        grid = SimplexGrid(channels=p["channels"],
-                           resolution=p["resolution"])
-        density = FPDensity.near_delta(grid, np.asarray(p["p0"]),
-                                       width_cells=p["width_cells"])
-        summary = _uniform_summary(p, p["channels"])
-        slips = _slip_params(p)
-        bound = stable_step(grid, summary, slips)
-        dt = p["dt_fraction"] * bound if np.isfinite(bound) else p["tau"]
-        return grid, density, summary, slips, dt
-
-    return _build("fp", make)
+def _fp_setup(p: dict):
+    """(simplex grid, initial density, summary, slip params, dt) for fp."""
+    _, grid = _kinetics_grid(p)
+    slips = _slip_params(p)
+    sgrid, density, summary, bound = _simplex_start(p, p["channels"], grid,
+                                                    slips)
+    dt = p["dt_fraction"] * bound if np.isfinite(bound) else p["tau"]
+    return sgrid, density, summary, slips, dt
 
 
-def build_compare_setup(config: ExperimentConfig):
+def _compare_setup(p: dict):
     """Matched (CollapseSetup, fp pieces, step counts) for compare mode.
 
     Both sides run to the same t_final: the engine in n_mc steps of the
     configured dt, the density in however many stability-bounded steps
     cover the interval exactly.
     """
-    p = config.params
-
-    def make():
-        kin, grid = _kinetics_grid(p)
-        setup = CollapseSetup(
-            kinetics=kin,
-            slips=_slip_params(p),
-            grid=grid,
-            p0=p["p0"],
-            dt=p["dt"],
-            max_steps=1,
-            f_init=p["f_init"],
-            advance_fields=False,
-        )
-        # dt is known positive only once CollapseSetup has checked it
-        _check_steps(p["t_final"], p["dt"])
-        n_mc = max(1, int(round(p["t_final"] / p["dt"])))
-        setup = replace(setup, max_steps=n_mc)
-        channels = len(p["p0"])
-        sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
-        summary = _uniform_summary(p, channels)
-        density = FPDensity.near_delta(sgrid, np.asarray(p["p0"]),
-                                       width_cells=p["width_cells"])
-        bound = stable_step(sgrid, summary, setup.slips)
-        if np.isfinite(bound):
-            _check_steps(p["t_final"], p["dt_fraction"] * bound)
-            n_fp = max(1, math.ceil(p["t_final"]
-                                    / (p["dt_fraction"] * bound)))
-        else:
-            n_fp = 1
-        fp_dt = p["t_final"] / n_fp
-        return setup, sgrid, density, summary, fp_dt, n_fp
-
-    return _build("compare", make)
+    setup = _collapse_setup({**p, "max_steps": 1, "record_every": 0})
+    # dt is known positive only once CollapseSetup has checked it
+    _check_steps(p["t_final"], p["dt"])
+    setup = replace(setup, max_steps=max(1, round(p["t_final"] / p["dt"])))
+    sgrid, density, summary, bound = _simplex_start(
+        p, setup.channels, setup.grid, setup.slips)
+    n_fp = 1
+    if np.isfinite(bound):
+        _check_steps(p["t_final"], p["dt_fraction"] * bound)
+        n_fp = max(1, math.ceil(p["t_final"] / (p["dt_fraction"] * bound)))
+    return setup, sgrid, density, summary, p["t_final"] / n_fp, n_fp
 
 
 # mode: (key table, per-channel key pattern and its parser, cross-field
@@ -804,14 +750,14 @@ def build_compare_setup(config: ExperimentConfig):
 _SEED_REGIONS = (re.compile(r"seed_region_\d+"), _list(_float))
 _MODES = {
     "exact": (_EXACT_KEYS, (re.compile(r"track_\d+"), _list(_int)),
-              _exact_rules, build_lattice_model),
-    "wave": (_WAVE_KEYS, None, _wave_rules, build_wave_setup),
+              _exact_rules, _lattice_model),
+    "wave": (_WAVE_KEYS, None, _wave_rules, _wave_setup),
     "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
-                 build_collapse_setup),
-    "fp": (_FP_KEYS, None, _fp_rules, build_fp_setup),
+                 _collapse_setup),
+    "fp": (_FP_KEYS, None, _fp_rules, _fp_setup),
     "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
-              build_collapse_setup),
+              _collapse_setup),
     "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_rules,
-                build_compare_setup),
+                _compare_setup),
 }
 MODES = tuple(_MODES)

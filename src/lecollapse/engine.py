@@ -87,7 +87,7 @@ def probability_vector(p, name: str = "probabilities") -> np.ndarray:
 
     ``name`` is how error messages refer to the vector, e.g. ``"p0"``.
     """
-    arr = np.asarray(getattr(p, "p", p), dtype=np.float64)
+    arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must form a nonempty 1d vector")
     if not np.isfinite(arr).all():
@@ -105,8 +105,8 @@ class SlipParams:
 
     w is the incoherence strength (bounded by 4/(3 pi) unless the ceiling
     is overridden), n_a the atom density, lam and tau the mean free path
-    and time. n_c, the atoms per coherent cell, is derived as n_a lam^3;
-    passing it explicitly only cross-checks that relation.
+    and time. n_c, the atoms per coherent cell, is always stored as
+    n_a lam^3; passing it explicitly only cross-checks that relation.
     rate_calibration scales the slip rate per cell (an order-of-magnitude
     knob, see the module docstring) and absorb_floor is the probability
     below which a channel is treated as reaching exactly zero: jumps are
@@ -134,13 +134,13 @@ class SlipParams:
                 f"4/(3 pi) can be overridden via w_ceiling"
             )
         derived = self.n_a * self.lam**3
-        if self.n_c is None:
-            object.__setattr__(self, "n_c", derived)
-        elif not abs(self.n_c - derived) <= 1e-9 * derived:
+        given = self.n_c
+        if given is not None and not abs(given - derived) <= 1e-9 * derived:
             raise ValueError(
-                f"inconsistent n_c: got {self.n_c}, but N_c = n_a*lam^3 "
+                f"inconsistent n_c: got {given}, but N_c = n_a*lam^3 "
                 f"= {derived}"
             )
+        object.__setattr__(self, "n_c", derived)
         if not self.n_c >= 1.0:
             raise ValueError(f"n_c = {self.n_c} must be at least 1")
         if not 0.0 < self.rate_calibration < math.inf:

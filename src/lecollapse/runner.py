@@ -28,14 +28,7 @@ from pathlib import Path
 import numpy as np
 
 import lecollapse
-from lecollapse.config import (
-    ExperimentConfig,
-    build_collapse_setup,
-    build_compare_setup,
-    build_fp_setup,
-    build_lattice_model,
-    build_wave_setup,
-)
+from lecollapse.config import ExperimentConfig
 from lecollapse.engine import (
     RunResult,
     born_statistics,
@@ -120,10 +113,12 @@ def format_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_json_text(obj), encoding="utf-8")
 
 
 class _Job:
@@ -150,8 +145,7 @@ class _Job:
 
     def json(self, name: str, obj) -> None:
         if "json" in self.config.formats:
-            write_json(self.out / name, obj)
-            self.files.append(self.out / name)
+            self._record(name, _json_text(obj))
 
     def svg(self, name: str, header, rows, kind: str) -> None:
         if "svg" in self.config.formats:
@@ -161,8 +155,7 @@ class _Job:
 # ---------------------------------------------------------------- drivers
 
 def _run_exact(job: _Job) -> str:
-    p = job.config.params
-    model = build_lattice_model(job.config)
+    p, model = job.config.params, job.config.setup
     basis = LatticeBasis(model)
     h = build_branch_hamiltonian(model, basis)
     state = BranchState.from_standard(basis)
@@ -212,7 +205,7 @@ def _run_exact(job: _Job) -> str:
 
 def _run_wave(job: _Job) -> str:
     p = job.config.params
-    kin, grid, f, dt, n_steps = build_wave_setup(job.config)
+    kin, grid, f, dt, n_steps = job.config.setup
 
     times, rows = [], []
     tracking = True
@@ -312,9 +305,8 @@ def _write_run(job: _Job, result: RunResult, suffix: str = "") -> None:
 
 
 def _run_collapse(job: _Job) -> str:
-    setup = build_collapse_setup(job.config)
     started = time.perf_counter()
-    result = run_collapse(setup, job.config.seed)
+    result = run_collapse(job.config.setup, job.config.seed)
     mark = time.perf_counter()
     job.clocks["solve"] = mark - started
     _write_run(job, result)
@@ -323,11 +315,10 @@ def _run_collapse(job: _Job) -> str:
 
 
 def _run_sweep(job: _Job) -> str:
-    setup = build_collapse_setup(job.config)
     seeds = job.config.seeds
     started = time.perf_counter()
     # one batch, one stream per seed: each run equals its collapse run
-    results = run_ensemble(setup, seeds, len(seeds)).results
+    results = run_ensemble(job.config.setup, seeds, len(seeds)).results
     mark = time.perf_counter()
     job.clocks["solve"] = mark - started
     for seed, result in zip(seeds, results):
@@ -387,7 +378,7 @@ def _cell_table(grid, **values):
 
 def _run_fp(job: _Job) -> str:
     p = job.config.params
-    grid, density, summary, slips, dt = build_fp_setup(job.config)
+    grid, density, summary, slips, dt = job.config.setup
 
     def current_row(d):
         return [d.time, boundary_current(d, summary, slips),
@@ -444,8 +435,7 @@ def _run_fp(job: _Job) -> str:
 
 def _run_compare(job: _Job) -> str:
     p = job.config.params
-    setup, sgrid, density, summary, fp_dt, n_fp = \
-        build_compare_setup(job.config)
+    setup, sgrid, density, summary, fp_dt, n_fp = job.config.setup
 
     started = time.perf_counter()
     density = fp_step(density, summary, setup.slips, fp_dt, steps=n_fp)

@@ -10,11 +10,6 @@ from lecollapse.config import (
     ConfigError,
     ExperimentConfig,
     MODES,
-    build_collapse_setup,
-    build_compare_setup,
-    build_fp_setup,
-    build_lattice_model,
-    build_wave_setup,
     load_config,
 )
 from lecollapse.engine import SlipParams
@@ -423,10 +418,10 @@ def test_caps_admit_their_own_value():
                                    "seeds": f"7..{6 + MAX_RUNS}"})
     assert len(sweep.seeds) == MAX_RUNS
     # a wave t_final just inside the cap at the default dt loads
-    dt = build_wave_setup(load_config(overrides={"mode": "wave"}))[3]
+    dt = load_config(overrides={"mode": "wave"}).setup[3]
     edge = load_config(overrides={"mode": "wave",
                                   "t_final": repr(0.999 * MAX_STEPS * dt)})
-    assert build_wave_setup(edge)[4] <= MAX_STEPS
+    assert edge.setup[4] <= MAX_STEPS
     seven = ",".join(["0.125"] * 6 + ["0.25"])
     assert len(load_config(overrides={"mode": "collapse",
                                       "p0": seven}).params["p0"]) == 7
@@ -478,26 +473,16 @@ def test_defaulted_and_explicit_values_hash_alike():
     assert a.config_hash() == b.config_hash()
 
 
-# --- builders construct real module objects ---
+# --- loading builds each mode's module objects ---
 
 
 def test_every_mode_builds_on_defaults():
-    builders = {
-        "exact": build_lattice_model,
-        "wave": build_wave_setup,
-        "collapse": build_collapse_setup,
-        "fp": build_fp_setup,
-        "sweep": build_collapse_setup,
-        "compare": build_compare_setup,
-    }
-    assert set(builders) == set(MODES)
-    for mode, build in builders.items():
+    for mode in MODES:
         cfg = load_config(overrides={"mode": mode})
         assert isinstance(cfg, ExperimentConfig)
-        assert build(cfg) is not None
+        assert cfg.setup is not None
 
 
 def test_collapse_builder_honours_max_steps_override():
     cfg = load_config(overrides={"mode": "collapse", "max_steps": "17"})
-    setup = build_collapse_setup(cfg)
-    assert setup.max_steps == 17
+    assert cfg.setup.max_steps == 17

@@ -139,6 +139,15 @@ def test_params_validation():
     assert 0.42 < W_CEILING < 0.425
 
 
+def test_a_given_n_c_is_stored_as_n_a_lam_cubed():
+    # a given n_c only cross-checks N_c = n_a lam^3; the value kept is the
+    # derived one, so a config's objects match whether n_c was given or not
+    n_a, lam = 100.0, 1.3
+    given = n_a * lam**3 * (1 + 1e-12)
+    assert given != n_a * lam**3
+    assert desk_params(lam=lam, n_c=given).n_c == n_a * lam**3
+
+
 # --- slip counts ---
 
 

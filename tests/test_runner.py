@@ -1,5 +1,6 @@
 """End-to-end experiment runs: files, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import lecollapse.runner as runner
-from lecollapse.config import build_fp_setup, load_config
+from lecollapse.config import load_config
 from lecollapse.fokker_planck import (
     _cached_operator,
     boundary_current,
@@ -168,7 +169,7 @@ def test_fp_chunks_write_what_single_steps_give(tmp_path):
         assert snapshots == [f"density_{s:06d}.csv"
                              for s in (10, 20, 30, 40, 50)]
 
-        grid, density, summary, slips, dt = build_fp_setup(cfg)
+        grid, density, summary, slips, dt = cfg.setup
         rows = []
         for step in range(54):
             if step:
@@ -211,7 +212,7 @@ def test_uniform_background_overlap_does_not_depend_on_p0(tmp_path, channels,
         "mode": "fp", "channels": channels, "p0": p0, "resolution": "20",
         "n_steps": "5", "out": str(tmp_path / f"fp{k}")})
         for k, p0 in enumerate(p0s)]
-    first, second = (build_fp_setup(c)[2] for c in configs)
+    first, second = (c.setup[2] for c in configs)
     assert first.overlap.tobytes() == second.overlap.tobytes()
     run_experiment(configs[0])
     misses = _cached_operator.cache_info().misses
@@ -345,6 +346,29 @@ def test_identical_runs_are_byte_identical(tmp_path):
     a.pop("wall_clock")
     b.pop("wall_clock")
     assert a == b
+
+
+@pytest.mark.parametrize("mode,overrides", [
+    ("exact", {"t_final": "0.5"}),
+    ("wave", {"t_final": "5.0"}),
+    ("fp", {"channels": "3", "p0": "0.2,0.3,0.5", "resolution": "30",
+            "n_steps": "20", "snapshot_every": "10"}),
+    ("compare", {"n_runs": "100", "t_final": "1.0", "resolution": "40"}),
+    ("collapse", {"extent": "16.0", "rate_calibration": "20000",
+                  "trajectory": "true"}),
+    ("sweep", {"seeds": "0..2", "extent": "16.0",
+               "rate_calibration": "20000", "trajectory": "true"}),
+])
+def test_one_loaded_config_runs_twice_to_the_same_bytes(tmp_path, mode,
+                                                        overrides):
+    # the run uses the objects loading built, so a driver that changed
+    # them would make a second run of the same config differ from the first
+    cfg = load_config(overrides={"mode": mode, "formats": "csv,json,svg",
+                                 "out": str(tmp_path / "a"), **overrides})
+    again = dataclasses.replace(cfg, out_dir=str(tmp_path / "b"))
+    assert again.setup is cfg.setup
+    first, second = run_experiment(cfg), run_experiment(again)
+    assert first.outputs and first.outputs == second.outputs
 
 
 def test_different_seed_changes_the_payload(tmp_path):
