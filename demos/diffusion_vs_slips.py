@@ -31,6 +31,7 @@ from lecollapse.fokker_planck import (
     boundary_current,
     edge_mass,
     field_summary,
+    fp_scheme,
     fp_step,
     stable_step,
 )
@@ -54,17 +55,18 @@ def main():
 
     grid = SimplexGrid(channels=2, resolution=100)
     density = FPDensity.near_delta(grid, p0)
-    dt = 0.5 * stable_step(grid, summary, params)
+    scheme = fp_scheme(grid, summary, params,
+                       0.5 * stable_step(grid, summary, params))
     n_steps = 80_000
 
     print("diffusion limit on the simplex:")
     print(f"{'t':>7} {'mass':>10} {'edge mass':>10} {'boundary current':>17}")
     for block in range(5):
-        density = fp_step(density, summary, params, dt,
+        density = fp_step(density, scheme,
                           steps=n_steps // 4 if block else 1)
         print(f"{density.time:7.1f} {density.mass:10.6f} "
               f"{edge_mass(density):10.4f} "
-              f"{boundary_current(density, summary, params):17.3e}")
+              f"{boundary_current(density, scheme):17.3e}")
     print("-> the density leans on the boundary; nothing gets through.")
     print()
 

@@ -39,6 +39,7 @@ from lecollapse.fokker_planck import (
     FPDensity,
     SimplexGrid,
     field_summary,
+    fp_scheme,
     stable_step,
 )
 from lecollapse.wave import Grid, KineticParams, ScalarFieldSet, seed_field
@@ -704,7 +705,7 @@ def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
     The summary is the overlap of a uniform f_init background on ``grid``.
     There f0 = 1 - f_init whatever p0 is. A one-hot p_ref gives exactly
     that value, where p0 itself would move it by rounding, so runs that
-    differ only in p0 share one overlap and one operator.
+    differ only in p0 share one overlap and so one cached scheme.
     """
     sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
     density = FPDensity.near_delta(sgrid, np.asarray(p["p0"]),
@@ -716,17 +717,17 @@ def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
 
 
 def _fp_setup(p: dict):
-    """(simplex grid, initial density, summary, slip params, dt) for fp."""
+    """(simplex grid, initial density, summary, scheme) for fp."""
     _, grid = _kinetics_grid(p)
     slips = _slip_params(p)
     sgrid, density, summary, bound = _simplex_start(p, p["channels"], grid,
                                                     slips)
     dt = p["dt_fraction"] * bound if np.isfinite(bound) else p["tau"]
-    return sgrid, density, summary, slips, dt
+    return sgrid, density, summary, fp_scheme(sgrid, summary, slips, dt)
 
 
 def _compare_setup(p: dict):
-    """Matched (CollapseSetup, fp pieces, step counts) for compare mode.
+    """(CollapseSetup, simplex grid, density, scheme, fp steps) for compare.
 
     Both sides run to the same t_final: the engine in n_mc steps of the
     configured dt, the density in however many stability-bounded steps
@@ -742,7 +743,8 @@ def _compare_setup(p: dict):
     if np.isfinite(bound):
         _check_steps(p["t_final"], p["dt_fraction"] * bound)
         n_fp = max(1, math.ceil(p["t_final"] / (p["dt_fraction"] * bound)))
-    return setup, sgrid, density, summary, p["t_final"] / n_fp, n_fp
+    scheme = fp_scheme(sgrid, summary, setup.slips, p["t_final"] / n_fp)
+    return setup, sgrid, density, scheme, n_fp
 
 
 # mode: (key table, per-channel key pattern and its parser, cross-field

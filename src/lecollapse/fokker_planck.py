@@ -43,6 +43,8 @@ __all__ = [
     "SimplexGrid",
     "FPDensity",
     "stable_step",
+    "FPScheme",
+    "fp_scheme",
     "fp_step",
     "boundary_current",
     "edge_mass",
@@ -71,7 +73,7 @@ class FieldSummary:
     overlap: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy: fp_step finds its step by the summary's identity
+        # a read-only copy: fp_scheme keys its cache on these bytes
         arr = np.array(self.overlap, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1 or (arr < 0).any():
             raise ValueError("overlap must be a nonnegative 1d vector")
@@ -267,6 +269,8 @@ def _reduced_coefficients(
     the scheme takes every coefficient there, and its mixed term averages
     q12 Phi over the four cells of each corner.
     """
+    if summary.channels != grid.channels:
+        raise ValueError("summary and grid disagree on channel count")
     s = summary.overlap
     scale = params.w / (params.tau * params.n_c**2)
     x = grid.centers()
@@ -287,67 +291,30 @@ def _reduced_coefficients(
     return q(0, 0), q(1, 1), q(0, 1)
 
 
-@dataclass(frozen=True)
-class _Operator:
-    """The explicit scheme, fixed by (grid, summary, params).
-
-    ``generator`` is the flux-form operator G on the cells in C order,
-    from which ``_cached_step`` forms the step I + dt G on the triangle's
-    cells; ``current`` is the row vector c with boundary_current = c . phi;
-    ``bound`` is the step bound. Cells outside the triangle have empty
-    rows and columns in G and zeros in c. Every array is read-only.
-    """
-
-    generator: sparse.csr_array
-    current: np.ndarray
-    bound: float
-
-    def __post_init__(self):
-        g = self.generator
-        for a in (g.data, g.indices, g.indptr, self.current):
-            a.setflags(write=False)
-
-
-# The last (grid, summary, params, operator, dt, step) fp_step looked up.
-# A run passes the same objects on every call, so comparing identities
-# finds them again without hashing the dataclasses or serialising the
-# overlap; it holds only what the caches below give for those inputs.
-_last: tuple = (None,) * 6
-
-
-def _operator(
+def stable_step(
     grid: SimplexGrid, summary: FieldSummary, params: SlipParams
-) -> _Operator:
-    """The operator for this grid and coefficient set, built once."""
-    last = _last
-    if last[0] is grid and last[1] is summary and last[2] is params:
-        return last[3]
-    return _cached_operator(grid, summary.overlap.tobytes(), params)
+) -> float:
+    """Largest dt fp_scheme accepts for this grid and coefficient set.
+
+    A cell loses at most the sum of |q| over the axes plus 2 |q12| per unit
+    time; the bound spans the whole square, outside cells included.
+    """
+    coeffs = _reduced_coefficients(grid, summary, params)
+    rate = (sum(np.abs(q) for q in coeffs[:grid.dims])
+            + sum(2 * np.abs(q) for q in coeffs[grid.dims:]))
+    amax = float(rate.max())
+    return np.inf if amax <= 0 else grid.spacing**2 / (2.0 * amax)
 
 
-# the key holds every input the operator depends on, so a hit is always
-# what a fresh build would give; a run needs one entry, and a second lets
-# a script alternate between two coefficient sets without rebuilding
-@lru_cache(maxsize=2)
-def _cached_operator(
-    grid: SimplexGrid, overlap: bytes, params: SlipParams
-) -> _Operator:
+def _generator(grid: SimplexGrid, summary: FieldSummary, params: SlipParams):
+    """(G, c): the flux-form generator on the cells in C order, and the row
+    vector with boundary_current = c . phi. Cells outside the triangle have
+    empty rows and columns in G and zeros in c.
+    """
     from scipy import sparse
 
-    if len(overlap) != 8 * grid.channels:  # eight bytes per float64
-        raise ValueError("summary and grid disagree on channel count")
-    # one centre coefficient per axis, then in two dimensions the mixed
-    # q12; the bound spans the whole square: it is taken before the cells
-    # outside the triangle are zeroed
-    coeffs = _reduced_coefficients(
-        grid, FieldSummary(np.frombuffer(overlap)), params
-    )
+    coeffs = _reduced_coefficients(grid, summary, params)
     dims, r, h = grid.dims, grid.resolution, grid.spacing
-    rate = (sum(np.abs(q) for q in coeffs[:dims])
-            + sum(2 * np.abs(q) for q in coeffs[dims:]))
-    amax = float(rate.max())
-    bound = np.inf if amax <= 0 else h**2 / (2.0 * amax)
-
     valid = grid.valid()
     cells = valid.ravel().astype(float)
     diag_q = [sparse.diags_array(np.where(valid, q, 0.0).ravel())
@@ -384,87 +351,81 @@ def _cached_operator(
         terms.append(2 * cross.T @ corner @ (abs(cross) / 4) @ diag_q[2])
     generator = (sum(terms) / h**2).tocsr()
     generator.eliminate_zeros()
-    return _Operator(generator=generator, current=current * h ** (dims - 2),
-                     bound=bound)
+    return generator, current * h ** (dims - 2)
 
 
 @dataclass(frozen=True)
-class _Step:
-    """One explicit step, fixed by (grid, summary, params, dt).
+class FPScheme:
+    """The explicit scheme at one step size, as ``fp_scheme`` builds it.
 
     ``cells`` holds the flat indices of the triangle's cells, or is None
     when every cell is valid (one dimension). ``operator`` is A = I + dt G
     on those cells, which hold every entry of G, and ``matvec`` is the CSR
-    kernel bound to A. ``nonnegative`` says that no entry of A is
-    negative: then a nonnegative density stays nonnegative exactly,
-    rounding included, and the positivity repair can never fire. Below
-    the step bound that holds in one dimension (at the bound itself a
-    diagonal entry can round to just under zero); the mixed term of two
-    puts negative entries off the diagonal.
+    kernel bound to A. ``current`` is the row vector c over the whole
+    grid with boundary_current = c . phi, zero outside the triangle.
+    ``nonnegative`` says that no entry of A is negative: then a
+    nonnegative density stays nonnegative exactly, rounding included, and
+    the positivity repair can never fire. Below the step bound that holds
+    in one dimension (at the bound itself a diagonal entry can round to
+    just under zero); the mixed term of two puts negative entries off the
+    diagonal. Every array is read-only.
     """
 
+    grid: SimplexGrid
+    dt: float
     cells: np.ndarray | None
     operator: sparse.csr_array
     matvec: Callable
+    current: np.ndarray
     nonnegative: bool
 
 
-# keyed like _cached_operator plus dt, which a run holds fixed; every hit
-# is a dt already checked against the bound
+def fp_scheme(
+    grid: SimplexGrid, summary: FieldSummary, params: SlipParams, dt: float
+) -> FPScheme:
+    """The scheme that steps densities on ``grid`` by dt.
+
+    Raises ValueError unless dt is positive and StabilityError if it
+    exceeds ``stable_step``. A build takes milliseconds, so the last two
+    are kept: a process that alternates two runs rebuilds neither.
+    """
+    return _scheme(grid, summary.overlap.tobytes(), params, dt)
+
+
+# the key holds every input the scheme depends on, so a hit is always what
+# a fresh build would give
 @lru_cache(maxsize=2)
-def _cached_step(
-    grid: SimplexGrid, overlap: bytes, params: SlipParams, dt: float
-) -> _Step:
+def _scheme(grid: SimplexGrid, overlap: bytes, params: SlipParams, dt: float):
     from scipy import sparse
 
-    op = _cached_operator(grid, overlap, params)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if dt > op.bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt} exceeds the diffusion bound {op.bound}"
-        )
-    cells, g = None, op.generator
+    summary = FieldSummary(np.frombuffer(overlap))
+    bound = stable_step(grid, summary, params)
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt = {dt} exceeds the diffusion bound {bound}")
+    g, current = _generator(grid, summary, params)
+    cells = None
     if not grid.valid().all():
         cells = np.flatnonzero(grid.valid())
         cells.setflags(write=False)
         g = g[cells][:, cells]
     a = (sparse.eye_array(g.shape[0]) + dt * g).tocsr()
-    for arr in (a.data, a.indices, a.indptr):
+    for arr in (a.data, a.indices, a.indptr, current):
         arr.setflags(write=False)
-    return _Step(cells=cells, operator=a, matvec=bind_matvec(a),
-                 nonnegative=not (a.data < 0.0).any())
+    return FPScheme(grid=grid, dt=dt, cells=cells, operator=a,
+                    matvec=bind_matvec(a), current=current,
+                    nonnegative=not (a.data < 0.0).any())
 
 
-def _step(grid: SimplexGrid, summary: FieldSummary, params: SlipParams,
-          dt: float) -> _Step:
-    """The step for these inputs; a repeat of the last lookup is cheap."""
-    global _last
-    last = _last
-    if (last[0] is grid and last[1] is summary and last[2] is params
-            and last[4] == dt):
-        return last[5]
-    overlap = summary.overlap.tobytes()
-    step = _cached_step(grid, overlap, params, dt)
-    _last = (grid, summary, params, _cached_operator(grid, overlap, params),
-             dt, step)
-    return step
+def _check_grid(density: FPDensity, scheme: FPScheme) -> None:
+    # identity first: a density on the scheme's own grid object costs one test
+    if density.grid is not scheme.grid and density.grid != scheme.grid:
+        raise ValueError(f"the density's grid {density.grid} is not the "
+                         f"scheme's {scheme.grid}")
 
 
-def stable_step(
-    grid: SimplexGrid, summary: FieldSummary, params: SlipParams
-) -> float:
-    """Largest dt fp_step accepts for this grid and coefficient set."""
-    return _operator(grid, summary, params).bound
-
-
-def fp_step(
-    density: FPDensity,
-    summary: FieldSummary,
-    params: SlipParams,
-    dt: float,
-    steps: int = 1,
-) -> FPDensity:
+def fp_step(density: FPDensity, scheme: FPScheme, steps: int = 1) -> FPDensity:
     """``steps`` explicit steps of the simplex Fokker-Planck equation.
 
     A step is one product with A = I + dt G, G the flux-form generator.
@@ -475,31 +436,29 @@ def fp_step(
     is conserved to rounding. Faces and corners that touch a cell outside
     the triangle carry nothing, and the coefficients vanish on the simplex
     boundary, so mass can pile up near the boundary but never cross it.
-    A is assembled on the triangle's cells, checked against the step
-    bound and bound to the CSR kernel once per (grid, summary, params,
-    dt). A call gathers those cells once, steps that vector and scatters
-    it once; in one dimension every cell is valid and nothing is
-    gathered. Only when A has a negative entry, as the two-dimensional
-    mixed term gives it, can a cell go negative; then negative cells are
-    clamped, the density is rescaled to its mass before the step, and the
-    removed mass is accumulated in ``clamped``. Otherwise no repair runs.
-    The result is thus nonnegative and 0 outside the triangle by
-    construction, and skips ``FPDensity``'s re-scan.
+    The scheme holds A on the triangle's cells, checked against the step
+    bound. A call gathers those cells once, steps that vector and scatters
+    it once; in one dimension nothing is gathered. Only when A has a
+    negative entry, as the two-dimensional mixed term gives it, can a cell
+    go negative; then negative cells are clamped, the density is rescaled
+    to its mass before the step, and the removed mass is accumulated in
+    ``clamped``. The result is thus nonnegative and 0 outside the triangle
+    by construction, and skips ``FPDensity``'s re-scan.
 
     One call with ``steps = n`` equals n calls with ``steps = 1`` bit for
     bit; ``steps = 0`` returns a copy. The caller's density is never
-    modified.
+    modified. A density on another grid than the scheme's is refused.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    grid = density.grid
-    step = _step(grid, summary, params, dt)
-    matvec, cells = step.matvec, step.cells
+    _check_grid(density, scheme)
+    grid, dt = density.grid, scheme.dt
+    matvec, cells = scheme.matvec, scheme.cells
     cell = grid.spacing**grid.dims
     flat = density.phi.ravel()
     phi = flat.copy() if cells is None else flat[cells]
     new = np.empty(phi.size)
-    neg = None if step.nonnegative else np.empty(phi.size, dtype=bool)
+    neg = None if scheme.nonnegative else np.empty(phi.size, dtype=bool)
     time, clamped = density.time, density.clamped
     for _ in range(steps):
         new.fill(0.0)
@@ -522,21 +481,19 @@ def fp_step(
                                 clamped)
 
 
-def boundary_current(
-    density: FPDensity, summary: FieldSummary, params: SlipParams
-) -> float:
+def boundary_current(density: FPDensity, scheme: FPScheme) -> float:
     """Probability current through the simplex boundary, outward positive.
 
     The boundary faces themselves carry exactly zero in the scheme, so the
     outward current is read one face in: the face flux of the first
     interior face at each low edge, and of the last face before each line
     leaves the triangle. Those fluxes are linear in phi, so the current
-    is one fixed row vector applied to it. The result decays in time as
-    the density settles against the boundary, the signature that
+    is the scheme's fixed row vector applied to it. The result decays in
+    time as the density settles against the boundary, the signature that
     diffusion alone never absorbs.
     """
-    op = _operator(density.grid, summary, params)
-    return float(op.current @ density.phi.ravel())
+    _check_grid(density, scheme)
+    return float(scheme.current @ density.phi.ravel())
 
 
 def ensemble_histogram(results, grid: SimplexGrid) -> np.ndarray:

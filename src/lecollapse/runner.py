@@ -378,11 +378,10 @@ def _cell_table(grid, **values):
 
 def _run_fp(job: _Job) -> str:
     p = job.config.params
-    grid, density, summary, slips, dt = job.config.setup
+    grid, density, summary, scheme = job.config.setup
 
     def current_row(d):
-        return [d.time, boundary_current(d, summary, slips),
-                d.mass, d.clamped]
+        return [d.time, boundary_current(d, scheme), d.mass, d.clamped]
 
     started = time.perf_counter()
     writing = 0.0  # snapshot writes inside the loop count as "write"
@@ -395,7 +394,7 @@ def _run_fp(job: _Job) -> str:
         stop = min(n_steps, (step // every + 1) * every)
         if snap:
             stop = min(stop, (step // snap + 1) * snap)
-        density = fp_step(density, summary, slips, dt, steps=stop - step)
+        density = fp_step(density, scheme, steps=stop - step)
         step = stop
         if step % every == 0 or step == n_steps:
             currents.append(current_row(density))
@@ -417,7 +416,7 @@ def _run_fp(job: _Job) -> str:
     job.json("summary.json", {
         "channels": grid.channels,
         "resolution": grid.resolution,
-        "dt": dt,
+        "dt": scheme.dt,
         "n_steps": p["n_steps"],
         "t_final": density.time,
         "overlap": list(summary.overlap),
@@ -435,10 +434,10 @@ def _run_fp(job: _Job) -> str:
 
 def _run_compare(job: _Job) -> str:
     p = job.config.params
-    setup, sgrid, density, summary, fp_dt, n_fp = job.config.setup
+    setup, sgrid, density, scheme, n_fp = job.config.setup
 
     started = time.perf_counter()
-    density = fp_step(density, summary, setup.slips, fp_dt, steps=n_fp)
+    density = fp_step(density, scheme, steps=n_fp)
     job.clocks["fp"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -469,7 +468,7 @@ def _run_compare(job: _Job) -> str:
                                             cells=p["boundary_cells"]),
         "t_final": p["t_final"],
         "fp_steps": n_fp,
-        "fp_dt": fp_dt,
+        "fp_dt": scheme.dt,
         "mc_steps": setup.max_steps,
         "fp_mass": density.mass,
         "fp_clamped": density.clamped,

@@ -44,6 +44,7 @@ from lecollapse.fokker_planck import (
     diffusion_coefficients,
     edge_mass,
     field_summary,
+    fp_scheme,
     fp_step,
     stable_step,
 )
@@ -492,7 +493,8 @@ def test_criterion_09_diffusion_keeps_interior_while_slips_absorb(capsys):
     density = FPDensity.near_delta(grid, (0.3, 0.7))
     dt_fp = 0.5 * stable_step(grid, summary, params)
     n_fp = 100_000
-    density = fp_step(density, summary, params, dt_fp, steps=n_fp)
+    density = fp_step(density, fp_scheme(grid, summary, params, dt_fp),
+                      steps=n_fp)
     interior = density.mass
     pileup = edge_mass(density)
     horizon = n_fp * dt_fp

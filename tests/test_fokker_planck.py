@@ -23,16 +23,18 @@ from lecollapse.fokker_planck import (
     edge_mass,
     ensemble_histogram,
     field_summary,
+    fp_scheme,
     fp_step,
     stable_step,
 )
-from lecollapse.fokker_planck import (
-    _cached_operator,
-    _cached_step,
-    _operator,
-    _reduced_coefficients,
+from lecollapse.fokker_planck import _generator, _reduced_coefficients, _scheme
+from lecollapse.wave import (
+    Grid,
+    KineticParams,
+    ScalarFieldSet,
+    StabilityError,
+    kpp_step,
 )
-from lecollapse.wave import Grid, ScalarFieldSet, StabilityError
 
 
 def desk_params(**kw):
@@ -199,9 +201,9 @@ def test_two_channel_step_conserves_mass_and_mean():
     s = uniform_summary(2, p_ref=np.array([0.37, 0.63]))
     grid = SimplexGrid(channels=2, resolution=100)
     density = FPDensity.near_delta(grid, (0.37, 0.63))
-    dt = 0.01
+    scheme = fp_scheme(grid, s, params, 0.01)
     for _ in range(100):
-        density = fp_step(density, s, params, dt)
+        density = fp_step(density, scheme)
     assert density.mass == pytest.approx(1.0, abs=1e-12)
     assert density.clamped <= 1e-12
     assert (density.phi >= 0).all()
@@ -221,10 +223,10 @@ def test_early_variance_grows_at_twice_the_coefficient():
         mu = (w * x).sum()
         return float((w * (x - mu) ** 2).sum())
 
-    dt = 0.01
+    scheme = fp_scheme(grid, s, params, 0.01)
     times, variances = [0.0], [variance(density)]
     for _ in range(100):
-        density = fp_step(density, s, params, dt)
+        density = fp_step(density, scheme)
         times.append(density.time)
         variances.append(variance(density))
     slope = np.polyfit(times, variances, 1)[0]
@@ -238,7 +240,7 @@ def test_zero_coefficients_leave_the_density_unchanged():
     s = FieldSummary(np.zeros(2))
     grid = SimplexGrid(channels=2, resolution=50)
     density = FPDensity.near_delta(grid, (0.5, 0.5))
-    stepped = fp_step(density, s, params, 1e30)
+    stepped = fp_step(density, fp_scheme(grid, s, params, 1e30))
     assert np.array_equal(stepped.phi, density.phi)
 
 
@@ -246,15 +248,14 @@ def test_step_rejects_unstable_dt():
     params = desk_params()
     s = uniform_summary(2)
     grid = SimplexGrid(channels=2, resolution=50)
-    density = FPDensity.near_delta(grid, (0.5, 0.5))
     a_max = params.w * 0.25 * s.overlap[0] / (params.tau * params.n_c**2)
     bound = grid.spacing**2 / (2 * a_max)
     with pytest.raises(StabilityError):
-        fp_step(density, s, params, 2 * bound)
-    fp_step(density, s, params, 0.9 * bound)
+        fp_scheme(grid, s, params, 2 * bound)
+    fp_scheme(grid, s, params, 0.9 * bound)
     # NaN slips past the bound comparison, so the sign check must catch it
     with pytest.raises(ValueError, match="dt"):
-        fp_step(density, s, params, float("nan"), steps=3)
+        fp_scheme(grid, s, params, float("nan"))
 
 
 def test_three_channel_step_conserves_mass_inside_the_triangle():
@@ -262,9 +263,7 @@ def test_three_channel_step_conserves_mass_inside_the_triangle():
     s = uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5]))
     grid = SimplexGrid(channels=3, resolution=32)
     density = FPDensity.near_delta(grid, (0.2, 0.3, 0.5), width_cells=3.0)
-    dt = 0.002
-    for _ in range(300):
-        density = fp_step(density, s, params, dt)
+    density = fp_step(density, fp_scheme(grid, s, params, 0.002), steps=300)
     assert density.mass == pytest.approx(1.0, abs=1e-12)
     assert density.clamped < 1e-3
     assert (density.phi >= 0).all()
@@ -276,12 +275,11 @@ def test_boundary_current_decays_as_the_density_piles_up():
     s = uniform_summary(2, p_ref=np.array([0.5, 0.5]))
     grid = SimplexGrid(channels=2, resolution=100)
     density = FPDensity.near_delta(grid, (0.5, 0.5))
-    dt = 0.02
+    scheme = fp_scheme(grid, s, params, 0.02)
     currents = {}
-    for step in range(1, 4501):
-        density = fp_step(density, s, params, dt)
-        if step in (1500, 3000, 4500):
-            currents[step] = boundary_current(density, s, params)
+    for step in (1500, 3000, 4500):
+        density = fp_step(density, scheme, steps=1500)
+        currents[step] = boundary_current(density, scheme)
     # mass approaches the edges, then the current dies away while the
     # interior mass stays put: diffusion alone never absorbs
     assert currents[1500] > 0
@@ -294,9 +292,8 @@ def test_three_channel_boundary_current_is_finite():
     s = uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5]))
     grid = SimplexGrid(channels=3, resolution=24)
     density = FPDensity.near_delta(grid, (0.2, 0.3, 0.5))
-    for _ in range(200):
-        density = fp_step(density, s, params, 0.002)
-    j = boundary_current(density, s, params)
+    scheme = fp_scheme(grid, s, params, 0.002)
+    j = boundary_current(fp_step(density, scheme, steps=200), scheme)
     assert np.isfinite(j)
 
 
@@ -351,12 +348,12 @@ def test_boundary_current_matches_the_loop_to_rounding(channels, resolution):
     phi = rng.random(grid.shape)
     phi[~grid.valid()] = 0.0
     density = FPDensity(grid, phi)
-    dt = 0.5 * stable_step(grid, s, params)
+    scheme = fp_scheme(grid, s, params, 0.5 * stable_step(grid, s, params))
     for _ in range(3):
         expected, magnitude = boundary_current_loop(density, s, params)
-        assert abs(boundary_current(density, s, params) - expected) \
+        assert abs(boundary_current(density, scheme) - expected) \
             <= 1e-13 * magnitude
-        density = fp_step(density, s, params, dt)
+        density = fp_step(density, scheme)
 
 
 def fp_step_stencil(density, summary, params, dt):
@@ -413,9 +410,10 @@ def fp_step_stencil(density, summary, params, dt):
 def step_like_the_stencil(start, s, params, steps=60):
     """Step fp_step and the stencil side by side; return the stencil's end."""
     dt = 0.9 * stable_step(start.grid, s, params)
+    scheme = fp_scheme(start.grid, s, params, dt)
     assembled = stencil = start
     for _ in range(steps):
-        assembled = fp_step(assembled, s, params, dt)
+        assembled = fp_step(assembled, scheme)
         stencil = fp_step_stencil(stencil, s, params, dt)
         bound = 1e-12 * stencil.phi.max()
         assert np.abs(assembled.phi - stencil.phi).max() <= bound
@@ -464,13 +462,13 @@ def test_steps_equal_single_calls_bit_for_bit(case):
     grid, s, p0 = stepping_cases()[case]
     params = desk_params()
     start = FPDensity.near_delta(grid, p0)
-    dt = 0.9 * stable_step(grid, s, params)
+    scheme = fp_scheme(grid, s, params, 0.9 * stable_step(grid, s, params))
     single = start
     for _ in range(40):
-        single = fp_step(single, s, params, dt)
+        single = fp_step(single, scheme)
     chunked = start
     for n in (1, 12, 27):
-        chunked = fp_step(chunked, s, params, dt, steps=n)
+        chunked = fp_step(chunked, scheme, steps=n)
     assert chunked.phi.tobytes() == single.phi.tobytes()
     assert chunked.time == single.time
     assert chunked.clamped == single.clamped
@@ -487,8 +485,8 @@ def test_repaired_steps_leave_a_valid_density():
     # outside it, which the checks would have caught
     grid, s, p0 = stepping_cases()[1]
     params = desk_params()
-    dt = stable_step(grid, s, params)
-    end = fp_step(FPDensity.near_delta(grid, p0), s, params, dt, steps=40)
+    scheme = fp_scheme(grid, s, params, stable_step(grid, s, params))
+    end = fp_step(FPDensity.near_delta(grid, p0), scheme, steps=40)
     assert end.clamped > 0.0
     assert (end.phi >= 0.0).all()
     assert not end.phi[~grid.valid()].any()
@@ -498,9 +496,9 @@ def test_repaired_steps_leave_a_valid_density():
 
 def test_zero_steps_return_an_equal_copy():
     grid, s, p0 = stepping_cases()[1]
-    params = desk_params()
-    start = fp_step(FPDensity.near_delta(grid, p0), s, params, 0.001, steps=5)
-    same = fp_step(start, s, params, 0.001, steps=0)
+    scheme = fp_scheme(grid, s, desk_params(), 0.001)
+    start = fp_step(FPDensity.near_delta(grid, p0), scheme, steps=5)
+    same = fp_step(start, scheme, steps=0)
     assert same is not start and same.phi is not start.phi
     assert same.phi.tobytes() == start.phi.tobytes()
     assert (same.time, same.clamped) == (start.time, start.clamped)
@@ -510,23 +508,49 @@ def test_negative_steps_are_rejected():
     grid, s, p0 = stepping_cases()[0]
     density = FPDensity.near_delta(grid, p0)
     with pytest.raises(ValueError, match="steps"):
-        fp_step(density, s, desk_params(), 0.001, steps=-1)
+        fp_step(density, fp_scheme(grid, s, desk_params(), 0.001), steps=-1)
 
 
 def test_many_steps_still_check_the_bound():
+    # fp_step takes its dt from the scheme, so the bound is checked where
+    # the scheme is built; a cached scheme at the bound lets no larger dt
+    # through
     grid, s, p0 = stepping_cases()[0]
     params = desk_params()
-    density = FPDensity.near_delta(grid, p0)
     bound = stable_step(grid, s, params)
-    for steps in (0, 1, 50):
-        with pytest.raises(StabilityError):
-            fp_step(density, s, params, 1.01 * bound, steps=steps)
+    scheme = fp_scheme(grid, s, params, bound)
+    assert fp_step(FPDensity.near_delta(grid, p0), scheme, steps=50).time \
+        == pytest.approx(50 * bound)
+    with pytest.raises(StabilityError):
+        fp_scheme(grid, s, params, 1.01 * bound)
 
 
-def step_of(grid, s):
-    """dt at 0.9 of the bound and the cached step fp_step takes at it."""
-    dt = 0.9 * stable_step(grid, s, desk_params())
-    return dt, _cached_step(grid, s.overlap.tobytes(), desk_params(), dt)
+def scheme_of(grid, s):
+    """The scheme at 0.9 of the bound."""
+    return fp_scheme(grid, s, desk_params(),
+                     0.9 * stable_step(grid, s, desk_params()))
+
+
+def test_a_density_on_another_grid_is_refused():
+    # both grids have 100 cells, so no array shape would catch the mix-up
+    grid, other = SimplexGrid(2, 100), SimplexGrid(3, 10)
+    scheme = scheme_of(grid, uniform_summary(2))
+    density = FPDensity.near_delta(other, (0.2, 0.3, 0.5))
+    assert density.phi.size == scheme.current.size
+    with pytest.raises(ValueError, match="grid"):
+        fp_step(density, scheme)
+    with pytest.raises(ValueError, match="grid"):
+        boundary_current(density, scheme)
+    # an equal grid that is another object is the same grid
+    twin = FPDensity.near_delta(SimplexGrid(2, 100), (0.3, 0.7))
+    assert boundary_current(fp_step(twin, scheme), scheme) > 0
+    with pytest.raises(ValueError, match="channel count"):
+        fp_scheme(other, uniform_summary(2), desk_params(), 0.001)
+    # the wave stepper refuses a field of another shape
+    box = Grid((8.0,), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        kpp_step(np.zeros(box.shape[0] + 1), box,
+                 KineticParams(lam=1.0, tau=1.0), 0.01)
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -542,14 +566,14 @@ def test_bound_kernel_equals_the_sparse_product(case):
                          u_strength=0.8, v_strength=0.5,
                          a_tracks=((0,), (1,))[:1 + case % 2])
     rng = np.random.default_rng(case)
-    _, step = step_of(grid, s)
-    v = rng.random(step.operator.shape[1])  # the triangle's cells
+    scheme = scheme_of(grid, s)
+    v = rng.random(scheme.operator.shape[1])  # the triangle's cells
     out = np.zeros(v.size)
-    step.matvec(v, out)
-    assert out.tobytes() == (step.operator @ v).tobytes()
+    scheme.matvec(v, out)
+    assert out.tobytes() == (scheme.operator @ v).tobytes()
     h = build_branch_hamiltonian(model)
     c = default_timestep(h) / 3
-    for g, scale in ((_operator(grid, s, desk_params()).generator, None),
+    for g, scale in ((_generator(grid, s, desk_params())[0], None),
                      (h.generator, None), (h.generator, c)):
         v = rng.random(g.shape[1]).astype(g.dtype)
         if g.dtype.kind == "c":
@@ -567,17 +591,12 @@ def test_generator_conserves_mass_and_leaves_invalid_cells_empty(
     grid = SimplexGrid(channels=channels, resolution=resolution)
     s = FieldSummary(np.random.default_rng(resolution).uniform(
         100.0, 500.0, size=channels))
-    g = _operator(grid, s, desk_params()).generator.toarray()
+    g = _generator(grid, s, desk_params())[0].toarray()
     largest = np.abs(g).max(axis=0)
     assert (np.abs(g.sum(axis=0)) <= 1e-12 * largest).all()
     invalid = ~grid.valid().ravel()
     assert not g[invalid].any() and not g[:, invalid].any()
     assert (largest[~invalid] > 0).all()
-
-
-def clear_caches():
-    _cached_operator.cache_clear()
-    _cached_step.cache_clear()
 
 
 def test_interleaved_coefficient_sets_step_as_if_run_alone():
@@ -586,10 +605,10 @@ def test_interleaved_coefficient_sets_step_as_if_run_alone():
     pairs = [
         (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base, 1.0),
         (FieldSummary(np.array([150.0, 220.0, 90.0])), base, 1.0),
-        # same summary, changed w: must never reuse the w = 0.4 operator
+        # same summary, changed w: must never reuse the w = 0.4 scheme
         (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])),
          dataclasses.replace(base, w=0.2), 1.0),
-        # the first set at half its dt: must never reuse the first's step
+        # the first set at half its dt: must never reuse the first's scheme
         (uniform_summary(3, p_ref=np.array([0.2, 0.3, 0.5])), base, 0.5),
     ]
     grid = SimplexGrid(channels=3, resolution=24)
@@ -600,22 +619,23 @@ def test_interleaved_coefficient_sets_step_as_if_run_alone():
         currents = []
         for k in order:
             s, p, share = pairs[k]
-            states[k] = fp_step(states[k], s, p, share * dt)
-            currents.append((k, boundary_current(states[k], s, p)))
+            scheme = fp_scheme(grid, s, p, share * dt)
+            states[k] = fp_step(states[k], scheme)
+            currents.append((k, boundary_current(states[k], scheme)))
         return currents
 
-    # alternating two sets reuses cached operators; each switch of block
+    # alternating two sets reuses cached schemes; each switch of block
     # evicts one, the third block follows w = 0.4 with w = 0.2 and the
     # last alternates one coefficient set between two dt
     order = [0, 1] * 10 + [1, 2] * 10 + [0, 2] * 10 + [0, 3] * 10
     alone = {}
     currents_alone = []
     for k in range(len(pairs)):
-        clear_caches()
+        _scheme.cache_clear()
         states = {k: start}
         currents_alone += run(states, [k] * order.count(k))
         alone[k] = states[k]
-    clear_caches()
+    _scheme.cache_clear()
     states = dict.fromkeys(range(len(pairs)), start)
     currents_mixed = run(states, order)
     for k in range(len(pairs)):
@@ -629,25 +649,22 @@ def test_interleaved_coefficient_sets_step_as_if_run_alone():
 
 def test_step_caches_stay_bounded():
     # a script that walks through coefficient sets and step sizes keeps
-    # at most two operators and two steps alive
+    # at most two schemes alive
     grid = SimplexGrid(channels=2, resolution=100)
-    start = FPDensity.near_delta(grid, (0.3, 0.7))
     for k in range(5):
         s = uniform_summary(2, level=0.2 + 0.1 * k)
-        fp_step(start, s, desk_params(), (0.5 + 0.1 * k)
-                * stable_step(grid, s, desk_params()))
-    assert _cached_operator.cache_info().currsize <= 2
-    assert _cached_step.cache_info().currsize <= 2
+        fp_scheme(grid, s, desk_params(),
+                  (0.5 + 0.1 * k) * stable_step(grid, s, desk_params()))
+    assert _scheme.cache_info().currsize <= 2
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_the_repair_runs_only_where_the_step_has_a_negative_entry(case):
     grid, s, p0 = stepping_cases()[case]
-    dt, step = step_of(grid, s)
-    end = fp_step(FPDensity.near_delta(grid, p0), s, desk_params(), dt,
-                  steps=40)
-    negative = bool((step.operator.data < 0.0).any())
-    assert step.nonnegative != negative
+    scheme = scheme_of(grid, s)
+    end = fp_step(FPDensity.near_delta(grid, p0), scheme, steps=40)
+    negative = bool((scheme.operator.data < 0.0).any())
+    assert scheme.nonnegative != negative
     if grid.dims == 1:
         # below the bound I + dt G is nonnegative in one dimension, so a
         # nonnegative density stays so exactly and the repair never runs
@@ -663,8 +680,9 @@ def test_a_long_solve_keeps_its_mass_to_rounding():
     s = uniform_summary(2, p_ref=np.array([0.3, 0.7]))
     params = desk_params()
     steps = 100_000
-    end = fp_step(FPDensity.near_delta(grid, (0.3, 0.7)), s, params,
-                  0.5 * stable_step(grid, s, params), steps=steps)
+    scheme = fp_scheme(grid, s, params, 0.5 * stable_step(grid, s, params))
+    end = fp_step(FPDensity.near_delta(grid, (0.3, 0.7)), scheme,
+                  steps=steps)
     assert abs(end.mass - 1.0) <= steps * grid.resolution * np.finfo(float).eps
     assert end.clamped == 0.0
 
@@ -677,8 +695,7 @@ def test_histogram_recovers_the_density_it_was_sampled_from():
     s = uniform_summary(2)
     grid = SimplexGrid(channels=2, resolution=50)
     density = FPDensity.near_delta(grid, (0.5, 0.5), width_cells=4.0)
-    for _ in range(200):
-        density = fp_step(density, s, params, 0.01)
+    density = fp_step(density, fp_scheme(grid, s, params, 0.01), steps=200)
     rng = np.random.default_rng(8)
     weights = density.phi / density.phi.sum()
     cells = rng.choice(grid.resolution, size=5000, p=weights)
@@ -709,14 +726,13 @@ def test_compare_histogram_guards():
 
 def test_stable_step_is_the_largest_accepted_dt():
     grid = SimplexGrid(channels=2, resolution=50)
-    density = FPDensity.near_delta(grid, (0.5, 0.5))
     params = desk_params()
     summary = uniform_summary(2)
     bound = stable_step(grid, summary, params)
     assert bound > 0
-    fp_step(density, summary, params, 0.999 * bound)
+    fp_scheme(grid, summary, params, 0.999 * bound)
     with pytest.raises(StabilityError):
-        fp_step(density, summary, params, 1.01 * bound)
+        fp_scheme(grid, summary, params, 1.01 * bound)
 
 
 def test_stable_step_shrinks_with_the_cell():

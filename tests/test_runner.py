@@ -11,12 +11,7 @@ import pytest
 
 import lecollapse.runner as runner
 from lecollapse.config import load_config
-from lecollapse.fokker_planck import (
-    _cached_operator,
-    boundary_current,
-    edge_mass,
-    fp_step,
-)
+from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
 from lecollapse.runner import format_csv, run_experiment
 
 
@@ -169,14 +164,13 @@ def test_fp_chunks_write_what_single_steps_give(tmp_path):
         assert snapshots == [f"density_{s:06d}.csv"
                              for s in (10, 20, 30, 40, 50)]
 
-        grid, density, summary, slips, dt = cfg.setup
+        grid, density, summary, scheme = cfg.setup
         rows = []
         for step in range(54):
             if step:
-                density = fp_step(density, summary, slips, dt)
+                density = fp_step(density, scheme)
             if step % 7 == 0 or step == 53:
-                rows.append([density.time,
-                             boundary_current(density, summary, slips),
+                rows.append([density.time, boundary_current(density, scheme),
                              density.mass, density.clamped])
             if step in (10, 20, 30, 40, 50):
                 assert (out / f"density_{step:06d}.csv").read_text() == \
@@ -187,7 +181,7 @@ def test_fp_chunks_write_what_single_steps_give(tmp_path):
         assert written == {
             "channels": channels,
             "resolution": resolution,
-            "dt": dt,
+            "dt": scheme.dt,
             "n_steps": 53,
             "t_final": density.time,
             "overlap": list(summary.overlap),
@@ -207,17 +201,14 @@ def test_fp_chunks_write_what_single_steps_give(tmp_path):
 def test_uniform_background_overlap_does_not_depend_on_p0(tmp_path, channels,
                                                           p0s):
     # f0 = 1 - f_init on a uniform background whatever p0 is; these p0
-    # pairs once gave overlaps an ulp apart, and so two operators
+    # pairs once gave overlaps an ulp apart, and so two schemes
     configs = [load_config(overrides={
         "mode": "fp", "channels": channels, "p0": p0, "resolution": "20",
         "n_steps": "5", "out": str(tmp_path / f"fp{k}")})
         for k, p0 in enumerate(p0s)]
     first, second = (c.setup[2] for c in configs)
     assert first.overlap.tobytes() == second.overlap.tobytes()
-    run_experiment(configs[0])
-    misses = _cached_operator.cache_info().misses
-    run_experiment(configs[1])
-    assert _cached_operator.cache_info().misses == misses
+    assert configs[0].setup[3] is configs[1].setup[3]
 
 
 @pytest.mark.parametrize("mode,overrides,phases", [
