@@ -3,7 +3,7 @@
 The kernel is imported inside ``bind_matvec``, not with this module, so
 importing lecollapse loads numpy alone; ``scipy.sparse`` loads at the first
 operator build, which only the ``wave``, ``fp``, ``exact`` and ``compare``
-modes do.
+modes and seeded (advancing-field) ``collapse`` and ``sweep`` runs do.
 """
 
 from functools import partial
@@ -13,7 +13,7 @@ def bind_matvec(g, scale=None):
     """The kernel behind ``g @ x`` for a CSR matrix g, bound to g: call (x, y).
 
     It adds each row's products into y in stored order, so a zeroed y gives
-    ``g @ x`` and a nonzero one, as ``wave.kpp_step`` passes, keeps its
+    ``g @ x`` and a nonzero one (``wave.reaction_diffusion``'s) keeps its
     terms. The kernel's type is g's dtype, real or complex, and x and y
     must have it too. Skipping the dispatch of ``@`` keeps a matvec cheap.
     A ``scale`` c binds ``g.data * c`` on g's pattern, the data of ``c * g``.

@@ -43,6 +43,7 @@ from lecollapse.fokker_planck import (
     stable_step,
 )
 from lecollapse.wave import Grid, KineticParams, ScalarFieldSet, seed_field
+from lecollapse.wave import step_operator
 
 import numpy as np
 
@@ -685,7 +686,7 @@ def _collapse_setup(p: dict) -> CollapseSetup:
     kin, grid = _kinetics_grid(p)
     regions = tuple(_box_pairs(p[k])
                     for k in _numbered_keys(p, "seed_region")) or None
-    return CollapseSetup(
+    setup = CollapseSetup(
         kinetics=kin,
         slips=_slip_params(p),
         grid=grid,
@@ -697,10 +698,13 @@ def _collapse_setup(p: dict) -> CollapseSetup:
         advance_fields=p["advance_fields"],
         record_every=p["record_every"],
     )
+    if setup.advance_fields:  # built now, so no run clock loads scipy.sparse
+        step_operator(setup.grid, setup.kinetics, setup.dt)
+    return setup
 
 
 def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
-    """(simplex grid, density near p0, summary, step bound) for fp and compare.
+    """(simplex grid, summary, step bound) for fp and compare.
 
     The summary is the overlap of a uniform f_init background on ``grid``.
     There f0 = 1 - f_init whatever p0 is. A one-hot p_ref gives exactly
@@ -708,22 +712,27 @@ def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
     differ only in p0 share one overlap and so one cached scheme.
     """
     sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
-    density = FPDensity.near_delta(sgrid, np.asarray(p["p0"]),
-                                   width_cells=p["width_cells"])
     f = np.full((channels,) + grid.shape, float(p["f_init"]))
     summary = field_summary(ScalarFieldSet(grid, f, np.eye(channels)[0]),
                             slips)
-    return sgrid, density, summary, stable_step(sgrid, summary, slips)
+    return sgrid, summary, stable_step(sgrid, summary, slips)
+
+
+def _start_density(p: dict, scheme) -> FPDensity:
+    # on the scheme's own grid object, which fp_step tests for first: a
+    # cached scheme may hold an earlier, equal grid
+    return FPDensity.near_delta(scheme.grid, np.asarray(p["p0"]),
+                                width_cells=p["width_cells"])
 
 
 def _fp_setup(p: dict):
     """(simplex grid, initial density, summary, scheme) for fp."""
     _, grid = _kinetics_grid(p)
     slips = _slip_params(p)
-    sgrid, density, summary, bound = _simplex_start(p, p["channels"], grid,
-                                                    slips)
+    sgrid, summary, bound = _simplex_start(p, p["channels"], grid, slips)
     dt = p["dt_fraction"] * bound if np.isfinite(bound) else p["tau"]
-    return sgrid, density, summary, fp_scheme(sgrid, summary, slips, dt)
+    scheme = fp_scheme(sgrid, summary, slips, dt)
+    return scheme.grid, _start_density(p, scheme), summary, scheme
 
 
 def _compare_setup(p: dict):
@@ -737,14 +746,14 @@ def _compare_setup(p: dict):
     # dt is known positive only once CollapseSetup has checked it
     _check_steps(p["t_final"], p["dt"])
     setup = replace(setup, max_steps=max(1, round(p["t_final"] / p["dt"])))
-    sgrid, density, summary, bound = _simplex_start(
+    sgrid, summary, bound = _simplex_start(
         p, setup.channels, setup.grid, setup.slips)
     n_fp = 1
     if np.isfinite(bound):
         _check_steps(p["t_final"], p["dt_fraction"] * bound)
         n_fp = max(1, math.ceil(p["t_final"] / (p["dt_fraction"] * bound)))
     scheme = fp_scheme(sgrid, summary, setup.slips, p["t_final"] / n_fp)
-    return setup, sgrid, density, scheme, n_fp
+    return setup, scheme.grid, _start_density(p, scheme), scheme, n_fp
 
 
 # mode: (key table, per-channel key pattern and its parser, cross-field

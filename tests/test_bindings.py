@@ -45,6 +45,14 @@ def test_every_exported_name_exists(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_engine_field_step_binding_is_the_wave_kernel():
+    # the tracer times the field step by this binding, so it must be the
+    # shared kernel itself, not a leftover the engine no longer calls
+    engine = importlib.import_module("lecollapse.engine")
+    wave = importlib.import_module("lecollapse.wave")
+    assert engine._laplacian is wave.reaction_diffusion
+
+
 def test_traced_run_reaches_the_field_step_bindings():
     # an advancing-field trajectory must call the engine's laplacian and
     # cell-average bindings, which the tracer counts as the field step

@@ -257,3 +257,16 @@ def test_wave_loads_scipy_sparse_but_not_special(tmp_path):
     loaded = scipy_modules(tmp_path, run_at_defaults("wave"))
     assert "scipy.sparse" in loaded
     assert "scipy.special" not in loaded
+
+
+def test_seeded_collapse_loads_scipy_sparse_but_not_special(tmp_path):
+    # seeded fronts advance on the wave's step operator, built at load
+    code = ("from pathlib import Path\n"
+            "Path('seeded.cfg').write_text('seed_region_1 = 0, 2\\n"
+            "seed_region_2 = 30, 32\\nmax_steps = 50\\n')\n"
+            "from lecollapse.cli import main\n"
+            "assert main(['collapse', '--config', 'seeded.cfg', "
+            "'--out', 'out']) in (0, 4)")
+    loaded = scipy_modules(tmp_path, code)
+    assert "scipy.sparse" in loaded
+    assert "scipy.special" not in loaded

@@ -486,3 +486,13 @@ def test_every_mode_builds_on_defaults():
 def test_collapse_builder_honours_max_steps_override():
     cfg = load_config(overrides={"mode": "collapse", "max_steps": "17"})
     assert cfg.setup.max_steps == 17
+
+
+@pytest.mark.parametrize("mode,density_at", [("fp", 1), ("compare", 2)])
+def test_start_density_sits_on_the_cached_schemes_grid(mode, density_at):
+    # a second, equal load gets the scheme cached by the first, built on
+    # the first load's grid object; fp_step then tests only identity
+    for _ in range(2):
+        setup = load_config(overrides={"mode": mode}).setup
+        density, scheme = setup[density_at], setup[3]
+        assert density.grid is scheme.grid

@@ -23,10 +23,10 @@ from lecollapse.wave import (
     front_speed,
     front_width,
     kpp_step,
-    laplacian,
     seed_field,
+    step_operator,
 )
-from lecollapse.wave import _edge_index, _step_operator
+from lecollapse.wave import _step_operator
 
 UNIT = KineticParams(lam=1.0, tau=1.0)
 
@@ -76,6 +76,13 @@ def test_seed_field_boxes_and_masks():
     assert f2.sum() == pytest.approx(2 * 8)
 
 
+def _diffuse(f, g, params, dt):
+    """One pure-diffusion step (I + c L) f on the bound step operator."""
+    out = np.zeros(f.size)
+    bind_matvec(step_operator(g, params, dt))(f.ravel(), out)
+    return out.reshape(f.shape)
+
+
 def test_pure_diffusion_conserves_mass_exactly():
     g = Grid(extent=(16.0,), spacing=0.25)
     rng = np.random.default_rng(7)
@@ -84,7 +91,7 @@ def test_pure_diffusion_conserves_mass_exactly():
     total = f.sum()
     steps = 200
     for _ in range(steps):
-        f = kpp_step(f, g, UNIT, dt, contagion=False)
+        f = _diffuse(f, g, UNIT, dt)
     # rounding only: at most one unit in the last place per cell and step
     assert abs(f.sum() - total) <= steps * f.size * np.finfo(float).eps
 
@@ -96,15 +103,34 @@ def test_fixed_points_are_exact():
         g = Grid(extent=extent, spacing=0.25)
         zero = np.zeros(g.shape)
         one = np.ones(g.shape)
-        for contagion in (True, False):
-            limit = g.monotone_limit(UNIT) if contagion else g.cfl_limit(UNIT)
+        # the wave step up to its bound, diffusion alone up to the CFL one
+        for limit, step in ((g.monotone_limit(UNIT), kpp_step),
+                            (g.cfl_limit(UNIT), _diffuse)):
             fracs = (0.1, 0.3, 0.7, 0.9, 0.99, 1.0)
             for dt in (0.5 * g.cfl_limit(UNIT), *(x * limit for x in fracs)):
                 if dt > limit:
                     continue
                 for field in (zero, one):
-                    out = kpp_step(field, g, UNIT, dt, contagion, steps=3)
+                    out = field
+                    for _ in range(3):
+                        out = step(out, g, UNIT, dt)
                     assert out.tobytes() == field.tobytes()
+
+
+def _pad_laplacian(f, spacing):
+    """Reference stencil: edge-pad each axis, then the three-point sum."""
+    lap = np.zeros_like(f, dtype=np.float64)
+    inv_h2 = 1.0 / spacing**2
+    for ax in range(f.ndim):
+        pad = [(0, 0)] * f.ndim
+        pad[ax] = (1, 1)
+        g = np.pad(f, pad, mode="edge")
+        lo = [slice(None)] * f.ndim
+        hi = [slice(None)] * f.ndim
+        lo[ax] = slice(0, -2)
+        hi[ax] = slice(2, None)
+        lap += (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
+    return lap
 
 
 @pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
@@ -124,12 +150,13 @@ def test_diffusion_step_is_the_stencil_step(extent):
         e = np.zeros(g.shape)
         e.flat[col] = 1.0
         assert np.allclose(lap[:, [col]].toarray().ravel(),
-                           c * g.spacing**2 * laplacian(e, g.spacing).ravel(),
+                           c * g.spacing**2
+                           * _pad_laplacian(e, g.spacing).ravel(),
                            rtol=0.0, atol=4 * np.finfo(float).eps)
     rng = np.random.default_rng(len(extent))
     f = rng.uniform(0.0, 1.0, g.shape)
-    got = kpp_step(f, g, UNIT, dt, contagion=False)
-    want = f + dt * UNIT.d_coeff * laplacian(f, g.spacing)
+    got = _diffuse(f, g, UNIT, dt)
+    want = f + dt * UNIT.d_coeff * _pad_laplacian(f, g.spacing)
     # both sum at most 2 * 3 + 1 terms of size <= 1, each rounding once
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
 
@@ -169,24 +196,19 @@ def test_step_rejects_unstable_dt():
     assert g.monotone_limit(UNIT) < g.cfl_limit(UNIT)
     with pytest.raises(StabilityError):
         kpp_step(np.zeros(g.shape), g, UNIT, 1.01 * g.monotone_limit(UNIT))
-    # without the reaction the plain diffusion bound applies
-    kpp_step(np.zeros(g.shape), g, UNIT, 0.99 * g.cfl_limit(UNIT), contagion=False)
-    with pytest.raises(StabilityError):
-        kpp_step(np.zeros(g.shape), g, UNIT, 1.01 * g.cfl_limit(UNIT), contagion=False)
     with pytest.raises(ValueError):
         kpp_step(np.zeros(g.shape), g, UNIT, -0.1)
     # NaN slips past the bound comparison, so the sign check must catch it
-    for contagion in (True, False):
-        with pytest.raises(ValueError):
-            kpp_step(np.zeros(g.shape), g, UNIT, float("nan"), contagion)
+    with pytest.raises(ValueError):
+        kpp_step(np.zeros(g.shape), g, UNIT, float("nan"))
 
 
-def _written_out_step(f, g, dt, contagion):
+def _written_out_step(f, g, dt):
     """One step in the kernel's order: the reaction, each neighbour's c f
     in increasing flat index, then the diagonal 1 - (those c summed), the
     clamp last."""
     c = UNIT.d_coeff * dt / g.spacing**2
-    y = dt / UNIT.tau * (f * (1.0 - f)) if contagion else np.zeros(f.shape)
+    y = dt / UNIT.tau * (f * (1.0 - f))
     s = np.zeros(f.shape)
     # the row-major lower neighbours run from axis 0 in, the upper ones out
     order = [(ax, -1) for ax in range(f.ndim)]
@@ -203,22 +225,23 @@ def _written_out_step(f, g, dt, contagion):
 
 
 @pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
-@pytest.mark.parametrize("contagion", [True, False])
-def test_many_steps_in_one_call_equal_single_steps(extent, contagion):
+@pytest.mark.parametrize("fixed_points", [True, False])
+def test_many_steps_in_one_call_equal_single_steps(extent, fixed_points):
     g = Grid(extent=extent, spacing=0.25)
-    dt = 0.9 * (g.monotone_limit(UNIT) if contagion else g.cfl_limit(UNIT))
+    dt = 0.9 * g.monotone_limit(UNIT)
     rng = np.random.default_rng(len(extent))
     f = rng.uniform(0.0, 1.0, g.shape)
-    f[f < 0.3] = 0.0  # include both fixed points
-    f[f > 0.9] = 1.0
+    if fixed_points:  # cells at exactly 0 and 1 among the others
+        f[f < 0.3] = 0.0
+        f[f > 0.9] = 1.0
     before = f.copy()
     ref = f
     for _ in range(37):
-        ref = _written_out_step(ref, g, dt, contagion)
+        ref = _written_out_step(ref, g, dt)
     single = f
     for _ in range(37):
-        single = kpp_step(single, g, UNIT, dt, contagion)
-    many = kpp_step(f, g, UNIT, dt, contagion, steps=37)
+        single = kpp_step(single, g, UNIT, dt)
+    many = kpp_step(f, g, UNIT, dt, steps=37)
     assert single.tobytes() == ref.tobytes()
     assert many.tobytes() == ref.tobytes()
     assert f.tobytes() == before.tobytes()
@@ -270,58 +293,6 @@ def test_step_is_monotone_in_the_field(a, b):
     out_lo = kpp_step(lo, g, UNIT, dt)
     out_hi = kpp_step(hi, g, UNIT, dt)
     assert (out_lo <= out_hi + 1e-12).all()
-
-
-def test_laplacian_of_constant_vanishes():
-    g = Grid(extent=(4.0, 4.0), spacing=0.5)
-    f = np.full(g.shape, 0.37)
-    assert np.abs(laplacian(f, g.spacing)).max() == 0.0
-
-
-def _pad_laplacian(f, spacing, axes=None):
-    """Reference stencil: edge-pad each axis, then the three-point sum."""
-    if axes is None:
-        axes = tuple(range(f.ndim))
-    lap = np.zeros_like(f, dtype=np.float64)
-    inv_h2 = 1.0 / spacing**2
-    for ax in axes:
-        pad = [(0, 0)] * f.ndim
-        pad[ax] = (1, 1)
-        g = np.pad(f, pad, mode="edge")
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        lap += (g[tuple(hi)] - 2.0 * f + g[tuple(lo)]) * inv_h2
-    return lap
-
-
-@pytest.mark.parametrize("shape,axes", [
-    ((17,), None),
-    ((6, 9), None),
-    ((4, 5, 7), None),
-    ((3, 2, 11), (2,)),  # (runs, K) + a 1d grid, as the engine steps it
-    ((2, 3, 6, 5), (2, 3)),
-    ((2, 2, 4, 5, 6), (2, 3, 4)),
-])
-def test_laplacian_matches_the_padded_stencil_bit_for_bit(shape, axes):
-    rng = np.random.default_rng(sum(shape))
-    noise = rng.uniform(size=shape)
-    # about two thirds of the cells at exactly 0 or 1, as in saturated fields
-    clipped = np.clip(rng.uniform(-1.0, 2.0, size=shape), 0.0, 1.0)
-    for f in (noise, clipped):
-        want = _pad_laplacian(f, 0.3, axes)
-        got = laplacian(f, 0.3, axes)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_edge_index_cache_is_read_only():
-    # every laplacian call on an axis of this length shares the array
-    idx = _edge_index(6)
-    assert idx.tolist() == [0, 0, 1, 2, 3, 4, 5, 5]
-    with pytest.raises(ValueError):
-        idx[0] = 1
 
 
 def test_front_position_interpolates():
@@ -467,6 +438,11 @@ def test_kpp_front_runs_at_the_pulled_speed():
 # the coupled multi-channel step needs p, so it lives in the engine
 
 
+def _production_step(grid, f, p, dt):
+    row = bind_matvec(step_operator(grid, UNIT, dt))
+    return _field_step(f, p, dt / UNIT.tau, row)
+
+
 def test_coupled_fields_compete_for_the_untouched_fraction():
     g = Grid(extent=(16.0,), spacing=0.25)
     f = np.stack([seed_field(g, (0.0, 2.0)), seed_field(g, (14.0, 16.0))])
@@ -478,8 +454,9 @@ def test_coupled_fields_compete_for_the_untouched_fraction():
         return 1.0 - np.einsum("rk,rk...->r...", p, f)
 
     f0_start = f0(f).mean()
+    row = bind_matvec(step_operator(g, UNIT, dt))
     for _ in range(400):
-        f = _field_step(f, p, g, UNIT, dt)
+        f = _field_step(f, p, dt / UNIT.tau, row)
     assert f0(f).mean() < f0_start
     assert (f >= 0.0).all() and (f <= 1.0).all()
     assert (f0(f) >= -1e-12).all()
@@ -491,10 +468,80 @@ def test_absorbed_channel_is_frozen():
     # two runs: the first has absorbed channel 1, the second has both live
     f = np.stack([f, f])
     p = np.array([[1.0, 0.0], [0.5, 0.5]])
-    out = _field_step(f, p, g, UNIT, 0.5 * g.cfl_limit(UNIT))
+    dt = 0.5 * g.cfl_limit(UNIT)
+    out = _production_step(g, f, p, dt)
     assert np.array_equal(out[0, 1], f[0, 1])
     assert not np.array_equal(out[0, 0], f[0, 0])
     assert not np.array_equal(out[1, 1], f[1, 1])
+
+
+# properties of the production step: every run and channel of a batch,
+# one to three axes, fields at and between 0 and 1, p with zeros
+
+
+@st.composite
+def _coupled_batches(draw, channels=st.integers(1, 4)):
+    """(grid, f, p, dt): a batch of runs the engine's field step takes."""
+    shape = tuple(draw(st.lists(st.integers(4, 7), min_size=1, max_size=3)))
+    runs, k = draw(st.integers(1, 3)), draw(channels)
+    level = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    f = draw(arrays(np.float64, (runs, k) + shape, elements=level))
+    w = draw(arrays(np.float64, (runs, k), elements=level))
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    grid = Grid(tuple(0.25 * n for n in shape), 0.25)
+    frac = draw(st.floats(0.01, 1.0))
+    # normalized rows sum to 1 only to rounding, as the engine's p does
+    p = w / w.sum(axis=1, keepdims=True)
+    return grid, f, p, frac * grid.monotone_limit(UNIT)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(case=_coupled_batches())
+def test_field_step_stays_in_the_unit_interval(case):
+    out = _production_step(*case)
+    assert ((out >= 0.0) & (out <= 1.0)).all()
+
+
+@_PROPERTY
+@given(case=_coupled_batches())
+def test_field_step_keeps_the_bytes_of_channels_at_p_zero(case):
+    grid, f, p, dt = case
+    out = _production_step(grid, f, p, dt)
+    frozen = p == 0.0
+    assert out[frozen].tobytes() == f[frozen].tobytes()
+
+
+_LINE = Grid((1.25,), 0.25)
+
+
+@_PROPERTY
+@given(case=_coupled_batches())
+# p sums to just above 1, so at fields of 1 the sum puts f0 below 0
+@example(case=(_LINE, np.full((1, 4, 5), 0.75),
+               np.array([[0.41889112244291205, 0.0, 0.4141124456706096,
+                          0.16699643188647842]]),
+               _LINE.monotone_limit(UNIT)))
+def test_field_step_fixes_fields_of_zero_and_one_exactly(case):
+    # all channels at 0, all at 1, and each channel at 0 or 1 by its first
+    # cell: the partner f0 may be 0, 1 or anything between
+    grid, f, p, dt = case
+    mixed = np.zeros_like(f)
+    mixed[f.reshape(f.shape[:2] + (-1,))[..., 0] > 0.5] = 1.0
+    for fixed in (np.zeros_like(f), np.ones_like(f), mixed):
+        out = _production_step(grid, fixed, p, dt)
+        assert out.tobytes() == fixed.tobytes()
+
+
+@_PROPERTY
+@given(case=_coupled_batches(channels=st.just(1)))
+def test_one_channel_at_p_one_steps_as_kpp_step(case):
+    grid, f, _, dt = case
+    out = _production_step(grid, f, np.ones((len(f), 1)), dt)
+    for run, field in zip(out, f):
+        assert run[0].tobytes() == kpp_step(field[0], grid, UNIT, dt).tobytes()
 
 
 def test_cell_averages_match_manual_blocks():
