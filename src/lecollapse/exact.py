@@ -190,6 +190,12 @@ class LatticeBasis:
             (model.channels + 1) ** np.arange(n - 1, -1, -1)
         ).astype(np.int64)
 
+    @functools.cached_property
+    def letter_counts(self) -> tuple[np.ndarray, ...]:
+        """Per le index r, how many letters of each word equal r."""
+        return tuple((self.word_digits == r).sum(axis=1).astype(float)
+                     for r in range(self.model.channels + 1))
+
     def config_index(self, config) -> int:
         return int(np.dot(np.asarray(config, dtype=np.int64), self.config_radix))
 
@@ -248,6 +254,9 @@ class BranchHamiltonian:
     basis: LatticeBasis
     matrix: sparse.csr_matrix
     hermitian_defect: float = field(default=0.0)
+    # (generator, dt, stages) of the last ``stages`` call
+    _stages: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def row_sum_norm(self) -> float:
@@ -257,6 +266,16 @@ class BranchHamiltonian:
     def generator(self) -> sparse.csr_matrix:
         """-i H, the right-hand side of d psi / dt, formed once."""
         return -1j * self.matrix
+
+    def stages(self, dt: float) -> tuple:
+        """A/4, A/3, A/2 and A for A = dt G on the CSR kernel, bound once
+        per (generator object, dt): a new generator or dt binds anew."""
+        gen = self.generator
+        entry = self._stages
+        if entry is None or entry[0] is not gen or entry[1] != dt:
+            entry = self._stages = (gen, dt, tuple(
+                bind_matvec(gen, dt / k) for k in (4, 3, 2, 1)))
+        return entry[2]
 
 
 def _track_count(model: LatticeModel, basis: LatticeBasis) -> np.ndarray:
@@ -402,14 +421,13 @@ def build_branch_hamiltonian(
     return BranchHamiltonian(basis=basis, matrix=matrix, hermitian_defect=defect)
 
 
-def _word_sums(basis: LatticeBasis, amplitudes: np.ndarray) -> np.ndarray:
-    """Sum a branch vector over words: one amplitude per configuration."""
-    return amplitudes.reshape(basis.n_configs, basis.n_words).sum(axis=1)
-
-
 def default_timestep(h: BranchHamiltonian) -> float:
     """Fixed RK4 step keeping every mode well inside the accuracy budget."""
-    return STEP_FACTOR / h.row_sum_norm
+    norm = h.row_sum_norm
+    if norm == 0.0:
+        raise ValueError("the generator is zero, so it sets no default "
+                         "dt: give dt")
+    return STEP_FACTOR / norm
 
 
 def evolve(
@@ -424,17 +442,19 @@ def evolve(
     polynomial of A = dt G, so it runs in Horner form,
     psi + A (psi + A/2 (psi + A/3 (psi + A/4 psi))): each stage seeds a
     buffer with psi and adds one scaled product from the shared CSR kernel
-    (``_csr``) onto it, the last one onto psi itself, in three buffers
-    allocated once per call. The amplitudes agree with the four-stage
-    expressions of plain RK4 to rounding. The caller's amplitudes are never
-    modified; ``steps = 0`` returns a copy. The clock adds ``dt`` once per
-    step, as ``fp_step`` does, so the time reached does not depend on how a
-    run is split into calls. A state whose size is not the generator's
-    raises ValueError before any product.
+    (``_csr``) onto it, the last one onto psi itself; ``h.stages`` binds
+    the four once per (generator, dt), not once per call. The amplitudes
+    agree with the four-stage expressions of plain RK4 to rounding. The
+    caller's amplitudes are never modified; ``steps = 0`` returns a copy.
+    The clock adds ``dt`` once per step, as ``fp_step`` does, so the time
+    reached does not depend on how a run is split into calls. A state whose
+    size is not the generator's raises ValueError before any product.
 
     The watchdog tracks the norm of the reconstructed standard state, which
-    the exact dynamics conserves; a drift beyond 1e-6, or one that is not
-    finite, raises DivergenceError naming the offending step.
+    the exact dynamics conserves: each step sums the words into one buffer
+    w and takes |w| as one real dot of w's float view. A drift beyond 1e-6,
+    or one that is not finite, raises DivergenceError naming the offending
+    step.
     """
     if dt is None:
         dt = default_timestep(h)
@@ -443,12 +463,14 @@ def evolve(
     size, dim = state.amplitudes.size, h.generator.shape[1]
     if size != dim:
         raise ValueError(f"state of size {size}, generator of size {dim}")
-    # A/4, A/3, A/2 and A, bound per call so a replaced generator is used
-    quarter, third, half, whole = (bind_matvec(h.generator, dt / k)
-                                   for k in (4, 3, 2, 1))
+    quarter, third, half, whole = h.stages(dt)
+    basis = state.basis
     psi = state.amplitudes.copy()
     a, b = np.empty_like(psi), np.empty_like(psi)
-    ref = np.linalg.norm(_word_sums(state.basis, psi))
+    words = psi.reshape(basis.n_configs, basis.n_words)
+    w = np.add.reduce(words, axis=1)
+    re_im = w.view(np.float64)  # |w|^2 as one real dot
+    ref = math.sqrt(re_im.dot(re_im))
     time = state.time
     for n in range(steps):
         a[...] = psi
@@ -458,21 +480,21 @@ def evolve(
         a[...] = psi
         half(b, a)
         whole(a, psi)
-        # np.linalg.norm's own formula for a complex vector
-        w = _word_sums(state.basis, psi)
-        drift = abs(math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag)) - ref)
+        np.add.reduce(words, axis=1, out=w)
+        drift = abs(math.sqrt(re_im.dot(re_im)) - ref)
         if not drift <= NORM_DRIFT_LIMIT:
             raise DivergenceError(
                 f"reconstructed norm drifted by {drift:.3e} at step {n + 1} "
                 f"(dt={dt:.3e}); reduce the step"
             )
         time += dt
-    return BranchState(state.basis, psi, time)
+    return BranchState(basis, psi, time)
 
 
 def reconstruct_standard(state: BranchState) -> np.ndarray:
     """Sum the branch amplitudes over words, one amplitude per configuration."""
-    return _word_sums(state.basis, state.amplitudes)
+    basis = state.basis
+    return state.amplitudes.reshape(basis.n_configs, basis.n_words).sum(axis=1)
 
 
 def le_occupation(state: BranchState, r):
@@ -493,8 +515,7 @@ def le_occupation(state: BranchState, r):
     if total == 0.0:
         raise ValueError("state has zero norm")
     per_word = w2.reshape(basis.n_configs, basis.n_words).sum(axis=0)
-    occ = [float(per_word @ (basis.word_digits == i).sum(axis=1).astype(float)
-                 / total) for i in indices]
+    occ = [float(per_word @ basis.letter_counts[i] / total) for i in indices]
     return occ[0] if single else occ
 
 
