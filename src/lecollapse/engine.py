@@ -385,15 +385,15 @@ def _cell_means(f, p, grid: Grid, lam: float):
 
     ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K); returns
     f_cells of shape (runs, K, cells) and f0_cells of shape (runs, cells),
-    with f0 = 1 - sum_k p_k f_k averaged per cell and clipped to [0, 1].
-    This is the only place the slip rates and the Fokker-Planck overlaps
-    get their cell means from.
+    with f0 = 1 - sum_k p_k f_k averaged per cell and clamped to [0, 1] in
+    place (np.clip's bytes: 1 - x is never -0.0). The slip rates and the
+    Fokker-Planck overlaps get their cell means only from here.
     """
     f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
-    return (
-        cell_averages(f, grid, lam),
-        np.clip(cell_averages(f0, grid, lam), 0.0, 1.0),
-    )
+    f_cells, f0_cells = cell_averages(f, grid, lam), cell_averages(f0, grid, lam)
+    np.maximum(f0_cells, 0.0, out=f0_cells)
+    np.minimum(f0_cells, 1.0, out=f0_cells)
+    return f_cells, f0_cells
 
 
 def _field_step(f, p, rate: float, row):
@@ -419,7 +419,8 @@ def _field_step(f, p, rate: float, row):
 
     new_f = _laplacian(f, f0[:, None], rate, rows, np.empty(f.shape))
     frozen = p == 0.0
-    new_f[frozen] = f[frozen]
+    if frozen.any():
+        new_f[frozen] = f[frozen]
     return new_f
 
 
@@ -465,7 +466,7 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     slip_counts = np.zeros(n_runs, dtype=np.int64)
     if setup.advance_fields:
         f = np.broadcast_to(base[None], (n_runs,) + base.shape).copy()
-        rate, row = setup.dt / kin.tau, bind_matvec(
+        rate, row = np.array(setup.dt / kin.tau), bind_matvec(
             step_operator(grid, kin, setup.dt))
         mult = 1
     else:
@@ -495,7 +496,9 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
             block = 1
         else:
             block = min(block_max, setup.max_steps - step)
-        mu = np.where((p == 0.0)[:, :, None], 0.0, mu_base)
+        live = live or _live_channels(p)  # none absorbed: mu_base as it is
+        mu = (mu_base if setup.advance_fields and live[2] == p.size
+              else np.where((p == 0.0)[:, :, None], 0.0, mu_base))
         # the rare-event threshold applies per cell, not per merged group
         if not warned and (mu > 0.1 * mult).any():
             warnings.warn(

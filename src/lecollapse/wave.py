@@ -56,6 +56,9 @@ class SeedingError(ValueError):
 
 MAX_CELLS = 2**20
 
+_ONE = np.array(1.0)  # a ufunc takes a 0-d array faster than a float
+_ONE.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class KineticParams:
@@ -253,21 +256,22 @@ def step_operator(
 
 
 def reaction_diffusion(g, partner, rate: float, matvec, out):
-    """One explicit field step: out = clamp(rate g partner + (I + c L) g).
+    """One explicit field step: out = min(rate g partner + (I + c L) g, 1).
 
     ``partner``, the fraction g grows into, broadcasts against g and may
     be ``out`` itself; ``matvec(g, out)`` adds (I + c L) g into out, as the
-    CSR kernel bound to ``step_operator`` does for one field. Under the
-    step bound the scheme is monotone, so the clamp to [0, 1] only removes
-    rounding residue. A constant row of I + c L sums to exactly the
-    constant, so a field of 0 stays 0 and one of 1 with a nonnegative
-    partner stays 1.
+    CSR kernel bound to ``step_operator`` does for one field. ``rate`` is
+    dt / tau. Both callers keep dt within ``monotone_limit`` (1 + 1e-12),
+    below ``cfl_limit`` for any spacing above 1e-6 lam, so every entry of
+    I + c L is >= 0. With g in [0, 1] and a partner >= 0 so is every
+    product and sum, and only rounding above 1 needs a clamp. A constant
+    row of I + c L sums to exactly the constant, so a field of 0 stays 0
+    and one of 1 with a nonnegative partner stays 1.
     """
     np.multiply(g, partner, out=out)
     np.multiply(rate, out, out=out)
     matvec(g, out)
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, 1.0, out=out)
+    np.minimum(out, _ONE, out=out)
     return out
 
 
@@ -283,7 +287,8 @@ def kpp_step(
     Walls are no-flux. Each step is ``reaction_diffusion`` with partner
     1 - g and the cached ``step_operator``, so f = 0 and f = 1 are exact
     fixed points. The step bound, diffusion CFL tightened by the reaction
-    rate 1/tau, is checked once per call. One call with ``steps = n``
+    rate 1/tau, is checked once per call, and so is the field: a value
+    outside [0, 1], or NaN, raises ValueError. One call with ``steps = n``
     equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
     copy. The caller's array is never modified.
     """
@@ -300,11 +305,13 @@ def kpp_step(
     f = np.asarray(f, dtype=np.float64)
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
+    if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN fails both
+        raise ValueError("field values must lie in [0, 1]")
     matvec = bind_matvec(step_operator(grid, params, dt))
-    rate = dt / params.tau
+    rate = np.array(dt / params.tau)
     g, y = f.ravel().copy(), np.empty(f.size)
     for _ in range(steps):
-        np.subtract(1.0, g, out=y)
+        np.subtract(_ONE, g, out=y)
         reaction_diffusion(g, y, rate, matvec, y)
         g, y = y, g
     return g.reshape(f.shape)
@@ -374,17 +381,19 @@ def cell_averages(values: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
     ``values`` may carry leading batch axes; the trailing axes must match
     grid.shape. The result replaces those trailing axes with the flattened
     cell grid (row-major), matching the cell indices used by slip sampling.
-    The block shape is validated once per (grid, lam) and then cached.
+    The block shape is validated once per (grid, lam) and then cached. Each
+    fine axis is summed, then divided in place by its length, as
+    ``ndarray.mean`` does: the bytes of one ``mean`` per axis.
     """
     blocks, cells = _cell_blocks(grid, lam)
     lead = values.shape[: values.ndim - grid.dims]
     if values.shape[values.ndim - grid.dims:] != grid.shape:
         raise ValueError("trailing axes must match the grid shape")
-    # average the fine axis paired with each cell axis, innermost first so
-    # the earlier axis numbers stay valid
+    # innermost first, so the earlier axis numbers stay valid
     mean = values.reshape(lead + blocks)
     for k in range(grid.dims - 1, -1, -1):
-        mean = mean.mean(axis=len(lead) + 2 * k + 1)
+        mean = np.add.reduce(mean, axis=len(lead) + 2 * k + 1)
+        np.true_divide(mean, blocks[2 * k + 1], out=mean)
     return mean.reshape(lead + (cells,))
 
 
@@ -406,6 +415,25 @@ def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
     return f[tuple(idx)]
 
 
+def _crossing(prof: np.ndarray, x: np.ndarray, level: float) -> float:
+    """Outermost downward crossing of ``level`` in ``prof``, at cells x."""
+    above = prof >= level
+    # no pair after the last cell at or above the level can cross, so that
+    # cell starts the outermost crossing unless it is the last cell or the
+    # next one is NaN; only then does every pair need scanning
+    i = above.size - 1 - int(above[::-1].argmax())
+    if not (above[i] and i + 1 < prof.size and level > prof[i + 1]):
+        down = np.flatnonzero(above[:-1] & (level > prof[1:]))
+        if down.size == 0:
+            what = ("profile saturated above" if above.all() else
+                    "profile everywhere below" if (prof < level).all() else
+                    "no downward crossing of")
+            raise FrontUndefinedError(f"{what} level {level}")
+        i = down[-1]
+    frac = (prof[i] - level) / (prof[i] - prof[i + 1])
+    return float(x[i] + frac * (x[i + 1] - x[i]))
+
+
 def front_position(
     f: np.ndarray,
     grid: Grid,
@@ -422,22 +450,7 @@ def front_position(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    above = prof >= level
-    # no pair after the last cell at or above the level can cross, so that
-    # cell starts the outermost crossing unless it is the last cell or the
-    # next one is NaN; only then does every pair need scanning
-    i = above.size - 1 - int(above[::-1].argmax())
-    if not (above[i] and i + 1 < prof.size and level > prof[i + 1]):
-        down = np.flatnonzero(above[:-1] & (level > prof[1:]))
-        if down.size == 0:
-            what = ("profile saturated above" if above.all() else
-                    "profile everywhere below" if (prof < level).all() else
-                    "no downward crossing of")
-            raise FrontUndefinedError(f"{what} level {level}")
-        i = down[-1]
-    x = grid.axis_coords(axis)
-    frac = (prof[i] - level) / (prof[i] - prof[i + 1])
-    return float(x[i] + frac * (x[i + 1] - x[i]))
+    return _crossing(prof, grid.axis_coords(axis), level)
 
 
 def front_width(
@@ -448,12 +461,16 @@ def front_width(
     axis: int = 0,
     through=None,
 ) -> float:
-    """Distance between the outer ``lo`` and ``hi`` level crossings."""
+    """Distance between the outer ``lo`` and ``hi`` level crossings.
+
+    Both come from one profile: abs(front_position(f, grid, lo, ...) -
+    front_position(f, grid, hi, ...)) bit for bit, errors included.
+    """
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("need 0 < lo < hi < 1")
-    x_lo = front_position(f, grid, lo, axis, through)
-    x_hi = front_position(f, grid, hi, axis, through)
-    return abs(x_lo - x_hi)
+    prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
+    x = grid.axis_coords(axis)
+    return abs(_crossing(prof, x, lo) - _crossing(prof, x, hi))
 
 
 @dataclass(frozen=True)

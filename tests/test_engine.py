@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lecollapse.engine as engine
 from lecollapse.engine import (
@@ -268,6 +271,43 @@ def test_slip_step_rows_sum_to_exactly_zero():
         assert np.allclose(delta, unclosed, rtol=0, atol=1e-15)
         assert (q[p == 0.0] == 0.0).all() and (q >= 0.0).all()
         assert np.allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@st.composite
+def _slip_cases(draw):
+    """(p, g, floor): rows on the simplex with zeros, kicks of any scale."""
+    rows, k = draw(st.integers(1, 4)), draw(st.integers(2, 7))
+    weight = st.sampled_from([0.0, 1e-13, 1.0]) | st.floats(0.0, 1.0)
+    w = draw(arrays(np.float64, (rows, k), elements=weight))
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    scale = 10.0 ** draw(st.floats(-12.0, 1.0))
+    g = scale * draw(arrays(np.float64, (rows, k), elements=st.floats(-1, 1)))
+    floor = draw(st.floats(1e-12, 0.1, exclude_min=True, exclude_max=True))
+    return w / w.sum(axis=1, keepdims=True), g, floor
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_slip_cases())
+# no kick leaves a live channel exactly at the floor
+@example(case=(np.array([[0.05, 0.95]]), np.zeros((1, 2)), 0.05))
+def test_slip_step_keeps_rows_zero_sum_and_on_the_simplex(case):
+    p, g, floor = case
+    before = p.copy()
+    q, delta = _slip_step(p, g, floor)
+    assert p.tobytes() == before.tobytes()
+    assert (delta.sum(axis=1) == 0.0).all()
+    dead, live = p == 0.0, p > 0.0
+    assert (q[dead] == 0.0).all() and (delta[dead] == 0.0).all()
+    assert (q >= 0.0).all()
+    # delta is the increment before absorption: at or below the floor a
+    # live channel ends at 0, above it it stays live
+    raw = p + delta
+    assert (q[live & (raw <= floor)] == 0.0).all()
+    assert (q[live & (raw > floor)] > 0.0).all()
+    # the input's sum, q's rounding and a renormalization each take a
+    # fraction of an ulp per channel; a row stays within K ulps of 1
+    k = p.shape[1]
+    assert (np.abs(q.sum(axis=1) - 1.0) <= k * np.finfo(float).eps).all()
 
 
 def test_no_events_is_the_identity():

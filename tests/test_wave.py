@@ -268,15 +268,39 @@ def test_axis_coords_are_built_once_and_read_only():
         x[0] = 1.0
 
 
+# the largest step kpp_step and CollapseSetup accept, as a fraction of the
+# monotone bound: the step has no lower clamp, so the bound must hold there
+_AT_BOUND = 1.0 + 1e-12
+_SHAPES = [(64,), (16, 4), (4, 4, 4)]
+_RAGGED = np.resize([0.0, 1.0, 0.5, 1e-300, 0.999], 64)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    f=arrays(np.float64, 32, elements=st.floats(0.0, 1.0)),
+    f=arrays(np.float64, 64, elements=st.floats(0.0, 1.0)),
     frac=st.floats(0.1, 1.0),
+    shape=st.sampled_from(_SHAPES),
 )
-def test_step_preserves_bounds(f, frac):
-    g = Grid(extent=(8.0,), spacing=0.25)
-    out = kpp_step(f, g, UNIT, frac * g.monotone_limit(UNIT))
+@example(f=_RAGGED, frac=_AT_BOUND, shape=_SHAPES[0])
+@example(f=_RAGGED, frac=_AT_BOUND, shape=_SHAPES[1])
+@example(f=_RAGGED, frac=_AT_BOUND, shape=_SHAPES[2])
+def test_step_preserves_bounds(f, frac, shape):
+    g = Grid(extent=tuple(0.25 * n for n in shape), spacing=0.25)
+    out = kpp_step(f.reshape(shape), g, UNIT, frac * g.monotone_limit(UNIT))
     assert (out >= 0.0).all() and (out <= 1.0).all()
+
+
+def test_step_refuses_a_field_outside_the_unit_interval():
+    # the step has no lower clamp, so it must not start from a negative
+    # cell, and NaN would pass through every step
+    g = Grid(extent=(8.0,), spacing=0.25)
+    dt = g.monotone_limit(UNIT)
+    for bad in (-1e-300, 1.0 + 2**-52, np.nan, -np.inf):
+        f = seed_field(g, (0.0, 2.0))
+        f[5] = bad
+        for steps in (0, 1):
+            with pytest.raises(ValueError, match=r"field values .* \[0, 1\]"):
+                kpp_step(f, g, UNIT, dt, steps)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -399,6 +423,29 @@ def test_front_width_on_a_linear_ramp():
     assert front_width(f, g, 0.1, 0.9) == pytest.approx(1.6, abs=1e-9)
 
 
+_LEVELS = st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(prof=arrays(np.float64, 32, elements=_CELLS), lo=_LEVELS, hi=_LEVELS)
+# the fallback scan: NaN after the last cell above a level, a profile
+# ending above it; then each level undefined in turn, and both
+@example(prof=np.r_[np.ones(4), np.nan, np.zeros(27)], lo=0.1, hi=0.9)
+@example(prof=np.r_[np.ones(4), np.zeros(27), 1.0], lo=0.1, hi=0.9)
+@example(prof=np.r_[np.full(16, 0.5), np.zeros(16)], lo=0.1, hi=0.9)
+@example(prof=np.r_[np.full(16, 0.95), np.full(16, 0.5)], lo=0.1, hi=0.9)
+@example(prof=np.zeros(32), lo=0.1, hi=0.9)
+def test_front_width_is_the_distance_of_two_front_positions(prof, lo, hi):
+    g = Grid(extent=(8.0,), spacing=0.25)
+    if not lo < hi:
+        with pytest.raises(ValueError, match="lo < hi"):
+            front_width(prof, g, lo, hi)
+        return
+    _same_front(lambda: front_width(prof, g, lo, hi),
+                lambda: abs(front_position(prof, g, lo)
+                            - front_position(prof, g, hi)))
+
+
 def test_front_speed_fit_recovers_a_line():
     t = np.linspace(0.0, 50.0, 200)
     x = 0.7 * t + 3.0
@@ -498,8 +545,19 @@ def _coupled_batches(draw, channels=st.integers(1, 4)):
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+def _at_bound(shape):
+    """A batch on a grid of ``shape`` at the largest step CollapseSetup takes."""
+    grid = Grid(tuple(0.25 * n for n in shape), 0.25)
+    f = np.resize(_RAGGED, (2, 3) + shape)
+    p = np.array([[0.2, 0.3, 0.5], [0.0, 1e-300, 1.0]])
+    return grid, f, p, _AT_BOUND * grid.monotone_limit(UNIT)
+
+
 @_PROPERTY
 @given(case=_coupled_batches())
+@example(case=_at_bound((5,)))
+@example(case=_at_bound((4, 5)))
+@example(case=_at_bound((4, 4, 4)))
 def test_field_step_stays_in_the_unit_interval(case):
     out = _production_step(*case)
     assert ((out >= 0.0) & (out <= 1.0)).all()
@@ -542,6 +600,32 @@ def test_one_channel_at_p_one_steps_as_kpp_step(case):
     out = _production_step(grid, f, np.ones((len(f), 1)), dt)
     for run, field in zip(out, f):
         assert run[0].tobytes() == kpp_step(field[0], grid, UNIT, dt).tobytes()
+
+
+def _mean_chain(values, grid, lam):
+    """Reference: ``ndarray.mean`` over each fine axis, innermost first."""
+    per = round(lam / grid.spacing)
+    lead = values.shape[: values.ndim - grid.dims]
+    blocks = sum(((n, per) for n in cell_counts(grid, lam)), ())
+    mean = values.reshape(lead + blocks)
+    for k in reversed(range(grid.dims)):
+        mean = mean.mean(axis=len(lead) + 2 * k + 1)
+    return mean.reshape(lead + (-1,))
+
+
+@pytest.mark.parametrize("counts", [(5,), (2, 3), (2, 4, 2)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("per", [2, 3, 4])
+def test_cell_averages_equal_the_mean_chain_bit_for_bit(counts, lead, per):
+    # values spanning several binades round differently per summation
+    # order, so one division by the block volume does not give these bytes
+    spacing = 0.25
+    g = Grid(tuple(n * per * spacing for n in counts), spacing)
+    rng = np.random.default_rng([per, len(lead), len(counts)])
+    vals = rng.uniform(size=lead + g.shape) * 10.0 ** rng.integers(
+        -3, 3, lead + g.shape)
+    got = cell_averages(vals, g, per * spacing)
+    assert got.tobytes() == _mean_chain(vals, g, per * spacing).tobytes()
 
 
 def test_cell_averages_match_manual_blocks():
