@@ -35,7 +35,7 @@ from lecollapse.fokker_planck import (
     fp_step,
     stable_step,
 )
-from lecollapse.wave import Grid, KineticParams, ScalarFieldSet
+from lecollapse.wave import Grid, KineticParams
 
 # aggregated-slip regime is intentional here, as in the other demos
 warnings.filterwarnings("ignore", category=SmallNumbersWarning)
@@ -49,9 +49,7 @@ def main():
 
     box = Grid((16.0,), 0.25)
     p0 = (0.3, 0.7)
-    fields = ScalarFieldSet(box, np.full((2,) + box.shape, 0.4),
-                            np.array(p0))
-    summary = field_summary(fields, params)
+    summary = field_summary(box, np.full((2,) + box.shape, 0.4), p0, params)
 
     grid = SimplexGrid(channels=2, resolution=100)
     density = FPDensity.near_delta(grid, p0)

@@ -9,10 +9,12 @@ Every mode has its own key table with defaults, so ``mode = collapse`` on
 its own is already a complete runnable config. Validation happens wholly
 at load time, and each check lives in one place. The domain constructors
 (KineticParams, SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel
-and the like) own every check on a single value: load_config builds the
-mode's objects once, turns their ValueErrors into ConfigErrors and keeps
-the objects on the config as ``setup``, which the run then uses as they
-are, so nothing is constructed twice or fails construction mid-run. This
+and the like) own every check on a single value. load_config builds every
+object and operator the mode's run needs once: exact's generator with its
+dt and step count, the wave step operator, the Fokker-Planck scheme. It
+turns their ValueErrors into ConfigErrors and keeps the objects on the
+config as ``setup``; the run only steps and writes, so nothing is
+constructed twice or fails construction mid-run. This
 module owns what no constructor sees: the key tables and per-channel key
 names, defaults and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3),
 the range of each key only the run loops read (checked by that key's
@@ -28,13 +30,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from lecollapse import exact
 from lecollapse.engine import CollapseSetup, SlipParams
-from lecollapse.exact import (
-    STEP_FACTOR,
-    LatticeModel,
-    check_basis_size,
-    row_sum_bound,
-)
 from lecollapse.fokker_planck import (
     FPDensity,
     SimplexGrid,
@@ -42,8 +39,7 @@ from lecollapse.fokker_planck import (
     fp_scheme,
     stable_step,
 )
-from lecollapse.wave import Grid, KineticParams, ScalarFieldSet, seed_field
-from lecollapse.wave import step_operator
+from lecollapse.wave import Grid, KineticParams, seed_field, step_operator
 
 import numpy as np
 
@@ -633,8 +629,14 @@ def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
     return kin, grid
 
 
-def _lattice_model(p: dict) -> LatticeModel:
-    model = LatticeModel(
+def _exact_setup(p: dict):
+    """(branch generator, dt, step count) for exact.
+
+    The default dt is STEP_FACTOR over the generator's own row-sum norm,
+    so the step cap sees the steps the run takes. The build goes through
+    the module attribute, where the benchmark's tracer counts it.
+    """
+    h = exact.build_branch_hamiltonian(exact.LatticeModel(
         sites=p["sites"],
         atoms=p["atoms"],
         channels=p["channels"],
@@ -644,16 +646,10 @@ def _lattice_model(p: dict) -> LatticeModel:
         a_tracks=tuple(p[f"track_{k}"] for k in range(1, p["channels"] + 1)),
         bosonic=p["bosonic"],
         cross_channel_coupling=p["cross_channel_coupling"],
-    )
-    check_basis_size(model)  # the run's LatticeBasis would refuse it
-    # the default dt, STEP_FACTOR over the generator's row-sum norm, needs
-    # the generator; its bound gives at least as many steps
-    bound = row_sum_bound(model)
-    if p["dt"] is None and bound == 0.0:
-        raise ValueError("the generator is zero, so it sets no default "
-                         "dt: give dt")
-    _check_steps(p["t_final"], p["dt"] or STEP_FACTOR / bound)
-    return model
+    ))
+    dt = p["dt"] if p["dt"] is not None else exact.default_timestep(h)
+    _check_steps(p["t_final"], dt)
+    return h, dt, max(1, math.ceil(p["t_final"] / dt))
 
 
 def _wave_setup(p: dict):
@@ -662,6 +658,7 @@ def _wave_setup(p: dict):
     f = seed_field(grid, _box_pairs(p["seed_region"]), inside=p["inside"])
     dt = p["dt_fraction"] * grid.monotone_limit(kin)
     _check_steps(p["t_final"], dt)
+    step_operator(grid, kin, dt)  # built here; kpp_step finds it cached
     return kin, grid, f, dt, max(1, math.ceil(p["t_final"] / dt))
 
 
@@ -713,8 +710,7 @@ def _simplex_start(p: dict, channels: int, grid: Grid, slips: SlipParams):
     """
     sgrid = SimplexGrid(channels=channels, resolution=p["resolution"])
     f = np.full((channels,) + grid.shape, float(p["f_init"]))
-    summary = field_summary(ScalarFieldSet(grid, f, np.eye(channels)[0]),
-                            slips)
+    summary = field_summary(grid, f, np.eye(channels)[0], slips)
     return sgrid, summary, stable_step(sgrid, summary, slips)
 
 
@@ -761,7 +757,7 @@ def _compare_setup(p: dict):
 _SEED_REGIONS = (re.compile(r"seed_region_\d+"), _list(_float))
 _MODES = {
     "exact": (_EXACT_KEYS, (re.compile(r"track_\d+"), _list(_int)),
-              _exact_rules, _lattice_model),
+              _exact_rules, _exact_setup),
     "wave": (_WAVE_KEYS, None, _wave_rules, _wave_setup),
     "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
                  _collapse_setup),

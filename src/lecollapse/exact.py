@@ -34,8 +34,6 @@ __all__ = [
     "DivergenceError",
     "UndefinedProbabilityError",
     "LatticeModel",
-    "check_basis_size",
-    "row_sum_bound",
     "LatticeBasis",
     "BranchState",
     "BranchHamiltonian",
@@ -138,44 +136,21 @@ def _digit_table(n_values: int, width: int) -> np.ndarray:
     return digits
 
 
-def check_basis_size(
-    model: LatticeModel, cap: int = DEFAULT_BASIS_CAP
-) -> None:
-    """Raise BasisSizeError if the model's branch basis would exceed ``cap``."""
-    if model.basis_size > cap:
-        raise BasisSizeError(
-            f"basis size {model.basis_size} (sites^atoms * "
-            f"(channels+1)^atoms) exceeds the cap {cap}"
-        )
-
-
-def row_sum_bound(model: LatticeModel) -> float:
-    """Upper bound on the branch generator's row-sum norm, from parameters.
-
-    A row of H holds at most two hops per atom, a diagonal of at most u
-    per atom and track plus v per atom pair, one 0 -> k track transition
-    per atom and two contact transitions per pair. A term with nothing to
-    act on (one site, no track site, one atom) counts 0, so the bound is 0
-    exactly when H is. STEP_FACTOR over it is at most ``default_timestep``
-    without building H.
-    """
-    n = model.atoms
-    tracks = sum(1 for t in model.a_tracks if t)
-    hops = 2 * n * abs(model.hop_amplitude) if model.sites > 1 else 0.0
-    track = n * (tracks + 1) * abs(model.u_strength) if tracks else 0.0
-    return hops + track + 3 * (n * (n - 1) // 2) * abs(model.v_strength)
-
-
 class LatticeBasis:
     """Product basis of atom configurations times le words.
 
     A configuration lists the N atom sites, a word the N le indices; the
     flat index is config_index * n_words + word_index with the first atom's
-    digit slowest in both factors.
+    digit slowest in both factors. A basis larger than ``cap`` raises
+    BasisSizeError before any table is built.
     """
 
     def __init__(self, model: LatticeModel, cap: int = DEFAULT_BASIS_CAP):
-        check_basis_size(model, cap)
+        if model.basis_size > cap:
+            raise BasisSizeError(
+                f"basis size {model.basis_size} (sites^atoms * "
+                f"(channels+1)^atoms) exceeds the cap {cap}"
+            )
         self.model = model
         n = model.atoms
         self.config_digits = _digit_table(model.sites, n)

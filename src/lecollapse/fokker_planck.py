@@ -33,7 +33,7 @@ import numpy as np
 
 from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams, _cell_means, probability_vector
-from lecollapse.wave import ScalarFieldSet, StabilityError
+from lecollapse.wave import Grid, StabilityError
 
 __all__ = [
     "ComparisonError",
@@ -85,14 +85,23 @@ class FieldSummary:
         return self.overlap.size
 
 
-def field_summary(fields: ScalarFieldSet, params: SlipParams) -> FieldSummary:
-    """Reduce a field configuration to its overlap integrals.
+def field_summary(grid: Grid, f, p_ref, params: SlipParams) -> FieldSummary:
+    """Reduce one field per channel to its overlap integrals.
 
-    The cell means are the engine's (``_cell_means``), so the overlaps
-    see exactly the cells the slip rates see.
+    f has shape (channels,) + grid.shape with every value in [0, 1], up
+    to 1e-12 of rounding; p_ref is the channel probability vector that
+    forms the unentangled fraction f0 = 1 - sum_k p_k f_k. The cell means
+    are the engine's (``_cell_means``), so the overlaps see exactly the
+    cells the slip rates see.
     """
-    f_cells, f0_cells = _cell_means(fields.f[None], fields.p_ref[None],
-                                    fields.grid, params.lam)
+    f = np.asarray(f, dtype=np.float64)
+    p_ref = probability_vector(p_ref, "p_ref")
+    if f.shape != p_ref.shape + grid.shape:
+        raise ValueError(f"fields must have shape ({p_ref.size},) + "
+                         f"{grid.shape}, got {f.shape}")
+    if not ((f >= -1e-12) & (f <= 1.0 + 1e-12)).all():  # NaN fails too
+        raise ValueError("field values must lie in [0, 1]")
+    f_cells, f0_cells = _cell_means(f[None], p_ref[None], grid, params.lam)
     return FieldSummary(
         params.n_c * (f_cells[0] * f0_cells[0][None, :]).sum(axis=1)
     )

@@ -28,7 +28,6 @@ __all__ = [
     "SeedingError",
     "KineticParams",
     "Grid",
-    "ScalarFieldSet",
     "seed_field",
     "step_operator",
     "reaction_diffusion",
@@ -315,37 +314,6 @@ def kpp_step(
         reaction_diffusion(g, y, rate, matvec, y)
         g, y = y, g
     return g.reshape(f.shape)
-
-
-@dataclass
-class ScalarFieldSet:
-    """One field per channel plus the reference channel probabilities.
-
-    f has shape (channels,) + grid.shape and every value lies in [0, 1];
-    p_ref is the channel probability vector used to form the unentangled
-    fraction f0 = 1 - sum_k p_k f_k. It is a validated snapshot of a field
-    configuration, which ``fokker_planck.field_summary`` reduces to overlap
-    integrals; trajectories evolve raw arrays in ``engine`` instead.
-    """
-
-    grid: Grid
-    f: np.ndarray
-    p_ref: np.ndarray
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=np.float64)
-        self.p_ref = np.asarray(self.p_ref, dtype=np.float64)
-        if self.f.ndim != self.grid.dims + 1 or self.f.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"fields must have shape (channels,) + {self.grid.shape}"
-            )
-        if self.p_ref.shape != (self.f.shape[0],):
-            raise ValueError("need one reference probability per channel")
-        if not ((self.p_ref >= 0).all()
-                and abs(self.p_ref.sum() - 1.0) <= 1e-9):
-            raise ValueError("p_ref must be a probability vector")
-        if not ((self.f >= -1e-12) & (self.f <= 1.0 + 1e-12)).all():
-            raise ValueError("field values must lie in [0, 1]")
 
 
 def cell_counts(grid: Grid, lam: float) -> tuple[int, ...]:

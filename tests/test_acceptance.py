@@ -52,7 +52,6 @@ from lecollapse.runner import run_experiment
 from lecollapse.wave import (
     Grid,
     KineticParams,
-    ScalarFieldSet,
     front_position,
     front_speed,
     front_width,
@@ -369,7 +368,7 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     t0 = time.perf_counter()
     grid = Grid((8.0,), 0.25)
     p = np.array([0.5, 0.5])
-    fields = ScalarFieldSet(grid, np.full((2,) + grid.shape, 0.4), p)
+    f = np.full((2,) + grid.shape, 0.4)
     base = SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0)
     params = dataclasses.replace(
         base, rate_calibration=variance_matched_rate_scale(base, 2)
@@ -377,7 +376,7 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     dt = 1.2e-5
     n = 1_000_000
     chunk = 50_000
-    f_cells, f0_cells = _cell_means(fields.f[None], p[None], grid, params.lam)
+    f_cells, f0_cells = _cell_means(f[None], p[None], grid, params.lam)
     mu, amp, _ = _grouped_rates(f_cells[0], f0_cells[0], params, dt)
     mu = np.broadcast_to(mu, (chunk,) + mu.shape)
     rows = np.tile(p, (chunk, 1))
@@ -398,7 +397,7 @@ def test_criterion_06_microstep_moments_match_theory(capsys):
     # per-step moments: dt times the diffusion matrix with face-value pair
     # sums, the combination the closed form displays
     cov_th = dt * diffusion_coefficients(
-        p, field_summary(fields, params), params, pair_combination="sum"
+        p, field_summary(grid, f, p, params), params, pair_combination="sum"
     )
     var_th = np.diag(cov_th)
     rel = np.abs(var_mc - var_th) / var_th
@@ -485,10 +484,8 @@ def test_criterion_09_diffusion_keeps_interior_while_slips_absorb(capsys):
     rc = variance_matched_rate_scale(base, 2)
     params = dataclasses.replace(base, rate_calibration=rc, absorb_floor=1e-5)
     setup = desk_setup((0.3, 0.7), rc, extent=16.0)
-    fields = ScalarFieldSet(
-        setup.grid, setup.initial_fields(), np.array(setup.p0)
-    )
-    summary = field_summary(fields, params)
+    summary = field_summary(setup.grid, setup.initial_fields(), setup.p0,
+                            params)
     grid = SimplexGrid(channels=2, resolution=100)
     density = FPDensity.near_delta(grid, (0.3, 0.7))
     dt_fp = 0.5 * stable_step(grid, summary, params)

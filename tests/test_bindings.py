@@ -7,6 +7,7 @@ renames one of these would otherwise surface only as a crashed or
 silently untraced ``--trace 1`` run, or as a failing star import.
 """
 
+import ast
 import importlib
 import json
 import math
@@ -28,6 +29,25 @@ from lecollapse.wave import Grid, KineticParams  # noqa: E402
 
 MODULES = ("cli", "config", "engine", "exact", "fokker_planck", "plotting",
            "runner", "wave")
+PACKAGE = ROOT / "src" / "lecollapse"
+
+
+def unused_imports(source: str, keep=frozenset()) -> list[str]:
+    """Names a module imports and never reads, except those in ``keep``.
+
+    One pass over the whole module: a name imported inside a function
+    counts as used if any code in the module reads it.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(set(imported) - read - keep)
 
 
 @pytest.mark.parametrize("module,attr", sorted({(m, a) for m, a, *_ in PATCHES}
@@ -122,3 +142,24 @@ def test_traced_wave_steps_once_per_record_interval(tmp_path):
     assert n_steps % 7  # the last chunk is a short one
     names = [s.name for s in tracer.spans]
     assert names.count("wave.kpp_step") == math.ceil(n_steps / 7)
+
+
+# __init__.py imports only to re-export, so it is left out
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_every_imported_name_is_used(path):
+    # a binding the tracer patches may be imported only to be patched
+    module = f"lecollapse.{path.removesuffix('.py')}"
+    traced = frozenset(a for m, a, *_ in PATCHES if m == module)
+    source = (PACKAGE / path).read_text(encoding="utf-8")
+    assert unused_imports(source, traced) == []
+
+
+def test_unused_import_check_finds_a_leftover():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\nimport os.path\n"
+              "from math import ceil, floor\n"
+              "def f():\n    from scipy import sparse\n"
+              "    return np.zeros(ceil(1.5)), os.sep\n")
+    assert unused_imports(source) == ["floor", "sparse"]
+    assert unused_imports(source, frozenset({"floor"})) == ["sparse"]

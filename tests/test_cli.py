@@ -1,6 +1,7 @@
 """Command-line behaviour: flags, messages and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lecollapse.config import MAX_STEPS, load_config
 from lecollapse.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -189,6 +191,25 @@ def test_step_count_overflow_exits_2(tmp_path, capsys):
 def test_step_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, key):
     err = config_error(tmp_path, capsys, mode, text)
     assert key in err and "1000000" in err
+
+
+def test_the_exact_cap_counts_the_steps_of_the_dt_the_run_uses(tmp_path,
+                                                               capsys):
+    # the default dt comes from the built generator, so exactly MAX_STEPS
+    # of the dt a run writes to its summary loads, and one float more of
+    # t_final does not
+    short = tmp_path / "short.cfg"
+    short.write_text("t_final = 0.01\n")
+    rc = main(["exact", "--config", str(short), "--out", str(tmp_path / "r")])
+    assert rc == EXIT_SUCCESS
+    dt = json.loads((tmp_path / "r" / "summary.json").read_text())["dt"]
+    t_final = MAX_STEPS * dt
+    assert t_final / dt == MAX_STEPS
+    edge = load_config(overrides={"mode": "exact", "t_final": repr(t_final)})
+    assert edge.setup[2] == MAX_STEPS
+    over = math.nextafter(t_final, math.inf)
+    err = config_error(tmp_path, capsys, "exact", f"t_final = {over!r}\n")
+    assert f"t_final = {over!r}" in err and f"dt = {dt!r}" in err
 
 
 def test_snapshot_counts_past_the_cap_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from lecollapse.engine import (
     variance_matched_rate_scale,
 )
 from lecollapse.fokker_planck import diffusion_coefficients, field_summary
-from lecollapse.wave import Grid, KineticParams, ScalarFieldSet
+from lecollapse.wave import Grid, KineticParams
 
 
 def desk_params(**kw):
@@ -44,11 +45,14 @@ def desk_params(**kw):
     return SlipParams(**kw)
 
 
+# field_summary's first three arguments, in its order
+Fields = namedtuple("Fields", "grid f p_ref")
+
+
 def uniform_fields(p_ref, level=0.4, extent=8.0, spacing=0.25):
     grid = Grid(extent=(extent,), spacing=spacing)
     p_ref = np.asarray(p_ref, dtype=float)
-    f = np.full((p_ref.size,) + grid.shape, level)
-    return ScalarFieldSet(grid, f, p_ref)
+    return Fields(grid, np.full((p_ref.size,) + grid.shape, level), p_ref)
 
 
 # --- slip deltas ---
@@ -119,8 +123,10 @@ NON_FINITE = {
     "p0=nan,1": lambda: frozen_setup(p0=(NAN, 1.0)),
     "max_steps=nan": lambda: frozen_setup(max_steps=NAN),
     "record_every=nan": lambda: frozen_setup(record_every=NAN),
-    "p_ref=nan,1": lambda: uniform_fields((NAN, 1.0)),
-    "f=nan": lambda: uniform_fields((0.5, 0.5), level=NAN),
+    "p_ref=nan,1": lambda: field_summary(*uniform_fields((NAN, 1.0)),
+                                         desk_params()),
+    "f=nan": lambda: field_summary(*uniform_fields((0.5, 0.5), level=NAN),
+                                   desk_params()),
 }
 
 
@@ -325,7 +331,7 @@ def test_no_events_is_the_identity():
 
 def step_moments(p, fields, params, dt):
     """Per-step covariance of the increments, face-value pair sums."""
-    return dt * diffusion_coefficients(p, field_summary(fields, params),
+    return dt * diffusion_coefficients(p, field_summary(*fields, params),
                                        params, pair_combination="sum")
 
 
@@ -342,7 +348,7 @@ def test_step_moments_against_a_hand_sum():
     expect_cov = -0.4 * 0.3 * 0.7 * dt * (s + s) / 100.0**2
     assert abs(cov[0, 1] - expect_cov) < 1e-15
     cov_mean = dt * diffusion_coefficients(
-        (0.3, 0.7), field_summary(fields, params), params)
+        (0.3, 0.7), field_summary(*fields, params), params)
     assert abs(cov_mean[0, 1] - expect_cov / 2) < 1e-15
 
 

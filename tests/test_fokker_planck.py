@@ -31,7 +31,6 @@ from lecollapse.fokker_planck import _generator, _reduced_coefficients, _scheme
 from lecollapse.wave import (
     Grid,
     KineticParams,
-    ScalarFieldSet,
     StabilityError,
     kpp_step,
 )
@@ -69,10 +68,32 @@ def reduced_form(m):
 def test_field_summary_matches_the_hand_sum():
     params = desk_params()
     grid = Grid(extent=(8.0,), spacing=0.25)
-    fields = ScalarFieldSet(grid, np.full((2,) + grid.shape, 0.4),
-                            np.array([0.5, 0.5]))
-    s = field_summary(fields, params)
+    s = field_summary(grid, np.full((2,) + grid.shape, 0.4), (0.5, 0.5),
+                      params)
     assert np.allclose(s.overlap, 100.0 * 8 * 0.4 * 0.6, rtol=1e-14)
+
+
+@pytest.mark.parametrize("f,p_ref,match", [
+    (np.full((3, 32), 0.4), (0.5, 0.5), "shape"),
+    (np.full((2, 31), 0.4), (0.5, 0.5), "shape"),
+    (np.full((2, 32), 0.4), (0.5, 0.6), "sum to 1"),
+    (np.full((2, 32), 0.4), (1.5, -0.5), "nonnegative"),
+    (np.full((2, 32), 1.0 + 2e-12), (0.5, 0.5), r"\[0, 1\]"),
+    (np.full((2, 32), -2e-12), (0.5, 0.5), r"\[0, 1\]"),
+], ids=["channels", "cells", "p_ref-sum", "p_ref-negative", "f-above-1",
+        "f-below-0"])
+def test_field_summary_refuses_what_is_not_a_field_set(f, p_ref, match):
+    # the NaN cases sit in test_engine.py's NON_FINITE table
+    grid = Grid(extent=(8.0,), spacing=0.25)
+    with pytest.raises(ValueError, match=match):
+        field_summary(grid, f, p_ref, desk_params())
+
+
+def test_field_summary_admits_rounding_at_the_field_bounds():
+    grid = Grid(extent=(8.0,), spacing=0.25)
+    f = np.full((2,) + grid.shape, 1.0 + 1e-12)
+    s = field_summary(grid, f, (0.5, 0.5), desk_params())
+    assert not s.overlap.any()  # f0 clamps to 0 on a saturated field
 
 
 def test_coefficients_vanish_at_the_vertices():

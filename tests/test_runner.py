@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lecollapse.exact as exact
+import lecollapse.fokker_planck as fokker_planck
 import lecollapse.runner as runner
+import lecollapse.wave as wave
 from lecollapse.config import load_config
 from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
 from lecollapse.runner import format_csv, run_experiment
@@ -360,6 +363,38 @@ def test_one_loaded_config_runs_twice_to_the_same_bytes(tmp_path, mode,
     assert again.setup is cfg.setup
     first, second = run_experiment(cfg), run_experiment(again)
     assert first.outputs and first.outputs == second.outputs
+
+
+SEEDED = {"seed_region_1": "0,2", "seed_region_2": "30,32"}
+
+
+@pytest.mark.parametrize("mode,overrides", [
+    ("exact", {}),
+    ("wave", {}),
+    ("collapse", {}),
+    ("collapse", SEEDED),
+    ("fp", {}),
+    ("sweep", {}),
+    ("sweep", SEEDED),
+    ("compare", {}),
+], ids=["exact", "wave", "collapse", "collapse-seeded", "fp", "sweep",
+        "sweep-seeded", "compare"])
+def test_the_run_builds_no_operator(tmp_path, monkeypatch, mode, overrides):
+    # loading builds every operator a run needs; the run steps and writes
+    wave._step_operator.cache_clear()
+    fokker_planck._scheme.cache_clear()
+    cfg = load_config(overrides={"mode": mode, "out": str(tmp_path),
+                                 **overrides})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run built a branch generator")
+
+    monkeypatch.setattr(exact, "build_branch_hamiltonian", refuse)
+    monkeypatch.setattr(runner, "build_branch_hamiltonian", refuse)
+    caches = (wave._step_operator, fokker_planck._scheme)
+    misses = [c.cache_info().misses for c in caches]
+    run_experiment(cfg)
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def test_different_seed_changes_the_payload(tmp_path):
