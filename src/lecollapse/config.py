@@ -9,17 +9,18 @@ Every mode has its own key table with defaults, so ``mode = collapse`` on
 its own is already a complete runnable config. Validation happens wholly
 at load time, and each check lives in one place. The domain constructors
 (KineticParams, SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel
-and the like) own every check on a single value. load_config builds every
-object and operator the mode's run needs once: exact's generator with its
-dt and step count, the wave step operator, the Fokker-Planck scheme. It
-turns their ValueErrors into ConfigErrors and keeps the objects on the
-config as ``setup``; the run only steps and writes, so nothing is
-constructed twice or fails construction mid-run. This
-module owns what no constructor sees: the key tables and per-channel key
-names, defaults and derived values (D = lam^2/(6*tau), N_c = n_a*lam^3),
-the range of each key only the run loops read (checked by that key's
-parser, so the error names the line and key), and each mode's cross-field
-rules.
+and the like) own every check on a single value; CollapseSetup, for one,
+caps the channels at engine.MAX_CHANNELS. A key's parser checks the range
+of a key only the run loops read, so the error names the line and key.
+Each mode has one builder, which first checks the rules that relate two
+or more keys and then builds every object and operator the run needs,
+once: exact's generator with its dt and step count, the wave step
+operator, the Fokker-Planck scheme. load_config turns the constructors'
+ValueErrors into ConfigErrors and keeps the objects on the config as
+``setup``; the run only steps and writes, so nothing is constructed twice
+or fails construction mid-run. Derived values (D = lam^2/(6*tau),
+N_c = n_a*lam^3) are never keys: the builder copies them from
+KineticParams and SlipParams into the canonical text.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ MAX_RUNS = 10**5
 # The most density snapshots an fp run may write, each a CSV of up to half
 # a million cells: twenty times the 5 of the largest test run.
 MAX_SNAPSHOTS = 100
-# The slip step closes a row of K channels to an exact zero sum only for
-# K < 8 (engine._slip_step).
-MAX_CHANNELS = 7
 
 
 class ConfigError(ValueError):
@@ -179,14 +177,12 @@ class _Key:
 _KINETIC = {
     "lam": _Key(_float, 1.0),
     "tau": _Key(_float, 1.0),
-    "d_coeff": _Key(_float, None),
 }
 
 _SLIPS = {
     **_KINETIC,
     "w": _Key(_float, 0.4),
     "n_a": _Key(_float, 100.0),
-    "n_c": _Key(_float, None),
     "rate_calibration": _Key(_float, 1.0),
     "absorb_floor": _Key(_float, 1e-9),
 }
@@ -227,10 +223,7 @@ _COLLAPSE_KEYS = {
     "absorb_floor": _Key(_float, 1e-5),
     "extent": _Key(_list(_float), (32.0,)),
     "spacing": _Key(_float, 0.25),
-    "p0": _Key(_checked(_list(_float), lambda p: len(p) <= MAX_CHANNELS,
-                        f"must hold at most {MAX_CHANNELS} channels: the "
-                        "slip step closes rows exactly only for K < 8"),
-               (0.3, 0.7)),
+    "p0": _Key(_list(_float), (0.3, 0.7)),
     "dt": _Key(_float, 0.04),
     "max_steps": _Key(_steps, 20000),
     "f_init": _Key(_float, None),
@@ -353,7 +346,7 @@ def _canonical(mode, seeds, formats, params) -> str:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Load, override, validate, derive, and build the mode's objects.
+    """Load, override, validate, and build the mode's objects.
 
     Any failure is a ConfigError. The objects land on the returned
     config's ``setup``, and the run uses them as they are.
@@ -440,7 +433,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{traj_loc}: trajectory: {exc}") from None
 
-    table, per_channel, rules, build = _MODES[mode]
+    table, per_channel, build = _MODES[mode]
     params: dict = {}
     for key, (value, loc) in entries.items():
         if key in table:
@@ -459,13 +452,12 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     if trajectory:
         params["record_every"] = max(1, params["record_every"])
 
-    if rules is not None:
-        rules(params)
     try:
         setup = build(params)
+    except ConfigError:
+        raise
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid {mode} parameters: {exc}") from None
-    _derive(params)
     return ExperimentConfig(
         mode=mode,
         seeds=seeds,
@@ -477,35 +469,20 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     )
 
 
-# ----------------------------------------------------------- mode rules
+# -------------------------------------------------------------- builders
 #
-# Only what neither a constructor nor a key's own parser sees lives here:
-# per-channel key names, defaults that depend on other keys, and the rules
-# that relate two or more keys.
+# One per mode. Each takes the mode's parsed params, first checks the
+# rules that relate two or more keys (raising ConfigError, which
+# load_config passes on as it is) and then builds the run's objects,
+# whose constructors raise ValueError on a bad value; load_config turns
+# that into a ConfigError and stores the result on ExperimentConfig.setup.
+# A builder writes the defaults that depend on other keys, and the
+# derived d_coeff and n_c, back into params, so they are in the canonical
+# text; no derived value is a key.
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _derive(params: dict) -> None:
-    """Fill in D = lam^2/(6*tau) and N_c = n_a*lam^3; check a given D.
-
-    Runs after the load-time build, so lam and tau are known positive.
-    """
-    if "lam" not in params:
-        return
-    derived = params["lam"] ** 2 / (6.0 * params["tau"])
-    given = params["d_coeff"]
-    if given is not None:
-        if abs(given - derived) > 1e-9 * max(abs(given), derived):
-            raise ConfigError(
-                f"d_coeff = {given} is inconsistent with lam and tau: "
-                f"D = lam^2/(6*tau) gives {derived}"
-            )
-    params["d_coeff"] = derived
-    if "n_a" in params:
-        params["n_c"] = params["n_a"] * params["lam"] ** 3
 
 
 def _numbered_keys(params: dict, prefix: str) -> list[str]:
@@ -516,17 +493,19 @@ def _numbered_keys(params: dict, prefix: str) -> list[str]:
     )
 
 
-def _check_box(key: str, box: tuple, extent: tuple) -> None:
+def _box_pairs(key: str, box: tuple, extent: tuple) -> tuple:
+    """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box."""
     # pairing the numbers per axis would silently drop an unpaired one
     if len(box) != 2 * len(extent):
         raise ConfigError(
             f"{key} needs {2 * len(extent)} numbers "
             f"(lo,hi per extent axis), got {len(box)}"
         )
+    return tuple(zip(box[0::2], box[1::2]))
 
 
-def _check_regions(params: dict) -> None:
-    """Seed-region bookkeeping for the collapse-style modes.
+def _check_regions(params: dict) -> tuple | None:
+    """Seed-region bookkeeping for collapse and sweep; the seed boxes.
 
     With neither seed regions nor f_init given the run falls back to a
     uniform f_init = 0.4 background; CollapseSetup rejects both together.
@@ -534,6 +513,7 @@ def _check_regions(params: dict) -> None:
     uniform background stays frozen. Letting growth run on a uniform
     background would saturate f at 1 in a few tau, drive f0 to zero and
     freeze the walk mid-flight, so that combination must be opted into.
+    Returns one box of (lo, hi) pairs per channel, or None.
     """
     channels = len(params["p0"])
     region_keys = _numbered_keys(params, "seed_region")
@@ -542,75 +522,24 @@ def _check_regions(params: dict) -> None:
     if params["advance_fields"] is None:
         params["advance_fields"] = bool(region_keys)
     if not region_keys:
-        return
+        return None
     expected = [f"seed_region_{k}" for k in range(1, channels + 1)]
     if region_keys != expected:
         raise ConfigError(
             f"need exactly seed_region_1..seed_region_{channels}, "
             f"got {', '.join(region_keys)}"
         )
-    extent = params["extent"]
+    extent, regions = params["extent"], []
     for key in region_keys:
-        box = params[key]
-        _check_box(key, box, extent)
-        for axis, (lo, hi) in enumerate(_box_pairs(box)):
+        regions.append(_box_pairs(key, params[key], extent))
+        for axis, (lo, hi) in enumerate(regions[-1]):
             if not (0.0 <= lo and hi <= extent[axis]):
                 raise ConfigError(
                     f"{key}: interval ({lo}, {hi}) does not fit in "
                     f"axis {axis} extent {extent[axis]}"
                 )
+    return tuple(regions)
 
-
-def _exact_rules(params: dict) -> None:
-    track_keys = _numbered_keys(params, "track")
-    expected = [f"track_{k}" for k in range(1, params["channels"] + 1)]
-    if not track_keys and params["channels"] == 1:
-        params["track_1"] = (0,)
-    elif track_keys != expected:
-        raise ConfigError(
-            f"need exactly track_1..track_{params['channels']}, "
-            f"got {', '.join(track_keys) or 'none'}"
-        )
-    if params["cell"] is not None:
-        for s in params["cell"]:
-            _require(0 <= s < params["sites"],
-                     f"cell site {s} outside 0..{params['sites'] - 1}")
-
-
-def _wave_rules(params: dict) -> None:
-    _check_box("seed_region", params["seed_region"], params["extent"])
-
-
-def _fp_rules(params: dict) -> None:
-    every = params["snapshot_every"]
-    if every:
-        count = params["n_steps"] // every
-        _require(count <= MAX_SNAPSHOTS,
-                 f"snapshot_every = {every} writes {count} density "
-                 f"snapshots over {params['n_steps']} steps, more than the "
-                 f"{MAX_SNAPSHOTS} an fp run may write")
-
-
-def _compare_rules(params: dict) -> None:
-    if _numbered_keys(params, "seed_region"):
-        raise ConfigError(
-            "compare requires the uniform f_init background, "
-            "not seed regions"
-        )
-    if params["advance_fields"]:
-        raise ConfigError(
-            "compare requires advance_fields = false: the diffusion "
-            "solver assumes the frozen uniform background"
-        )
-    _require(params["t_final"] >= params["dt"],
-             "t_final must cover at least one step")
-
-
-# -------------------------------------------------------------- builders
-#
-# Each takes the mode's params after its rules and before _derive, and
-# raises ValueError on a bad value; load_config turns that into a
-# ConfigError and stores the result on ExperimentConfig.setup.
 
 def _check_steps(t_final: float, dt: float) -> None:
     """Reject a t_final that takes more than MAX_STEPS steps of dt."""
@@ -622,10 +551,11 @@ def _check_steps(t_final: float, dt: float) -> None:
 
 
 def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
-    """The kinetic scales and a grid that resolves them."""
+    """The kinetic scales and a grid that resolves them; writes d_coeff."""
     kin = KineticParams(lam=params["lam"], tau=params["tau"])
     grid = Grid(extent=params["extent"], spacing=params["spacing"])
     grid.check_resolution(kin)
+    params["d_coeff"] = kin.d_coeff
     return kin, grid
 
 
@@ -636,6 +566,18 @@ def _exact_setup(p: dict):
     so the step cap sees the steps the run takes. The build goes through
     the module attribute, where the benchmark's tracer counts it.
     """
+    track_keys = _numbered_keys(p, "track")
+    expected = [f"track_{k}" for k in range(1, p["channels"] + 1)]
+    if not track_keys and p["channels"] == 1:
+        p["track_1"] = (0,)
+    elif track_keys != expected:
+        raise ConfigError(
+            f"need exactly track_1..track_{p['channels']}, "
+            f"got {', '.join(track_keys) or 'none'}"
+        )
+    for s in p["cell"] or ():
+        _require(0 <= s < p["sites"],
+                 f"cell site {s} outside 0..{p['sites'] - 1}")
     h = exact.build_branch_hamiltonian(exact.LatticeModel(
         sites=p["sites"],
         atoms=p["atoms"],
@@ -654,35 +596,32 @@ def _exact_setup(p: dict):
 
 def _wave_setup(p: dict):
     """(KineticParams, Grid, initial field, dt, step count) for wave."""
+    box = _box_pairs("seed_region", p["seed_region"], p["extent"])
     kin, grid = _kinetics_grid(p)
-    f = seed_field(grid, _box_pairs(p["seed_region"]), inside=p["inside"])
+    f = seed_field(grid, box, inside=p["inside"])
     dt = p["dt_fraction"] * grid.monotone_limit(kin)
     _check_steps(p["t_final"], dt)
     step_operator(grid, kin, dt)  # built here; kpp_step finds it cached
     return kin, grid, f, dt, max(1, math.ceil(p["t_final"] / dt))
 
 
-def _box_pairs(box: tuple) -> tuple:
-    """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box."""
-    return tuple(zip(box[0::2], box[1::2]))
-
-
 def _slip_params(params: dict) -> SlipParams:
-    return SlipParams(
+    """The slip parameters; writes their derived n_c into params."""
+    slips = SlipParams(
         w=params["w"],
         tau=params["tau"],
         lam=params["lam"],
         n_a=params["n_a"],
-        n_c=params["n_c"],
         rate_calibration=params["rate_calibration"],
         absorb_floor=params["absorb_floor"],
     )
+    params["n_c"] = slips.n_c
+    return slips
 
 
 def _collapse_setup(p: dict) -> CollapseSetup:
+    regions = _check_regions(p)
     kin, grid = _kinetics_grid(p)
-    regions = tuple(_box_pairs(p[k])
-                    for k in _numbered_keys(p, "seed_region")) or None
     setup = CollapseSetup(
         kinetics=kin,
         slips=_slip_params(p),
@@ -723,6 +662,13 @@ def _start_density(p: dict, scheme) -> FPDensity:
 
 def _fp_setup(p: dict):
     """(simplex grid, initial density, summary, scheme) for fp."""
+    every = p["snapshot_every"]
+    if every:
+        count = p["n_steps"] // every
+        _require(count <= MAX_SNAPSHOTS,
+                 f"snapshot_every = {every} writes {count} density "
+                 f"snapshots over {p['n_steps']} steps, more than the "
+                 f"{MAX_SNAPSHOTS} an fp run may write")
     _, grid = _kinetics_grid(p)
     slips = _slip_params(p)
     sgrid, summary, bound = _simplex_start(p, p["channels"], grid, slips)
@@ -738,7 +684,16 @@ def _compare_setup(p: dict):
     configured dt, the density in however many stability-bounded steps
     cover the interval exactly.
     """
+    _require(not _numbered_keys(p, "seed_region"), "compare requires the "
+             "uniform f_init background, not seed regions")
+    _require(not p["advance_fields"], "compare requires advance_fields = "
+             "false: the diffusion solver assumes the frozen uniform "
+             "background")
+    _require(p["t_final"] >= p["dt"], "t_final must cover at least one step")
+    # built from a copy (compare has no max_steps or record_every key), so
+    # the derived values are copied back into its canonical text
     setup = _collapse_setup({**p, "max_steps": 1, "record_every": 0})
+    p["d_coeff"], p["n_c"] = setup.kinetics.d_coeff, setup.slips.n_c
     # dt is known positive only once CollapseSetup has checked it
     _check_steps(p["t_final"], p["dt"])
     setup = replace(setup, max_steps=max(1, round(p["t_final"] / p["dt"])))
@@ -752,19 +707,15 @@ def _compare_setup(p: dict):
     return setup, scheme.grid, _start_density(p, scheme), scheme, n_fp
 
 
-# mode: (key table, per-channel key pattern and its parser, cross-field
-# rules, builder)
+# mode: (key table, per-channel key pattern and its parser, builder)
 _SEED_REGIONS = (re.compile(r"seed_region_\d+"), _list(_float))
 _MODES = {
     "exact": (_EXACT_KEYS, (re.compile(r"track_\d+"), _list(_int)),
-              _exact_rules, _exact_setup),
-    "wave": (_WAVE_KEYS, None, _wave_rules, _wave_setup),
-    "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
-                 _collapse_setup),
-    "fp": (_FP_KEYS, None, _fp_rules, _fp_setup),
-    "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _check_regions,
-              _collapse_setup),
-    "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_rules,
-                _compare_setup),
+              _exact_setup),
+    "wave": (_WAVE_KEYS, None, _wave_setup),
+    "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _collapse_setup),
+    "fp": (_FP_KEYS, None, _fp_setup),
+    "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _collapse_setup),
+    "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_setup),
 }
 MODES = tuple(_MODES)

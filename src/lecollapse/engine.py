@@ -6,9 +6,12 @@ slip moves the channel probabilities by a zero-sum delta of order
 W f_j f_0 / (2 N_c); slips arrive as rare Poisson events per sampling cell,
 channel and sign, with equal rates for the two signs so that means cancel
 while second moments add. The resulting random walk is a martingale on the
-simplex and, because the jumps are finite, it reaches the boundary in
-finite time: one channel ends at probability 1 with frequency equal to its
-initial probability, which is the Born rule.
+simplex. When it reaches the boundary, one channel ends at probability 1
+with frequency equal to its initial probability, which is the Born rule.
+Reaching it is not assured: the slip rates scale with the unentangled
+fraction f0, and with advancing fields f0 -> 0 as the fronts fill the
+box, so a run can stall for good with p inside the simplex and time out
+(189 of 200 seeded two-channel runs at rate_calibration 500 did).
 
 The per-collision slip rate is not fixed by first principles beyond the
 amplitude; ``rate_calibration`` scales it, and
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from lecollapse.wave import seed_field, step_operator
 
 __all__ = [
     "W_CEILING",
+    "MAX_CHANNELS",
     "DegenerateStateError",
     "AggregationError",
     "SmallNumbersWarning",
@@ -53,6 +57,9 @@ __all__ = [
 
 # largest incoherence strength in the random-matrix limit
 W_CEILING = 4.0 / (3.0 * np.pi)
+# the slip step closes a row to an exact zero sum only for K < 8
+# (_slip_step), so CollapseSetup and slip_delta refuse more channels
+MAX_CHANNELS = 7
 
 # a frozen background draws about _DRAW_BUDGET Poisson counts per shard
 # and call, in blocks of at most _BLOCK_MAX steps; an int seed splits its
@@ -84,6 +91,12 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_channels(k: int) -> None:
+    if k > MAX_CHANNELS:
+        raise ValueError(f"got {k} channels; the slip step takes at most "
+                         f"{MAX_CHANNELS} channels (exact zero sums need K < 8)")
+
+
 def probability_vector(p, name: str = "probabilities") -> np.ndarray:
     """Validate and return a channel probability vector as float64.
 
@@ -107,8 +120,8 @@ class SlipParams:
 
     w is the incoherence strength (bounded by 4/(3 pi) unless the ceiling
     is overridden), n_a the atom density, lam and tau the mean free path
-    and time. n_c, the atoms per coherent cell, is always stored as
-    n_a lam^3; passing it explicitly only cross-checks that relation.
+    and time. n_c, the atoms per coherent cell, is derived as n_a lam^3
+    and is not a constructor argument.
     rate_calibration scales the slip rate per cell (an order-of-magnitude
     knob, see the module docstring) and absorb_floor is the probability
     below which a channel is treated as reaching exactly zero: jumps are
@@ -121,7 +134,7 @@ class SlipParams:
     tau: float
     lam: float
     n_a: float
-    n_c: float | None = None
+    n_c: float = field(init=False)
     rate_calibration: float = 1.0
     absorb_floor: float = 1e-9
     w_ceiling: float = W_CEILING
@@ -135,14 +148,7 @@ class SlipParams:
                 f"w = {self.w} outside (0, {self.w_ceiling}]; the ceiling "
                 f"4/(3 pi) can be overridden via w_ceiling"
             )
-        derived = self.n_a * self.lam**3
-        given = self.n_c
-        if given is not None and not abs(given - derived) <= 1e-9 * derived:
-            raise ValueError(
-                f"inconsistent n_c: got {given}, but N_c = n_a*lam^3 "
-                f"= {derived}"
-            )
-        object.__setattr__(self, "n_c", derived)
+        object.__setattr__(self, "n_c", self.n_a * self.lam**3)
         if not self.n_c >= 1.0:
             raise ValueError(f"n_c = {self.n_c} must be at least 1")
         if not 0.0 < self.rate_calibration < math.inf:
@@ -157,10 +163,12 @@ def slip_delta(p, j: int, f_j: float, f_0: float, params: SlipParams,
 
     delta_j = sign * W p_j (1 - p_j) f_j f_0 / (2 N_c) and every other
     channel loses sign * W p_j p_k f_j f_0 / (2 N_c). This is the
-    trajectory update ``_slip_step`` for one slip: for K < 8 the components
-    sum to exactly 0.0, and channels at probability 0 stay untouched.
+    trajectory update ``_slip_step`` for one slip: the components sum to
+    exactly 0.0, and channels at probability 0 stay untouched. At most
+    MAX_CHANNELS channels.
     """
     p = probability_vector(p)
+    _check_channels(p.size)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not (0.0 <= f_j <= 1.0 and 0.0 <= f_0 <= 1.0):
@@ -237,9 +245,10 @@ def _slip_step(p, g, floor: float, live=None):
     ``g[r, j]`` is row r's net kick on channel j: signed slip counts times
     their per-slip kicks, summed over cells. delta = p * (g - sum_k g_k p_k)
     sums the single-slip transfers (``slip_delta``) at the incoming p.
-    Closed on its last live channel, a row of K < 8 sums to exactly 0.0,
-    but q = p + delta rounds: sum q is 1 only to about one unit roundoff
-    per step. Channels at 0 stay at 0; a live channel driven to or below
+    Closed on its last live channel, a row sums to exactly 0.0: numpy sums
+    rows of K < 8 left to right (callers keep K within MAX_CHANNELS). But
+    q = p + delta rounds: sum q is 1 only to about one unit roundoff per
+    step. Channels at 0 stay at 0; a live channel driven to or below
     ``floor`` becomes 0 and its row is renormalized (delta is the increment
     before that). ``live`` is ``_live_channels(p)``, which a caller can
     keep until a channel absorbs.
@@ -250,14 +259,7 @@ def _slip_step(p, g, floor: float, live=None):
     delta *= p
     closing = delta.reshape(-1)  # a view: delta is fresh and contiguous
     closing[last] = 0.0
-    # numpy sums rows shorter than 8 left to right, so one pass cancels
-    # them exactly; longer rows are summed pairwise and may need more
     closing[last] -= delta.sum(axis=1)
-    for _ in range(7 if p.shape[1] >= 8 else 0):
-        resid = delta.sum(axis=1)
-        if not resid.any():
-            break
-        closing[last] -= resid
     q = p + delta
     # fewer live channels above the floor than live ones: some absorbed
     if np.count_nonzero(q > floor) < n_live:
@@ -316,6 +318,7 @@ class CollapseSetup:
         p0 = probability_vector(self.p0, "p0")
         if p0.size < 2:
             raise ValueError("p0 needs at least two channels")
+        _check_channels(p0.size)
         object.__setattr__(self, "p0", tuple(float(x) for x in p0))
         if abs(self.kinetics.lam - self.slips.lam) > 1e-12 * self.kinetics.lam:
             raise ValueError("kinetics and slips disagree on lam")
@@ -612,7 +615,7 @@ def run_ensemble(
     equal field values share one draw, and a Poisson call per shard serves
     a block of up to 128 steps, set once per run by the shard width; the
     law of every trajectory is the same either way. Each step's increment
-    sums to exactly 0.0 for K < 8, but sum p is 1 only to rounding.
+    sums to exactly 0.0, but sum p is 1 only to rounding.
     ``checkpoint_steps`` asks for snapshots of p after the given steps
     (absorbed runs hold their last value). Every run records its
     trajectory if ``setup.record_every`` > 0.
@@ -709,11 +712,11 @@ def estimate_collapse_time(
     ``electron_cloud`` (a size Delta) applies the refinement factor
     lam / Delta for detectors sensitive at the electron-cloud scale.
     """
-    if l_system <= 0:
-        raise ValueError("l_system must be positive")
+    if not 0.0 < l_system < math.inf:
+        raise ValueError("l_system must be positive and finite")
     tau_c = params.tau * params.n_a * params.lam**5 / (l_system**2 * params.w)
     if electron_cloud is not None:
-        if electron_cloud <= 0:
-            raise ValueError("electron_cloud must be positive")
+        if not 0.0 < electron_cloud < math.inf:
+            raise ValueError("electron_cloud must be positive and finite")
         tau_c *= params.lam / electron_cloud
     return tau_c

@@ -212,7 +212,7 @@ class FPDensity:
         self.phi = np.asarray(self.phi, dtype=np.float64)
         if self.phi.shape != self.grid.shape:
             raise ValueError(f"phi must have shape {self.grid.shape}")
-        if np.count_nonzero(self.phi < 0):
+        if not (self.phi >= 0).all():  # NaN fails this too
             raise ValueError("density must be nonnegative")
         if self.grid.dims == 2 and np.count_nonzero(
                 self.phi[~self.grid.valid()]):
@@ -249,8 +249,8 @@ class FPDensity:
         p0 = probability_vector(p0, "p0")
         if p0.size != grid.channels:
             raise ValueError("p0 does not match the grid's channel count")
-        if width_cells <= 0:
-            raise ValueError("width_cells must be positive")
+        if not 0.0 < width_cells < np.inf:
+            raise ValueError("width_cells must be positive and finite")
         sigma = width_cells * grid.spacing
         x = grid.centers()
         if grid.dims == 1:

@@ -370,14 +370,16 @@ def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     if not 0 <= axis < grid.dims:
         raise ValueError(f"axis {axis} outside 0..{grid.dims - 1}")
-    if grid.dims == 1:
-        return f
-    idx: list = []
     others = [a for a in range(grid.dims) if a != axis]
     if through is None:
         through = tuple(grid.shape[a] // 2 for a in others)
-    for a in range(grid.dims):
-        idx.append(slice(None) if a == axis else 0)
+    elif len(through) != len(others) or not all(
+            0 <= pos < grid.shape[a] for pos, a in zip(through, others)):
+        raise ValueError(
+            f"through={tuple(through)} must give one index per axis other "
+            f"than {axis}, within {tuple(grid.shape[a] for a in others)}"
+        )
+    idx: list = [slice(None)] * grid.dims
     for pos, a in zip(through, others):
         idx[a] = int(pos)
     return f[tuple(idx)]
@@ -414,6 +416,8 @@ def front_position(
     The last neighbour pair with prof[i] >= level > prof[i + 1] is taken
     and the crossing linearly interpolated. Saturated and empty profiles,
     and those with no downward crossing, raise FrontUndefinedError.
+    ``through`` holds the line's index on every other axis, in axis order
+    (default: the middle cell of each).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")

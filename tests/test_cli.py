@@ -239,9 +239,23 @@ def test_run_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, flags,
 
 @pytest.mark.parametrize("mode", ["collapse", "sweep"])
 def test_eight_channels_exit_2(tmp_path, capsys, mode):
+    # CollapseSetup holds the cap, so the message is its ValueError's
     err = config_error(tmp_path, capsys, mode, "p0 = " + ",".join(
         ["0.125"] * 8) + "\n")
-    assert "config error: line 1: p0: must hold at most 7 channels" in err
+    assert f"config error: invalid {mode} parameters: got 8 channels" in err
+    assert "at most 7 channels" in err
+
+
+# each at the value every mode derives at its defaults
+DERIVED = {"d_coeff": "0.16666666666666666", "n_c": "100.0"}
+
+
+@pytest.mark.parametrize("key", DERIVED)
+@pytest.mark.parametrize("mode", ["wave", "collapse", "sweep", "fp",
+                                  "compare"])
+def test_derived_values_are_unknown_keys_exit_2(tmp_path, capsys, mode, key):
+    err = config_error(tmp_path, capsys, mode, f"{key} = {DERIVED[key]}\n")
+    assert f"config error: line 1: unknown key {key!r} for mode {mode}" in err
 
 
 @pytest.mark.parametrize("mode", ["collapse", "sweep"])

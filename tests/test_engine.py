@@ -112,7 +112,6 @@ NON_FINITE = {
     "tau=nan": lambda: desk_params(tau=NAN),
     "lam=nan": lambda: desk_params(lam=NAN),
     "n_a=nan": lambda: desk_params(n_a=NAN),
-    "n_c=nan": lambda: desk_params(n_c=NAN),
     "rate_calibration=nan": lambda: desk_params(rate_calibration=NAN),
     "rate_calibration=inf": lambda: desk_params(rate_calibration=np.inf),
     "tau=inf": lambda: desk_params(tau=np.inf),
@@ -141,20 +140,27 @@ def test_params_validation():
         desk_params(w=0.9)  # above the 4/(3 pi) ceiling
     desk_params(w=0.9, w_ceiling=1.0)
     with pytest.raises(ValueError):
-        desk_params(n_c=5.0)  # inconsistent with n_a * lam^3
-    assert desk_params(n_c=100.0).n_c == 100.0
-    with pytest.raises(ValueError):
         desk_params(n_a=0.1)  # n_c below one atom per cell
     assert 0.42 < W_CEILING < 0.425
 
 
-def test_a_given_n_c_is_stored_as_n_a_lam_cubed():
-    # a given n_c only cross-checks N_c = n_a lam^3; the value kept is the
-    # derived one, so a config's objects match whether n_c was given or not
+def test_n_c_is_derived_as_n_a_lam_cubed_and_never_given():
     n_a, lam = 100.0, 1.3
-    given = n_a * lam**3 * (1 + 1e-12)
-    assert given != n_a * lam**3
-    assert desk_params(lam=lam, n_c=given).n_c == n_a * lam**3
+    assert desk_params(n_a=n_a, lam=lam).n_c == n_a * lam**3
+    with pytest.raises(TypeError):
+        desk_params(n_c=n_a * lam**3)
+
+
+def test_eight_channels_are_refused():
+    # the slip step closes a row to an exact zero sum only for K < 8
+    assert engine.MAX_CHANNELS == 7
+    with pytest.raises(ValueError, match="at most 7 channels"):
+        frozen_setup(p0=(0.125,) * 8)
+    with pytest.raises(ValueError, match="at most 7 channels"):
+        slip_delta((0.125,) * 8, 0, 0.5, 0.5, desk_params(), 1)
+    seven = (1.0 / 7.0,) * 6 + (1.0 - 6.0 / 7.0,)
+    assert frozen_setup(p0=seven).channels == 7
+    assert slip_delta(seven, 0, 0.5, 0.5, desk_params(), 1).sum() == 0.0
 
 
 # --- slip counts ---
@@ -788,6 +794,15 @@ def test_collapse_time_unit_evaluation_and_scaling():
         estimate_collapse_time(params, 0.0)
     with pytest.raises(ValueError):
         estimate_collapse_time(params, 1.0, electron_cloud=-1.0)
+
+
+@pytest.mark.parametrize("bad", [NAN, np.inf], ids=["nan", "inf"])
+def test_collapse_time_rejects_non_finite_sizes(bad):
+    params = desk_params()
+    with pytest.raises(ValueError, match="l_system"):
+        estimate_collapse_time(params, bad)
+    with pytest.raises(ValueError, match="electron_cloud"):
+        estimate_collapse_time(params, 1.0, electron_cloud=bad)
 
 
 def test_probability_vector_guards():

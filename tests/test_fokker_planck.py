@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecollapse._csr import bind_matvec
 from lecollapse.engine import SlipParams
@@ -202,10 +204,19 @@ def test_near_delta_is_normalized_and_centered():
     assert not bump.phi[~tri.valid()].any()
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_near_delta_refuses_a_width_that_is_not_positive_and_finite(width):
+    grid = SimplexGrid(channels=2, resolution=100)
+    with pytest.raises(ValueError, match="width_cells"):
+        FPDensity.near_delta(grid, (0.3, 0.7), width_cells=width)
+
+
 def test_density_validation():
     grid = SimplexGrid(channels=2, resolution=10)
     with pytest.raises(ValueError):
         FPDensity(grid, -np.ones(10))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FPDensity(grid, np.full(10, np.nan))  # its mass would be NaN
     with pytest.raises(ValueError):
         FPDensity(grid, np.ones(12))
     tri = SimplexGrid(channels=3, resolution=8)
@@ -498,6 +509,45 @@ def test_steps_equal_single_calls_bit_for_bit(case):
     # the caller's density is left as it was
     assert start.time == 0.0 and start.clamped == 0.0
     assert np.array_equal(start.phi, FPDensity.near_delta(grid, p0).phi)
+
+
+@st.composite
+def _chunked_solves(draw):
+    """(grid, summary, p0, dt fraction, chunk lengths) of one solve."""
+    channels = draw(st.sampled_from((2, 3)))
+    grid = SimplexGrid(channels, draw(st.integers(4, 60)))
+    overlap = draw(st.lists(st.floats(1.0, 500.0), min_size=channels,
+                            max_size=channels))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0),
+                                     min_size=channels, max_size=channels)))
+    steps = draw(st.integers(1, 200))
+    cuts = sorted(draw(st.lists(st.integers(0, steps), min_size=1,
+                                max_size=6)))
+    chunks = np.diff([0, *cuts, steps])
+    return (grid, FieldSummary(np.array(overlap)), weights / weights.sum(),
+            draw(st.floats(0.01, 1.0)), chunks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_chunked_solves())
+def test_chunked_steps_equal_one_call_and_keep_a_valid_density(case):
+    grid, s, p0, fraction, chunks = case
+    params = desk_params()
+    scheme = fp_scheme(grid, s, params,
+                       fraction * stable_step(grid, s, params))
+    start = FPDensity.near_delta(grid, p0)
+    steps = int(chunks.sum())
+    whole = fp_step(start, scheme, steps=steps)
+    chunked = start
+    for n in chunks:
+        chunked = fp_step(chunked, scheme, steps=int(n))
+    assert chunked.phi.tobytes() == whole.phi.tobytes()
+    assert (chunked.time, chunked.clamped) == (whole.time, whole.clamped)
+    assert (whole.phi >= 0.0).all()
+    assert not whole.phi[~grid.valid()].any()
+    cells = np.count_nonzero(grid.valid())
+    eps = np.finfo(float).eps
+    assert abs(whole.mass - start.mass) <= steps * cells * eps
 
 
 def test_repaired_steps_leave_a_valid_density():

@@ -415,6 +415,27 @@ def test_front_position_along_a_line_of_a_2d_field():
                 lambda: _scan_front(f[:, 6], g.axis_coords(0), 0.5))
 
 
+@pytest.mark.parametrize("through", [(16,), (-1, 16), (16, 99), (99, 99),
+                                     (16, 16, 0)])
+def test_a_line_off_the_grid_or_short_of_an_axis_is_refused(through):
+    g = Grid(extent=(8.0, 8.0, 8.0), spacing=0.25)
+    f = np.zeros(g.shape)
+    f[:12] = 1.0
+    assert front_position(f, g, through=(16, 16)) == 3.0
+    with pytest.raises(ValueError, match="through"):
+        front_position(f, g, through=through)
+    with pytest.raises(ValueError, match="through"):
+        front_width(f, g, through=through)
+
+
+def test_a_1d_field_takes_no_line_index():
+    g = Grid(extent=(8.0,), spacing=0.25)
+    f = np.clip(2.0 - 0.5 * g.axis_coords(), 0.0, 1.0)
+    assert front_position(f, g, through=()) == front_position(f, g)
+    with pytest.raises(ValueError, match="through"):
+        front_position(f, g, through=(0,))
+
+
 def test_front_width_on_a_linear_ramp():
     g = Grid(extent=(8.0,), spacing=0.25)
     x = g.axis_coords()
