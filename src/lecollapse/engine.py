@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lecollapse._csr import bind_matvec
+from lecollapse._csr import bind_dia_matvec
 from lecollapse.wave import Grid, KineticParams, cell_averages, cell_counts
 # the benchmark tracer times the field step through this binding's name
 from lecollapse.wave import reaction_diffusion as _laplacian
@@ -399,13 +399,15 @@ def _cell_means(f, p, grid: Grid, lam: float):
     return f_cells, f0_cells
 
 
-def _field_step(f, p, rate: float, row):
+def _field_step(f, p, rate: float, stencil):
     """One explicit step of every run's coupled channel fields.
 
     ``f`` is (runs, K) + grid.shape and ``p`` is (runs, K); ``rate`` is
-    dt / tau and ``row`` the CSR kernel bound to the wave's
-    ``step_operator``, which steps one field. Each f_k diffuses and grows
-    at f_k f0 / tau into its run's unentangled fraction
+    dt / tau and ``stencil`` the DIA kernel bound to the wave's
+    ``step_operator`` for at least runs * K blocks (``bind_dia_matvec``),
+    so one kernel call steps every run and channel, each field with the
+    bytes of ``kpp_step``'s one-field call. Each f_k diffuses and grows at
+    f_k f0 / tau into its run's unentangled fraction
     f0 = 1 - sum_k p_k f_k, so channels compete for the same untouched
     atoms: ``wave.reaction_diffusion`` with partner f0, floored at 0 so
     that rounding in the sum cannot pull a saturated field below 1.
@@ -414,13 +416,7 @@ def _field_step(f, p, rate: float, row):
     """
     f0 = 1.0 - np.einsum("rk,rk...->r...", p, f)
     np.maximum(f0, 0.0, out=f0)
-    cells = math.prod(f.shape[2:])
-
-    def rows(g, out):  # out is fresh and contiguous: its rows are views
-        for x, y in zip(g.reshape(-1, cells), out.reshape(-1, cells)):
-            row(x, y)
-
-    new_f = _laplacian(f, f0[:, None], rate, rows, np.empty(f.shape))
+    new_f = _laplacian(f, f0[:, None], rate, stencil, np.empty(f.shape))
     frozen = p == 0.0
     if frozen.any():
         new_f[frozen] = f[frozen]
@@ -433,10 +429,10 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
 
     The runs form a row of shards, each on one stream (``run_ensemble``).
     Each step advances the fields (``_field_step`` on the wave's step
-    operator, bound once per call), works out the slip rates from their
-    cell means (``_cell_means``, ``_slip_rates``), draws per-cell Poisson
-    counts of both signs, one call per shard (``_draw_kicks``), and updates
-    p (``_slip_step``). On a frozen background the rates are worked out
+    operator, bound once per call for every run and channel), works out
+    the slip rates from their cell means (``_cell_means``,
+    ``_slip_rates``), draws per-cell Poisson counts of both signs, one
+    call per shard (``_draw_kicks``), and updates p (``_slip_step``). On a frozen background the rates are worked out
     once, cells with equal (f_cell, f0_cell) share one draw
     (``_grouped_rates``) and a call draws a block of B steps:
     ``_DRAW_BUDGET`` over the counts a full shard takes per step, at most
@@ -469,8 +465,8 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     slip_counts = np.zeros(n_runs, dtype=np.int64)
     if setup.advance_fields:
         f = np.broadcast_to(base[None], (n_runs,) + base.shape).copy()
-        rate, row = np.array(setup.dt / kin.tau), bind_matvec(
-            step_operator(grid, kin, setup.dt))
+        rate, stencil = np.array(setup.dt / kin.tau), bind_dia_matvec(
+            step_operator(grid, kin, setup.dt), p.size)
         mult = 1
     else:
         f_cells, f0_cells = _cell_means(base[None], p[:1], grid, slips.lam)
@@ -493,7 +489,7 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
     step = 0
     while step < setup.max_steps and p.shape[0]:
         if setup.advance_fields:
-            f = _field_step(f, p, rate, row)
+            f = _field_step(f, p, rate, stencil)
             f_cells, f0_cells = _cell_means(f, p, grid, slips.lam)
             mu_base, amp = _slip_rates(f_cells, f0_cells, slips, setup.dt)
             block = 1

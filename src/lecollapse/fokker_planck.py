@@ -75,8 +75,10 @@ class FieldSummary:
     def __post_init__(self):
         # a read-only copy: fp_scheme keys its cache on these bytes
         arr = np.array(self.overlap, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1 or (arr < 0).any():
-            raise ValueError("overlap must be a nonnegative 1d vector")
+        # NaN fails both comparisons; its NaN step bound would pass any dt
+        if arr.ndim != 1 or arr.size < 1 or not (
+                (arr >= 0) & (arr < np.inf)).all():
+            raise ValueError("overlap must be a finite, nonnegative 1d vector")
         arr.setflags(write=False)
         object.__setattr__(self, "overlap", arr)
 

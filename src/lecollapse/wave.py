@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lecollapse._csr import bind_matvec
+from lecollapse._csr import bind_dia_matvec
 
 __all__ = [
     "StabilityError",
@@ -200,56 +200,56 @@ def seed_field(grid: Grid, region, inside: float = 1.0) -> np.ndarray:
 
 
 # a run steps with one (shape, c); at MAX_CELLS in 3d one operator holds
-# about 92 MB, so the cache keeps only two
+# about 59 MB (seven diagonals of 8 MiB), so the cache keeps only two
 @functools.lru_cache(maxsize=2)
-def _step_operator(shape: tuple[int, ...], c: float) -> sparse.csr_array:
-    """One diffusion step I + c L as a read-only CSR matrix, c = D dt / h^2.
+def _step_operator(shape: tuple[int, ...], c: float) -> sparse.dia_array:
+    """One diffusion step I + c L as a read-only DIA array, c = D dt / h^2.
 
     L is the second difference with zero-gradient walls (edge
     replication): a wall cell lacks the neighbour beyond the wall and its
     diagonal the matching -1, so rows of L sum to zero. Cells are in
-    row-major order. Each row holds c per neighbour, by ascending column,
-    then its diagonal 1 - s, s being those c summed as the kernel adds
-    them: a constant row sums to exactly the constant, so f = 0 and f = 1
-    stay fixed. The CSR arrays are written straight from per-axis
-    neighbour masks, so a build needs little memory beyond the operator.
+    row-major order. The diagonals are stored in the order the kernel
+    adds them into each row: the neighbours below by falling stride, those
+    above by rising stride, which is ascending column, then the main
+    diagonal 1 - s, s being the row's c summed in that order. A wall
+    neighbour is an explicit 0, which adds +0.0 to a sum that is >= +0, so
+    a constant row sums to exactly the constant and f = 0 and f = 1 stay
+    fixed. An axis of one cell has no neighbours and stores no diagonal.
     """
     from scipy import sparse
 
-    n, dims = math.prod(shape), len(shape)
-    below, above = [], []  # (has the neighbour, its column offset)
-    for axis, m in enumerate(shape):
-        stride = math.prod(shape[axis + 1:])
-        at = np.arange(m).reshape([-1 if a == axis else 1 for a in range(dims)])
-        below.append((np.broadcast_to(at > 0, shape).ravel(), -stride))
-        above.append((np.broadcast_to(at < m - 1, shape).ravel(), stride))
-    # neighbour columns ascend: below by falling stride, above by rising
-    kinds = below + above[::-1]
+    n = math.prod(shape)
+    axes = [(axis, m) for axis, m in enumerate(shape) if m > 1]
+    data = np.zeros((2 * len(axes) + 1, n))
+    # a grid holds at most MAX_CELLS cells, so int32 offsets always fit
+    offsets = np.zeros(len(data), dtype=np.int32)
     count = np.zeros(n, dtype=np.int8)
-    for has, _ in kinds:
-        count += has
-    # a grid holds at most MAX_CELLS cells, so int32 indices always fit
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(count + 1, dtype=np.int32, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.full(indptr[-1], c)
-    slot = indptr[:-1].copy()  # each row's next free entry
-    for has, offset in kinds:
-        rows = np.flatnonzero(has)
-        indices[slot[rows]] = rows + offset
-        slot[rows] += 1
-    indices[slot] = np.arange(n)
-    sums = np.concatenate(([0.0], np.cumsum(np.full(len(kinds), c))))
-    data[slot] = 1.0 - sums[count]
-    op = sparse.csr_array((data, indices, indptr), shape=(n, n))
-    for a in (op.data, op.indices, op.indptr):
+    for i, (axis, m) in enumerate(axes):
+        at = np.arange(m).reshape([-1 if a == axis else 1
+                                   for a in range(len(shape))])
+        up = np.broadcast_to(at < m - 1, shape).ravel()
+        down = np.broadcast_to(at > 0, shape).ravel()
+        # column j of offset -stride holds row j + stride's lower neighbour,
+        # there iff j is below the axis' upper wall; column j of +stride
+        # holds row j - stride's upper one, there iff j is above the lower
+        # wall. Entries across a wall stay 0.
+        stride = math.prod(shape[axis + 1:])
+        offsets[i], offsets[-2 - i] = -stride, stride
+        data[i, up] = c
+        data[-2 - i, down] = c
+        count += up
+        count += down
+    sums = np.concatenate(([0.0], np.cumsum(np.full(len(data) - 1, c))))
+    data[-1] = 1.0 - sums[count]
+    op = sparse.dia_array((data, offsets), shape=(n, n))
+    for a in (op.data, op.offsets):
         a.setflags(write=False)
     return op
 
 
 def step_operator(
     grid: Grid, params: KineticParams, dt: float
-) -> sparse.csr_array:
+) -> sparse.dia_array:
     """The cached I + c L that ``kpp_step`` applies on this grid at this dt."""
     return _step_operator(grid.shape, params.d_coeff * dt / grid.spacing**2)
 
@@ -259,7 +259,9 @@ def reaction_diffusion(g, partner, rate: float, matvec, out):
 
     ``partner``, the fraction g grows into, broadcasts against g and may
     be ``out`` itself; ``matvec(g, out)`` adds (I + c L) g into out, as the
-    CSR kernel bound to ``step_operator`` does for one field. ``rate`` is
+    DIA kernel bound to ``step_operator`` does for one field
+    (``kpp_step``) or, bound for many blocks, for every field of a batch
+    held end to end (the engine's ``_field_step``). ``rate`` is
     dt / tau. Both callers keep dt within ``monotone_limit`` (1 + 1e-12),
     below ``cfl_limit`` for any spacing above 1e-6 lam, so every entry of
     I + c L is >= 0. With g in [0, 1] and a partner >= 0 so is every
@@ -306,7 +308,7 @@ def kpp_step(
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN fails both
         raise ValueError("field values must lie in [0, 1]")
-    matvec = bind_matvec(step_operator(grid, params, dt))
+    matvec = bind_dia_matvec(step_operator(grid, params, dt))
     rate = np.array(dt / params.tau)
     g, y = f.ravel().copy(), np.empty(f.size)
     for _ in range(steps):

@@ -57,6 +57,26 @@ def test_every_traced_binding_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+def bound_kernels() -> set[str]:
+    """The ``_sparsetools`` kernels the package's source calls by name."""
+    return {node.attr for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_sparsetools"}
+
+
+def test_every_bound_sparse_kernel_resolves():
+    # the binders in lecollapse._csr skip scipy's operator dispatch and
+    # call private kernels, which a scipy release may rename or drop
+    from scipy.sparse import _sparsetools
+
+    kernels = bound_kernels()
+    assert kernels == {"csr_matvec", "dia_matvec"}
+    for name in kernels:
+        assert callable(getattr(_sparsetools, name))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
     module = importlib.import_module(f"lecollapse.{name}")

@@ -695,6 +695,82 @@ def test_absorbed_channels_draw_no_events(monkeypatch):
     assert (out.checkpoint_p[..., 0] == 0.0).all()
 
 
+def test_a_field_step_is_one_kernel_call_for_every_run_and_channel(
+        monkeypatch):
+    from scipy.sparse import _sparsetools
+
+    calls = []
+    for name in ("csr_matvec", "dia_matvec"):
+        def counting(*args, _kernel=getattr(_sparsetools, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_sparsetools, name, counting)
+    for runs, p0 in ((1, (0.5, 0.5)), (3, (0.2, 0.3, 0.5)), (40, (0.3, 0.7))):
+        calls.clear()
+        setup = frozen_setup(p0=p0, max_steps=25, advance_fields=True)
+        out = run_ensemble(setup, 3, runs)
+        assert {r.status for r in out.results} == {"timeout"}
+        assert calls == ["dia_matvec"] * 25
+
+
+# properties of run_ensemble on tiny frozen and advancing setups
+
+
+@st.composite
+def _tiny_ensembles(draw):
+    """(setup, seed, shard width, runs): at least one complete shard."""
+    k = draw(st.integers(2, 4))
+    w = draw(arrays(np.float64, k, elements=st.floats(0.05, 1.0)))
+    slips = SlipParams(w=0.4, tau=1.0, lam=1.0, n_a=100.0,
+                       rate_calibration=draw(st.sampled_from([1e6, 3e6, 1e5])),
+                       absorb_floor=1e-3)
+    setup = frozen_setup(p0=tuple(w / w.sum()), grid=Grid((4.0,), 0.25),
+                         slips=slips, dt=0.04,
+                         max_steps=draw(st.integers(40, 150)),
+                         f_init=draw(st.sampled_from([0.1, 0.4])),
+                         advance_fields=draw(st.booleans()))
+    width = draw(st.integers(1, 5))
+    return (setup, draw(st.integers(0, 2**32 - 1)), width,
+            draw(st.integers(width, 12)))
+
+
+def _outcomes(results):
+    return [(r.winner, r.collapse_time, r.slip_count, r.status)
+            for r in results]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_tiny_ensembles(), extra=st.integers(1, 8),
+       budget=st.integers(1, 200))
+def test_ensembles_stay_on_the_simplex_and_keep_their_shards(case, extra,
+                                                             budget):
+    # a small draw budget makes frozen blocks shorter than 128 steps, so
+    # their length depends on the shard width
+    setup, seed, width, n_runs = case
+    steps = sorted({max(1, setup.max_steps // 3), setup.max_steps})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_SHARD_RUNS", width)
+        patch.setattr(engine, "_DRAW_BUDGET", budget)
+        small = run_ensemble(setup, seed, n_runs, checkpoint_steps=steps)
+        large = run_ensemble(setup, seed, n_runs + extra,
+                             checkpoint_steps=steps)
+    eps = np.finfo(float).eps
+    for out in (small, large):
+        for step, snap in zip(out.checkpoint_steps, out.checkpoint_p):
+            assert np.abs(snap.sum(axis=1) - 1.0).max() <= (step + 4) * eps
+        # the last snapshot follows every run's last step
+        for run, final in zip(out.results, out.checkpoint_p[-1]):
+            if run.status == "collapsed":
+                assert final[run.winner] == 1.0
+                assert np.count_nonzero(final) == 1
+    whole = n_runs // width * width  # the runs of complete shards
+    assert _outcomes(small.results[:whole]) == _outcomes(
+        large.results[:whole])
+    assert small.checkpoint_p[:, :whole].tobytes() == \
+        large.checkpoint_p[:, :whole].tobytes()
+
+
 def test_setup_validation():
     with pytest.raises(ValueError):
         frozen_setup(p0=(1.0,))

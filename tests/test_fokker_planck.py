@@ -169,6 +169,15 @@ def test_coefficient_guards():
         FieldSummary(np.array([-1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_field_summary_refuses_a_non_finite_overlap(bad):
+    # a NaN overlap once gave a NaN step bound, which the scheme's bound
+    # test let through, and fp_step ran on to a NaN mass
+    with pytest.raises(ValueError, match="finite, nonnegative"):
+        FieldSummary(np.array([bad, 1.0]))
+
+
 # --- grids and densities ---
 
 

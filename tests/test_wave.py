@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from lecollapse._csr import bind_matvec
+from lecollapse._csr import bind_dia_matvec, bind_matvec
 from lecollapse.engine import _field_step
 from lecollapse.wave import (
     FrontUndefinedError,
@@ -23,6 +23,7 @@ from lecollapse.wave import (
     front_speed,
     front_width,
     kpp_step,
+    reaction_diffusion,
     seed_field,
     step_operator,
 )
@@ -79,7 +80,7 @@ def test_seed_field_boxes_and_masks():
 def _diffuse(f, g, params, dt):
     """One pure-diffusion step (I + c L) f on the bound step operator."""
     out = np.zeros(f.size)
-    bind_matvec(step_operator(g, params, dt))(f.ravel(), out)
+    bind_dia_matvec(step_operator(g, params, dt))(f.ravel(), out)
     return out.reshape(f.shape)
 
 
@@ -143,9 +144,9 @@ def test_diffusion_step_is_the_stencil_step(extent):
     # exactly that constant, and the operator is the stencil's
     one = np.ones(op.shape[0])
     y = np.zeros(op.shape[0])
-    bind_matvec(op)(one, y)
+    bind_dia_matvec(op)(one, y)
     assert (y == 1.0).all()
-    lap = op - sparse.eye_array(op.shape[0])
+    lap = (op - sparse.eye_array(op.shape[0])).tocsc()
     for col in range(0, op.shape[0], 7):
         e = np.zeros(g.shape)
         e.flat[col] = 1.0
@@ -178,17 +179,48 @@ def _kronsum_step_operator(shape, c):
     )
 
 
-@pytest.mark.parametrize("shape", [(800,), (3200,), (40, 4), (20, 2, 2),
-                                   (7, 5, 3), (1, 9), (16, 1, 3)])
+_OPERATOR_SHAPES = [(800,), (3200,), (40, 4), (20, 2, 2), (7, 5, 3), (1, 9),
+                    (16, 1, 3)]
+
+
+@pytest.mark.parametrize("shape", _OPERATOR_SHAPES)
 @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.49, 1e-3])
 def test_step_operator_equals_the_kronecker_sum_byte_for_byte(shape, c):
     want = _kronsum_step_operator(shape, c)
     got = _step_operator(shape, c)
     assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
+    assert not got.data.flags.writeable and not got.offsets.flags.writeable
+    # below by falling stride, above by rising stride, the diagonal last
+    strides = [int(np.prod(shape[a + 1:])) for a, m in enumerate(shape)
+               if m > 1]
+    assert got.offsets.tolist() == [-s for s in strides] + strides[::-1] + [0]
+    # every entry the kernel reads holds the Kronecker sum's entry, or an
+    # explicit +0.0 where a wall cuts the stencil
+    n, read = got.shape[0], {}
+    for k, diag in zip(got.offsets.tolist(), got.data):
+        for j in range(max(0, k), min(n, n + k)):
+            read[j - k, j] = diag[j]
+    coo = want.tocoo()
+    pairs = zip(coo.row.tolist(), coo.col.tolist())
+    assert np.array([read.pop(ij) for ij in pairs]).tobytes() == \
+        coo.data.tobytes()
+    walls = np.array(list(read.values()))
+    assert (walls == 0.0).all() and not np.signbit(walls).any()
+
+
+@pytest.mark.parametrize("shape", _OPERATOR_SHAPES)
+@pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.49, 1e-3])
+def test_step_kernel_adds_the_csr_kernels_bytes(shape, c):
+    # the DIA kernel adds a row's terms in the CSR kernel's order, and a
+    # wall's explicit 0 adds +0.0 onto a sum that is >= +0 already
+    rng = np.random.default_rng(len(shape))
+    n = int(np.prod(shape))
+    x = rng.choice([0.0, 1.0, 0.5, 1e-300, *rng.uniform(0.0, 1.0, 4)], n)
+    seed = rng.choice([0.0, 0.25, *rng.uniform(0.0, 0.1, 3)], n)
+    got, want = seed.copy(), seed.copy()
+    bind_dia_matvec(_step_operator(shape, c))(x, got)
+    bind_matvec(_kronsum_step_operator(shape, c))(x, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_step_rejects_unstable_dt():
@@ -507,8 +539,8 @@ def test_kpp_front_runs_at_the_pulled_speed():
 
 
 def _production_step(grid, f, p, dt):
-    row = bind_matvec(step_operator(grid, UNIT, dt))
-    return _field_step(f, p, dt / UNIT.tau, row)
+    stencil = bind_dia_matvec(step_operator(grid, UNIT, dt), p.size)
+    return _field_step(f, p, dt / UNIT.tau, stencil)
 
 
 def test_coupled_fields_compete_for_the_untouched_fraction():
@@ -522,9 +554,9 @@ def test_coupled_fields_compete_for_the_untouched_fraction():
         return 1.0 - np.einsum("rk,rk...->r...", p, f)
 
     f0_start = f0(f).mean()
-    row = bind_matvec(step_operator(g, UNIT, dt))
+    stencil = bind_dia_matvec(step_operator(g, UNIT, dt), p.size)
     for _ in range(400):
-        f = _field_step(f, p, dt / UNIT.tau, row)
+        f = _field_step(f, p, dt / UNIT.tau, stencil)
     assert f0(f).mean() < f0_start
     assert (f >= 0.0).all() and (f <= 1.0).all()
     assert (f0(f) >= -1e-12).all()
@@ -621,6 +653,34 @@ def test_one_channel_at_p_one_steps_as_kpp_step(case):
     out = _production_step(grid, f, np.ones((len(f), 1)), dt)
     for run, field in zip(out, f):
         assert run[0].tobytes() == kpp_step(field[0], grid, UNIT, dt).tobytes()
+
+
+def _row_loop_step(grid, f, p, dt):
+    """The engine's field step as a loop over (run, channel) rows, each
+    stepped by the CSR kernel on the Kronecker-sum operator."""
+    row = bind_matvec(_kronsum_step_operator(
+        grid.shape, UNIT.d_coeff * dt / grid.spacing**2))
+
+    def rows(g, out):
+        for x, y in zip(g.reshape(p.size, -1), out.reshape(p.size, -1)):
+            row(x, y)
+
+    f0 = np.maximum(1.0 - np.einsum("rk,rk...->r...", p, f), 0.0)
+    out = reaction_diffusion(f, f0[:, None], dt / UNIT.tau, rows,
+                             np.empty(f.shape))
+    out[p == 0.0] = f[p == 0.0]
+    return out
+
+
+@_PROPERTY
+@given(case=_coupled_batches(), spare=st.integers(0, 3))
+def test_one_call_field_step_equals_the_row_loop_bit_for_bit(case, spare):
+    # a kernel bound for more fields than the batch holds, as after runs
+    # end, steps the batch as the one bound for exactly its fields
+    grid, f, p, dt = case
+    stencil = bind_dia_matvec(step_operator(grid, UNIT, dt), p.size + spare)
+    out = _field_step(f, p, dt / UNIT.tau, stencil)
+    assert out.tobytes() == _row_loop_step(grid, f, p, dt).tobytes()
 
 
 def _mean_chain(values, grid, lam):
