@@ -363,7 +363,13 @@ class CollapseSetup:
 
 @dataclass
 class RunResult:
-    """Outcome of one collapse trajectory."""
+    """Outcome of one collapse trajectory.
+
+    ``p_final`` is p after the run's last step: the winner's vertex for a
+    collapsed run, where p stopped for one that timed out. The engine
+    always sets it. ``trajectory`` holds (t, p_1, .., p_K) rows every
+    ``record_every`` steps and at absorption, if the setup records.
+    """
 
     winner: int | None
     collapse_time: float | None
@@ -371,6 +377,7 @@ class RunResult:
     seed: int
     p0: tuple[float, ...]
     status: str
+    p_final: np.ndarray | None = None
     trajectory: np.ndarray | None = None
 
 
@@ -572,7 +579,7 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
                   collapse_time=float(t_abs[r]) if winner[r] >= 0 else None,
                   slip_count=int(slip_counts[r]), seed=seeds[r], p0=setup.p0,
                   status="collapsed" if winner[r] >= 0 else "timeout",
-                  trajectory=trajectories[r])
+                  p_final=p_store[r], trajectory=trajectories[r])
         for r in range(n_runs)
     ]
     return EnsembleResult(
@@ -612,57 +619,43 @@ def run_ensemble(
     a block of up to 128 steps, set once per run by the shard width; the
     law of every trajectory is the same either way. Each step's increment
     sums to exactly 0.0, but sum p is 1 only to rounding.
-    ``checkpoint_steps`` asks for snapshots of p after the given steps
-    (absorbed runs hold their last value). Every run records its
-    trajectory if ``setup.record_every`` > 0.
+    Each result's ``p_final`` is its p after its last step, so no
+    checkpoint is needed for where the runs ended. ``checkpoint_steps``
+    asks for snapshots of p after the given steps (absorbed runs hold
+    their last value). Every run records its trajectory if
+    ``setup.record_every`` > 0.
     """
     return _evolve_batch(setup, seed, n_runs, tuple(checkpoint_steps))
 
 
 @dataclass(frozen=True)
 class BornStatistics:
-    """Winner frequencies with Wilson intervals and a chi-square test."""
+    """Winner frequencies and Born tests, plus all-run means of the final p.
+
+    The frequencies, Wilson intervals and chi-square count only collapsed
+    runs (``n_resolved``), so with any timeout they are conditional on
+    collapse (``conditional_on_collapse``). ``p_final_mean`` and its
+    standard error average the final p over every run, collapsed or not.
+    """
 
     n_results: int
     n_resolved: int
     expected: tuple[float, ...]
     counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    wilson_low: tuple[float, ...]
-    wilson_high: tuple[float, ...]
-    chi_square: float
-    p_value: float
+    frequencies: tuple[float | None, ...]  # each None if none collapsed
+    wilson_low: tuple[float, ...] | None
+    wilson_high: tuple[float, ...] | None
+    chi_square: float | None
+    p_value: float | None
+    collapsed_fraction: float
+    conditional_on_collapse: bool
+    p_final_mean: tuple[float, ...]
+    p_final_se: tuple[float, ...] | None  # None for a single run
 
 
-def born_statistics(results) -> BornStatistics:
-    """Aggregate winner frequencies over an ensemble of runs.
-
-    Requires at least 100 results sharing one initial condition; runs that
-    timed out are excluded from the frequencies but counted in n_results.
-    Wilson intervals are at 95%; the chi-square statistic compares winner
-    counts to the expected multinomial p0 * n_resolved. Its p-value comes
-    from ``scipy.special.chdtrc``, imported here at the first call: the
-    engine itself runs on numpy alone.
-    """
-    results = list(results)
-    if len(results) < 100:
-        raise AggregationError(
-            f"need at least 100 results, got {len(results)}"
-        )
-    first = results[0].p0
-    for r in results:
-        if r.p0 != first:
-            raise AggregationError("results mix different initial conditions")
-    p0 = probability_vector(first)
-    k = p0.size
-    counts = np.zeros(k, dtype=np.int64)
-    resolved = 0
-    for r in results:
-        if r.status == "collapsed":
-            counts[r.winner] += 1
-            resolved += 1
-    if resolved == 0:
-        raise AggregationError("no run collapsed; nothing to aggregate")
+def _wilson_chi_square(counts: np.ndarray, p0: np.ndarray) -> tuple:
+    """95% Wilson intervals and the chi-square test of counts against p0."""
+    resolved = int(counts.sum())
     freq = counts / resolved
     z = 1.959963984540054  # 95%
     denom = 1.0 + z**2 / resolved
@@ -687,16 +680,50 @@ def born_statistics(results) -> BornStatistics:
             pval = float(chdtrc(dof, stat))
         else:
             pval = 1.0 if stat == 0.0 else 0.0
+    return (tuple(np.clip(center - half, 0.0, 1.0).tolist()),
+            tuple(np.clip(center + half, 0.0, 1.0).tolist()), stat, pval)
+
+
+def born_statistics(results) -> BornStatistics:
+    """Aggregate a non-empty ensemble of runs that share one p0.
+
+    Counts, frequencies and the all-run means of ``p_final`` come for any
+    size. Runs that timed out count in n_results but not in the
+    frequencies, which are None if no run collapsed. The 95% Wilson
+    intervals and the chi-square test of the counts against
+    p0 * n_resolved need 100 results and a collapsed run, and are None
+    otherwise. The p-value comes from ``scipy.special.chdtrc``, imported
+    at the first test: the engine itself runs on numpy alone. No results,
+    mixed p0 or a result without ``p_final`` raise AggregationError.
+    """
+    results = list(results)
+    if not results:
+        raise AggregationError("no results to aggregate")
+    first = results[0].p0
+    for r in results:
+        if r.p0 != first:
+            raise AggregationError("results mix different initial conditions")
+        if r.p_final is None:
+            raise AggregationError("a result carries no p_final")
+    p0, n = probability_vector(first), len(results)
+    counts = np.bincount([r.winner for r in results if r.status == "collapsed"],
+                         minlength=p0.size)
+    resolved = int(counts.sum())
+    final = np.array([r.p_final for r in results], dtype=np.float64)
+    se = final.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else None
+    low, high, chi_square, p_value = (
+        _wilson_chi_square(counts, p0) if n >= 100 and resolved
+        else (None,) * 4)
     return BornStatistics(
-        n_results=len(results),
-        n_resolved=resolved,
-        expected=tuple(float(x) for x in p0),
-        counts=tuple(int(c) for c in counts),
-        frequencies=tuple(float(x) for x in freq),
-        wilson_low=tuple(float(x) for x in np.clip(center - half, 0.0, 1.0)),
-        wilson_high=tuple(float(x) for x in np.clip(center + half, 0.0, 1.0)),
-        chi_square=stat,
-        p_value=pval,
+        n_results=n, n_resolved=resolved, expected=tuple(p0.tolist()),
+        counts=tuple(counts.tolist()),
+        frequencies=tuple(c / resolved if resolved else None
+                          for c in counts.tolist()),
+        wilson_low=low, wilson_high=high, chi_square=chi_square,
+        p_value=p_value, collapsed_fraction=resolved / n,
+        conditional_on_collapse=resolved < n,
+        p_final_mean=tuple(final.mean(axis=0).tolist()),
+        p_final_se=None if se is None else tuple(se.tolist()),
     )
 
 

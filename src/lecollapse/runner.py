@@ -287,6 +287,7 @@ def _result_json(result: RunResult) -> dict:
         "seed": int(result.seed),
         "p0": list(result.p0),
         "status": result.status,
+        "p_final": result.p_final.tolist(),  # channels 1..K, as p0
     }
 
 
@@ -320,39 +321,11 @@ def _run_sweep(job: _Job) -> str:
     for seed, result in zip(seeds, results):
         _write_run(job, result, suffix=f"_{seed:05d}")
 
-    p0 = job.config.params["p0"]
-    channels = len(p0)
-    counts = [sum(r.winner == k for r in results) for k in range(channels)]
-    resolved = sum(counts)
-    aggregate = {
-        "n_results": len(results),
-        "n_resolved": resolved,
-        "n_timeout": len(results) - resolved,
-        "expected": list(p0),
-        "counts": counts,
-        "frequencies": [
-            c / resolved if resolved else None for c in counts
-        ],
-        "wilson_low": None,
-        "wilson_high": None,
-        "chi_square": None,
-        "p_value": None,
-    }
-    # the full interval-and-test block needs the aggregator's 100-run
-    # floor; small sweeps still get honest counts
-    if len(results) >= 100 and resolved:
-        stats = born_statistics(results)
-        aggregate.update({
-            "wilson_low": list(stats.wilson_low),
-            "wilson_high": list(stats.wilson_high),
-            "chi_square": stats.chi_square,
-            "p_value": stats.p_value,
-        })
-    job.json("born.json", aggregate)
+    stats = born_statistics(results)
+    job.json("born.json", {**asdict(stats),
+                           "n_timeout": stats.n_results - stats.n_resolved})
     job.clocks["write"] = time.perf_counter() - mark
-    if any(r.status == "timeout" for r in results):
-        return "timeout"
-    return "success"
+    return "timeout" if stats.n_resolved < stats.n_results else "success"
 
 
 def _cell_table(grid, **values):
@@ -438,17 +411,14 @@ def _run_compare(job: _Job) -> str:
     job.clocks["fp"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    ensemble = run_ensemble(
-        setup, job.config.seed, p["n_runs"],
-        checkpoint_steps=(setup.max_steps,),
-    )
+    results = run_ensemble(setup, job.config.seed, p["n_runs"]).results
     job.clocks["ensemble"] = time.perf_counter() - started
 
-    probs = ensemble.checkpoint_p[-1]
+    probs = np.array([r.p_final for r in results])
     comparison = compare_histogram(
         density, probs, boundary_cells=p["boundary_cells"]
     )
-    absorbed = sum(1 for r in ensemble.results if r.status == "collapsed")
+    absorbed = sum(1 for r in results if r.status == "collapsed")
 
     hist = ensemble_histogram(probs, sgrid)
     header, rows = _cell_table(sgrid, density=density.phi, histogram=hist)

@@ -24,6 +24,7 @@ from lecollapse.engine import (
     _draw_kicks,
     _grouped_rates,
     _slip_step,
+    born_statistics,
     estimate_collapse_time,
     run_ensemble,
     slip_delta,
@@ -448,15 +449,11 @@ def test_criterion_08_born_frequencies(k2_ensemble, k3_ensemble, capsys):
     ok = True
     details = []
     for ens in (k2_ensemble, k3_ensemble):
-        results = ens["result"].results
-        p0 = np.array(results[0].p0)
-        n = len(results)
-        absorbed = sum(r.status == "collapsed" for r in results)
-        counts = np.zeros(p0.size)
-        for r in results:
-            if r.winner is not None:
-                counts[r.winner] += 1
-        freq = counts / n
+        # the aggregator that writes a sweep's born.json
+        stats = born_statistics(ens["result"].results)
+        p0 = np.array(stats.expected)
+        n, absorbed = stats.n_results, stats.n_resolved
+        freq = np.array(stats.frequencies, dtype=float)  # None -> nan
         sigma = np.sqrt(p0 * (1.0 - p0) / n)
         within = bool((np.abs(freq - p0) <= 3.0 * sigma).all())
         ok = ok and within and absorbed == n

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import warnings
 from collections import namedtuple
 
@@ -466,6 +467,15 @@ def test_seed_sequence_runs_equal_their_single_runs(setup):
             == (want.winner, want.collapse_time, want.slip_count,
                 want.status)
         assert got.trajectory.tobytes() == want.trajectory.tobytes()
+        assert got.p_final.tobytes() == want.p_final.tobytes()
+        # the last row is p_final if it was recorded at the run's last
+        # step: always at absorption, at a timeout only if record_every
+        # divides max_steps (not so for k3-timeouts: 270 = 38 * 7 + 4)
+        t_end = (got.collapse_time if got.status == "collapsed"
+                 else setup.max_steps * setup.dt)
+        last = got.trajectory[-1]
+        if last[0] == t_end:
+            assert last[1:].tobytes() == got.p_final.tobytes()
         statuses.add(got.status)
     if setup.channels == 3:
         assert statuses == {"collapsed", "timeout"}
@@ -759,8 +769,9 @@ def test_ensembles_stay_on_the_simplex_and_keep_their_shards(case, extra,
     for out in (small, large):
         for step, snap in zip(out.checkpoint_steps, out.checkpoint_p):
             assert np.abs(snap.sum(axis=1) - 1.0).max() <= (step + 4) * eps
-        # the last snapshot follows every run's last step
+        # the last snapshot follows every run's last step, as p_final does
         for run, final in zip(out.results, out.checkpoint_p[-1]):
+            assert run.p_final.tobytes() == final.tobytes()
             if run.status == "collapsed":
                 assert final[run.winner] == 1.0
                 assert np.count_nonzero(final) == 1
@@ -794,14 +805,16 @@ def test_setup_validation():
 
 
 def fake_results(winners, p0=(0.3, 0.7), timeouts=0):
+    """Collapsed runs end on their winner's vertex, timeouts still at p0."""
     out = [
         RunResult(winner=w, collapse_time=1.0, slip_count=10, seed=i,
-                  p0=p0, status="collapsed")
+                  p0=p0, status="collapsed", p_final=np.eye(len(p0))[w])
         for i, w in enumerate(winners)
     ]
     out += [
         RunResult(winner=None, collapse_time=None, slip_count=10,
-                  seed=len(out) + i, p0=p0, status="timeout")
+                  seed=len(out) + i, p0=p0, status="timeout",
+                  p_final=np.array(p0))
         for i in range(timeouts)
     ]
     return out
@@ -835,14 +848,47 @@ def test_born_statistics_handles_a_certain_channel():
     assert stats.chi_square == 0.0 and stats.p_value == 1.0
 
 
-def test_born_statistics_input_guards():
-    with pytest.raises(AggregationError):
-        born_statistics(fake_results([0] * 50))
+def test_born_statistics_takes_any_nonempty_ensemble():
+    # below 100 results: counts and frequencies, but no intervals or test
+    small = born_statistics(fake_results([0] * 20 + [1] * 30, timeouts=10))
+    assert small.n_results == 60 and small.n_resolved == 50
+    assert small.counts == (20, 30) and small.frequencies == (0.4, 0.6)
+    assert (small.wilson_low, small.wilson_high, small.chi_square,
+            small.p_value) == (None,) * 4
+    # no run collapsed: counts of 0 and no frequencies, at any size
+    for n in (3, 150):
+        stalled = born_statistics(fake_results([], timeouts=n))
+        assert stalled.counts == (0, 0)
+        assert stalled.frequencies == (None, None)
+        assert (stalled.wilson_low, stalled.wilson_high, stalled.chi_square,
+                stalled.p_value) == (None,) * 4
+    with pytest.raises(AggregationError, match="no results"):
+        born_statistics([])
     mixed = fake_results([0] * 60) + fake_results([1] * 60, p0=(0.5, 0.5))
-    with pytest.raises(AggregationError):
+    with pytest.raises(AggregationError, match="mix"):
         born_statistics(mixed)
-    with pytest.raises(AggregationError):
-        born_statistics(fake_results([], timeouts=150))
+    bare = RunResult(winner=0, collapse_time=1.0, slip_count=1, seed=0,
+                     p0=(0.3, 0.7), status="collapsed")
+    with pytest.raises(AggregationError, match="p_final"):
+        born_statistics([bare])
+
+
+def test_born_statistics_means_every_run_and_flags_the_conditioning():
+    # 3 runs won by channel 1, 5 by channel 2, 2 stopped at p0
+    stats = born_statistics(fake_results([0] * 3 + [1] * 5, timeouts=2))
+    assert stats.collapsed_fraction == 0.8
+    assert stats.conditional_on_collapse is True
+    assert stats.frequencies == (3 / 8, 5 / 8)
+    assert stats.p_final_mean == pytest.approx((0.36, 0.64), abs=1e-15)
+    # sample variance of channel 1's final p: 3 ones, 5 zeros, two 0.3s
+    var = (3 * 0.64**2 + 5 * 0.36**2 + 2 * 0.06**2) / 9
+    assert stats.p_final_se == pytest.approx((math.sqrt(var / 10),) * 2,
+                                             rel=1e-12)
+    whole = born_statistics(fake_results([0, 1, 1]))
+    assert whole.conditional_on_collapse is False
+    assert whole.collapsed_fraction == 1.0
+    one = born_statistics(fake_results([1]))
+    assert one.p_final_mean == (0.0, 1.0) and one.p_final_se is None
 
 
 def test_born_p_value_is_the_chi_square_survival_bit_for_bit():

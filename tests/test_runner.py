@@ -301,7 +301,7 @@ def test_sweep_aggregate_matches_recomputation_from_run_files(tmp_path):
     assert born["counts"] == counts
     assert born["frequencies"] == pytest.approx([c / 10 for c in counts])
     assert born["n_results"] == 10 and born["n_resolved"] == 10
-    # the full interval-and-test block needs at least 100 resolved runs
+    # the full interval-and-test block needs at least 100 results
     assert born["wilson_low"] is None
     assert born["chi_square"] is None
 
@@ -314,6 +314,55 @@ def test_sweep_with_a_timed_out_run_reports_timeout(tmp_path):
     assert manifest.status == "timeout"
     born = json.loads((Path(cfg.out_dir) / "born.json").read_text())
     assert born["n_timeout"] == 3
+
+
+# born.json of `sweep --seeds 0..119 --max-steps 1500` at the defaults:
+# 67 of 120 runs collapse, so it holds intervals and a chi-square
+BORN_120 = {
+    "chi_square": 2.644633972992181,
+    "counts": [14, 53],
+    "expected": [0.3, 0.7],
+    "frequencies": [0.208955223880597, 0.7910447761194029],
+    "n_resolved": 67,
+    "n_results": 120,
+    "n_timeout": 53,
+    "p_value": 0.10390008529859654,
+    "wilson_high": [0.3207180650688247, 0.8712431481097087],
+    "wilson_low": [0.12875685189029118, 0.6792819349311752],
+}
+
+
+def test_born_json_keeps_its_values_bit_for_bit(tmp_path):
+    cfg, _ = run(tmp_path, mode="sweep", seeds="0..119", max_steps="1500",
+                 formats="json")
+    born = json.loads((Path(cfg.out_dir) / "born.json").read_text())
+    for key, value in BORN_120.items():
+        assert born[key] == value, key
+
+
+def test_a_partly_timed_out_sweep_reports_all_run_means(tmp_path):
+    # the defaults cut at 1500 steps: some runs collapse, some time out
+    seeds = range(200, 240)
+    cfg, manifest = run(tmp_path, mode="sweep", seeds="200..239",
+                        max_steps="1500", formats="json")
+    out = Path(cfg.out_dir)
+    records = [json.loads((out / f"run_{s:05d}.json").read_text())
+               for s in seeds]
+    collapsed = [r for r in records if r["status"] == "collapsed"]
+    assert 0 < len(collapsed) < len(records)
+    assert manifest.status == "timeout"
+    for r in collapsed:  # a collapsed run ends on its winner's vertex
+        assert r["p_final"] == [float(k == r["winner"]) for k in (1, 2)]
+
+    born = json.loads((out / "born.json").read_text())
+    final = np.array([r["p_final"] for r in records])
+    assert born["p_final_mean"] == final.mean(axis=0).tolist()
+    se = final.std(axis=0, ddof=1) / math.sqrt(len(records))
+    assert born["p_final_se"] == se.tolist()
+    assert born["collapsed_fraction"] == len(collapsed) / len(records)
+    assert born["conditional_on_collapse"] is True
+    assert born["n_timeout"] == len(records) - len(collapsed)
+    assert born["n_resolved"] == len(collapsed)
 
 
 # --- determinism [identical config -> identical bytes] ---
