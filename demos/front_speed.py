@@ -31,7 +31,7 @@ def main():
 
     sample_every = max(1, int(round(0.5 / dt)))
     n_steps = int(np.ceil(100.0 / dt))
-    times, fronts = [], []
+    times, fields = [], []
     step = 0
     while step < n_steps:
         chunk = min(sample_every, n_steps - step)
@@ -39,7 +39,8 @@ def main():
         step += chunk
         if step % sample_every == 0:
             times.append(step * dt)
-            fronts.append(front_position(f, grid))
+            fields.append(f)
+    fronts = front_position(np.stack(fields), grid)  # every sample at once
 
     fit = front_speed(times, fronts, params)
     width = front_width(f, grid)

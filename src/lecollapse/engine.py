@@ -368,7 +368,8 @@ class RunResult:
     ``p_final`` is p after the run's last step: the winner's vertex for a
     collapsed run, where p stopped for one that timed out. The engine
     always sets it. ``trajectory`` holds (t, p_1, .., p_K) rows every
-    ``record_every`` steps and at absorption, if the setup records.
+    ``record_every`` steps, at absorption and at a timeout, if the setup
+    records, so its last row is always p_final.
     """
 
     winner: int | None
@@ -560,6 +561,8 @@ def _evolve_batch(setup: CollapseSetup, seed, n_runs: int,
         slip_counts[drawn_for] += n_slips.sum(axis=(0, 2))
     if p.shape[0]:
         p_store[gids] = p
+        if every and step % every:  # the budget ran out between frames
+            frames.append((step * setup.dt, gids, p.copy()))
     while next_cp is not None:
         snaps.append(p_store.copy())
         next_cp = next(cp_iter, None)
@@ -595,7 +598,8 @@ def run_collapse(setup: CollapseSetup, seed: int) -> RunResult:
     Deterministic given (setup, seed), and equal bit for bit to
     ``run_ensemble(setup, (seed,), 1).results[0]``. If the step budget
     runs out first the result carries status "timeout" and the partial
-    trajectory, which is recorded every ``setup.record_every`` steps.
+    trajectory, which is recorded every ``setup.record_every`` steps and
+    after the last one.
     """
     return _evolve_batch(setup, (seed,), 1, ()).results[0]
 

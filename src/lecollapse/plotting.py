@@ -15,7 +15,7 @@ the flat tail would only hide when the channel died.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = ["PlotSchemaError", "PLOT_KINDS", "emit_plot"]
 
@@ -41,8 +41,7 @@ class PlotSchemaError(ValueError):
 def _column(header, data, name, kind):
     if name not in header:
         raise PlotSchemaError(f"{kind} needs column {name!r}")
-    i = header.index(name)
-    return [row[i] for row in data]
+    return data[:, header.index(name)]
 
 
 def _series_for(kind, header, data):
@@ -72,13 +71,10 @@ def _series_for(kind, header, data):
         series = []
         for n in names:
             v = _column(header, data, n, kind)
-            ts, vs = [], []
-            for i in range(len(v)):
-                ts.append(t[i])
-                vs.append(v[i])
-                if i > 0 and (v[i] == 0.0 or v[i] == 1.0):
-                    break  # absorbed: the series ends here
-            series.append((n, ts, vs))
+            # absorbed: the series ends at its first 0 or 1 after the start
+            hit = np.flatnonzero((v[1:] == 0.0) | (v[1:] == 1.0))
+            end = hit[0] + 2 if hit.size else v.size
+            series.append((n, t[:end], v[:end]))
         return series, "time", ", ".join(names)
     if kind == "histogram-vs-density":
         if "p_2" in header:
@@ -96,11 +92,11 @@ def _series_for(kind, header, data):
     raise ValueError(f"unknown plot kind {kind!r}: choose from {PLOT_KINDS}")
 
 
-def _data_range(values) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+def _data_range(values: np.ndarray) -> tuple[float, float]:
+    finite = values[np.isfinite(values)]
+    if not finite.size:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(finite.min()), float(finite.max())
     if hi <= lo:
         return lo - 0.5, hi + 0.5
     return lo, hi
@@ -117,21 +113,23 @@ def _tick_label(v: float) -> str:
 def emit_plot(header, rows, kind: str) -> str:
     """Render a CSV payload as a self-contained SVG document.
 
-    ``header`` names the columns and ``rows`` holds the numeric rows, as
-    passed to ``runner.format_csv``; ``kind`` selects the column schema.
+    ``header`` names the columns and ``rows`` holds the numeric rows, one
+    value per column, as passed to ``runner.format_csv``; ``kind`` selects
+    the column schema. Pixel coordinates are worked out per series as
+    arrays, then formatted point by point.
     Missing columns raise PlotSchemaError naming the column. The output is
     byte-deterministic for fixed input.
     """
-    rows = [[float(v) for v in row] for row in rows]
-    series, x_title, y_title = _series_for(kind, header, rows)
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    series, x_title, y_title = _series_for(kind, header, data)
 
-    x_lo, x_hi = _data_range([x for _, xs, _ in series for x in xs])
-    y_lo, y_hi = _data_range([y for _, _, ys in series for y in ys])
+    x_lo, x_hi = _data_range(np.concatenate([xs for _, xs, _ in series]))
+    y_lo, y_hi = _data_range(np.concatenate([ys for _, _, ys in series]))
 
-    def px(x: float) -> float:
+    def px(x: np.ndarray) -> np.ndarray:
         return _X0 + (x - x_lo) / (x_hi - x_lo) * (_X1 - _X0)
 
-    def py(y: float) -> float:
+    def py(y: np.ndarray) -> np.ndarray:
         return _Y1 - (y - y_lo) / (y_hi - y_lo) * (_Y1 - _Y0)
 
     out = [
@@ -185,18 +183,15 @@ def emit_plot(header, rows, kind: str) -> str:
 
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        parts = []
-        pen_down = False
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                pen_down = False  # gap in the data breaks the stroke
-                continue
-            cmd = "L" if pen_down else "M"
-            parts.append(f"{cmd}{_fmt(px(x))},{_fmt(py(y))}")
-            pen_down = True
-        if parts:
+        drawn = np.isfinite(xs) & np.isfinite(ys)  # a gap breaks the stroke
+        # a point continues the stroke if the point before it was drawn
+        pen_down = np.concatenate(([False], drawn))[:-1][drawn]
+        path = " ".join(map("{}{:.2f},{:.2f}".format,
+                            np.where(pen_down, "L", "M").tolist(),
+                            px(xs[drawn]).tolist(), py(ys[drawn]).tolist()))
+        if path:
             out.append(
-                f'<path d="{" ".join(parts)}" fill="none" '
+                f'<path d="{path}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         if len(series) > 1:

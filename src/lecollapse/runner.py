@@ -200,38 +200,64 @@ def _run_exact(job: _Job) -> str:
     return "success"
 
 
+# front tracking takes the sampled fields in batches of at most this many
+# fields and about this many bytes, but at least one field: a 3D field at
+# the 2^20-cell cap (8 MiB) is tracked alone
+_TRACK_FIELDS = 64
+_TRACK_BYTES = 4 * 2**20
+
+
 def _run_wave(job: _Job) -> str:
     p = job.config.params
     kin, grid, f, dt, n_steps = job.config.setup
 
     times, rows = [], []
-    tracking = True
+    samples = 1 + -(-n_steps // p["record_every"])
+    batch = np.empty((min(samples, _TRACK_FIELDS,
+                          max(1, _TRACK_BYTES // f.nbytes)),) + f.shape)
+    steps = []  # the step of each field held in batch
 
-    def sample(step: int) -> None:
-        nonlocal tracking
-        if not tracking:
-            return
-        t = step * dt
+    def track() -> bool:
+        """Front rows of the batch's fields; False once the front is gone."""
+        fields = batch[:len(steps)]
         try:
-            pos = front_position(f, grid)
-            width = front_width(f, grid)
-        except FrontUndefinedError:
-            tracking = False  # saturated or empty; nothing left to track
-            return
-        speed = math.nan
-        if times:
-            speed = (pos - rows[-1][1]) / (t - times[-1])
-        times.append(t)
-        rows.append([t, pos, width, speed])
+            found = zip(front_position(fields, grid).tolist(),
+                        front_width(fields, grid).tolist())
+            defined = True
+        except FrontUndefinedError:  # saturated or empty: redo one by one
+            found, defined = [], False
+            for g in fields:
+                try:
+                    found.append((front_position(g, grid),
+                                  front_width(g, grid)))
+                except FrontUndefinedError:
+                    break  # nothing left to track
+        for step, (pos, width) in zip(steps, found):
+            t = step * dt
+            speed = math.nan
+            if times:
+                speed = (pos - rows[-1][1]) / (t - times[-1])
+            times.append(t)
+            rows.append([t, pos, width, speed])
+        steps.clear()
+        return defined
+
+    def sample(step: int) -> bool:
+        """Hold the field for tracking; False once the front is gone."""
+        batch[len(steps)] = f
+        steps.append(step)
+        return len(steps) < len(batch) or track()
 
     started = time.perf_counter()
-    sample(0)
+    tracking = sample(0)
     done = 0
     while done < n_steps:
         chunk = min(p["record_every"], n_steps - done)
         f = kpp_step(f, grid, kin, dt, steps=chunk)
         done += chunk
-        sample(done)
+        tracking = tracking and sample(done)
+    if tracking and steps:
+        track()
     mark = time.perf_counter()
     job.clocks["solve"] = mark - started
 

@@ -368,7 +368,7 @@ def cell_averages(values: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
 
 
 def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
-    if f.shape != grid.shape:
+    if f.shape[f.ndim - grid.dims:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     if not 0 <= axis < grid.dims:
         raise ValueError(f"axis {axis} outside 0..{grid.dims - 1}")
@@ -384,26 +384,51 @@ def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
     idx: list = [slice(None)] * grid.dims
     for pos, a in zip(through, others):
         idx[a] = int(pos)
-    return f[tuple(idx)]
+    return f[(Ellipsis, *idx)]
 
 
-def _crossing(prof: np.ndarray, x: np.ndarray, level: float) -> float:
-    """Outermost downward crossing of ``level`` in ``prof``, at cells x."""
-    above = prof >= level
-    # no pair after the last cell at or above the level can cross, so that
-    # cell starts the outermost crossing unless it is the last cell or the
-    # next one is NaN; only then does every pair need scanning
-    i = above.size - 1 - int(above[::-1].argmax())
-    if not (above[i] and i + 1 < prof.size and level > prof[i + 1]):
-        down = np.flatnonzero(above[:-1] & (level > prof[1:]))
-        if down.size == 0:
-            what = ("profile saturated above" if above.all() else
-                    "profile everywhere below" if (prof < level).all() else
-                    "no downward crossing of")
-            raise FrontUndefinedError(f"{what} level {level}")
-        i = down[-1]
-    frac = (prof[i] - level) / (prof[i] - prof[i + 1])
-    return float(x[i] + frac * (x[i + 1] - x[i]))
+def _crossing(prof: np.ndarray, x: np.ndarray, levels: tuple) -> np.ndarray:
+    """Outermost downward crossing of each level in every profile.
+
+    ``prof`` holds one profile per leading index along its last axis,
+    sampled at cells x; the result holds one crossing per level and
+    profile, shape (len(levels),) + prof.shape[:-1]. Each starts at the
+    last pair with prof[i] >= level > prof[i + 1] and is interpolated
+    linearly. Every entry takes the same elementwise operations whatever
+    profiles stand beside it, so it has the bytes of its profile alone.
+    If a crossing is undefined, the first such profile in C order raises
+    for its first undefined level.
+    """
+    profs = prof.reshape(-1, prof.shape[-1])  # one profile per row
+    n, rows = profs.shape[1], np.arange(len(profs))
+    pair = np.empty((len(levels), len(profs)), dtype=np.intp)
+    found = np.ones(pair.shape, dtype=bool)
+    for k, level in enumerate(levels):
+        above = profs >= level
+        # no pair after the last cell at or above the level can cross, so
+        # that cell starts the outermost crossing unless it is the last
+        # cell or the next one is NaN; only those rows scan every pair
+        i = n - 1 - above[:, ::-1].argmax(axis=1)
+        # at i = n - 1 this reads cell i itself, so that row is scanned
+        nxt = profs[rows, np.minimum(i + 1, n - 1)]
+        scan = np.flatnonzero(~(above[rows, i] & (level > nxt)))
+        if scan.size:
+            down = above[scan, :-1] & (level > profs[scan, 1:])
+            found[k, scan] = down.any(axis=1)
+            i[scan] = n - 2 - down[:, ::-1].argmax(axis=1)
+        pair[k] = i
+    if not found.all():
+        field = int((~found).any(axis=0).argmax())
+        k = int((~found[:, field]).argmax())
+        one, level = profs[field], levels[k]
+        what = ("profile saturated above" if (one >= level).all() else
+                "profile everywhere below" if (one < level).all() else
+                "no downward crossing of")
+        raise FrontUndefinedError(f"{what} level {level}")
+    a, b = profs[rows, pair], profs[rows, pair + 1]
+    frac = (a - np.array(levels)[:, None]) / (a - b)
+    out = x[pair] + frac * (x[pair + 1] - x[pair])
+    return out.reshape((len(levels),) + prof.shape[:-1])
 
 
 def front_position(
@@ -412,7 +437,7 @@ def front_position(
     level: float = 0.5,
     axis: int = 0,
     through=None,
-) -> float:
+) -> float | np.ndarray:
     """Outermost downward crossing of ``level`` along an axis.
 
     The last neighbour pair with prof[i] >= level > prof[i + 1] is taken
@@ -420,11 +445,18 @@ def front_position(
     and those with no downward crossing, raise FrontUndefinedError.
     ``through`` holds the line's index on every other axis, in axis order
     (default: the middle cell of each).
+
+    ``f`` may carry leading batch axes, as in ``cell_averages``; a stack
+    gives an array of positions over those axes, each with the bytes of
+    its single-field call, and a single field a float. If any field's
+    crossing is undefined, the stack raises the error of the first such
+    field in C order.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    return _crossing(prof, grid.axis_coords(axis), level)
+    (pos,) = _crossing(prof, grid.axis_coords(axis), (level,))
+    return pos if pos.ndim else float(pos)
 
 
 def front_width(
@@ -434,17 +466,19 @@ def front_width(
     hi: float = 0.9,
     axis: int = 0,
     through=None,
-) -> float:
+) -> float | np.ndarray:
     """Distance between the outer ``lo`` and ``hi`` level crossings.
 
     Both come from one profile: abs(front_position(f, grid, lo, ...) -
-    front_position(f, grid, hi, ...)) bit for bit, errors included.
+    front_position(f, grid, hi, ...)) bit for bit, errors included, for a
+    single field or a stack of them.
     """
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("need 0 < lo < hi < 1")
     prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    x = grid.axis_coords(axis)
-    return abs(_crossing(prof, x, lo) - _crossing(prof, x, hi))
+    x_lo, x_hi = _crossing(prof, grid.axis_coords(axis), (lo, hi))
+    width = np.abs(x_lo - x_hi)
+    return width if width.ndim else float(width)
 
 
 @dataclass(frozen=True)

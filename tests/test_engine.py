@@ -468,14 +468,14 @@ def test_seed_sequence_runs_equal_their_single_runs(setup):
                 want.status)
         assert got.trajectory.tobytes() == want.trajectory.tobytes()
         assert got.p_final.tobytes() == want.p_final.tobytes()
-        # the last row is p_final if it was recorded at the run's last
-        # step: always at absorption, at a timeout only if record_every
-        # divides max_steps (not so for k3-timeouts: 270 = 38 * 7 + 4)
+        # every trajectory ends on the run's last step with p_final: at
+        # absorption, or at a timeout also when record_every does not
+        # divide max_steps (k3-timeouts: 270 = 38 * 7 + 4)
         t_end = (got.collapse_time if got.status == "collapsed"
                  else setup.max_steps * setup.dt)
         last = got.trajectory[-1]
-        if last[0] == t_end:
-            assert last[1:].tobytes() == got.p_final.tobytes()
+        assert last[0] == t_end
+        assert last[1:].tobytes() == got.p_final.tobytes()
         statuses.add(got.status)
     if setup.channels == 3:
         assert statuses == {"collapsed", "timeout"}

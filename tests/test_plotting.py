@@ -1,8 +1,10 @@
 """SVG emission: determinism, schemas, series truncation."""
 
+import hashlib
 import math
 import re
 
+import numpy as np
 import pytest
 
 from lecollapse.plotting import PLOT_KINDS, PlotSchemaError, emit_plot
@@ -160,3 +162,63 @@ def test_nan_sample_lifts_the_pen():
     (d,) = paths(svg)
     # two move-to commands: the gap splits the polyline
     assert d.count("M") == 2
+
+
+# --- bytes pinned across random payloads ---
+
+_HEADERS = {
+    "field-profile": lambda rng: ["position"] + [
+        f"f_{k}" for k in range(1, rng.integers(1, 4) + 1)],
+    "front-trajectory": lambda rng: [
+        "time", "position", "width", "speed_estimate"],
+    "p-trajectory": lambda rng: ["time"] + [
+        f"p_{k}" for k in range(1, rng.integers(2, 5) + 1)],
+    "histogram-vs-density": lambda rng: ["p_1", "density"] + (
+        ["histogram"] if rng.integers(2) else []),
+}
+_GAPS = (float("nan"), float("inf"), -float("inf"))
+
+
+def _random_column(rng, n):
+    shape = rng.integers(4)
+    if shape == 0:  # constant
+        col = np.full(n, rng.choice([0.0, -0.0, 1.0, 0.25, -3.5]))
+    elif shape == 1:  # walks that can hit an absorbing 0 or 1 exactly
+        col = rng.choice([0.0, -0.0, 0.2, 0.5, 1.0], n)
+    else:
+        col = rng.normal(rng.normal(0.0, 10.0), 10.0 ** rng.uniform(-3, 3), n)
+    gaps = rng.random(n) < rng.choice([0.0, 0.1, 0.5, 1.0])
+    col[gaps] = rng.choice(_GAPS, gaps.sum())
+    return col
+
+
+def _random_payloads(kind, count, seed=0):
+    """``count`` (header, rows) payloads of one kind, some of them empty."""
+    rng = np.random.default_rng([seed, PLOT_KINDS.index(kind)])
+    for _ in range(count):
+        header = _HEADERS[kind](rng)
+        n = int(rng.choice([0, 1, 2, 5, 40]))
+        cols = [_random_column(rng, n) for _ in header]
+        yield header, np.column_stack(cols).tolist()
+
+
+# sha256 of every SVG of the kind's 150 random payloads, end to end, as
+# emitted by the per-point drawing loop the array version replaced
+_PINNED = {
+    "field-profile":
+        "2aa189c6658e91224376d2adabf8d4e02e73cf488193ed7c74957a89aed177c2",
+    "front-trajectory":
+        "5df2784d74b2b02505b2b7af78dbede5c3fab5778bc091af97a61864c76a471c",
+    "p-trajectory":
+        "48ae010c6b2d1d94b06984367ac15efb6ab402edb08a19d2b43aa872f003a1dd",
+    "histogram-vs-density":
+        "c392164cfc5ce4987ac7f197b1a758ae8450854208986977d3901e4bd14d96f0",
+}
+
+
+@pytest.mark.parametrize("kind", PLOT_KINDS)
+def test_random_payloads_keep_their_bytes(kind):
+    digest = hashlib.sha256()
+    for header, rows in _random_payloads(kind, 150):
+        digest.update(emit_plot(header, rows, kind).encode())
+    assert digest.hexdigest() == _PINNED[kind]

@@ -125,6 +125,92 @@ def test_wave_mode_writes_front_and_speed(tmp_path):
     assert manifest.status == "success"
 
 
+# sha256 of each wave payload, and the number of front samples, as the
+# per-sample front tracker wrote them before tracking went to batches
+WAVE_PAYLOADS = {
+    "1d": ({"extent": "100"}, 671, {
+        "front.csv": "9ddaea49e7eb8833f5aeceade1298331"
+                     "b490764b69e76408db4a353e81bdbba9",
+        "speed.json": "243eb686e57ac96b05f34f72a994ecbb"
+                      "4e6c1098fd5eafe52087c4eddf0a9991",
+        "front.svg": "5ed5999ff12c35bc24055fa8dd0e8368"
+                     "e82657837cb4a474f3b468b06c0376e2",
+        "profile.svg": "afec622cc73c80dc9aa97285a7895101"
+                       "b6900b6367bfd9521c03b18d625d85f1",
+    }),
+    # the front leaves the box: tracking stops at sample 145 of 448
+    "front-leaves": ({"extent": "12", "t_final": "40"}, 145, {
+        "front.csv": "b70fd5ba480fd953c83f502d8ed382b2"
+                     "20ceb82b5fd52a4613d0dcdd7e6b30b6",
+        "speed.json": "2485d9864b64c25aef8103fea4f1ac3c"
+                      "8be65a8ba1bd42296b1dbbfa4ae26c7b",
+        "front.svg": "d7125935a944c6d92dc0fe932eded641"
+                     "2780f90ca01678b91d6438cebeaee9e1",
+        "profile.svg": "858df09ef6e2ed43e77cc76c99892026"
+                       "610e1eda8ad56a5d04b1d0c820138305",
+    }),
+    # 559 steps = 79 * 7 + 6: the last chunk is short
+    "short-chunk": ({"extent": "20", "t_final": "5",
+                     "record_every": "7"}, 81, {
+        "front.csv": "e33660f978095499076a749c14bcd715"
+                     "a8b83ca13363f0da775c40457332dcfd",
+        "speed.json": "8e817d91b933dc00a8d0c883e2f8bc4c"
+                      "74cec94caa0c19daec0bc59d25875551",
+        "front.svg": "4b4219f6f910f2e131bf97cc50b49239"
+                     "71e5b9ff8916c43f5c9442c0746d0fb6",
+        "profile.svg": "25830fa04def16c5a3ae46e2b4a6d216"
+                       "9282f203e075bab53e9ec7f521e80000",
+    }),
+    "2d": ({"extent": "20,6", "seed_region": "0,2,0,6",
+            "t_final": "20"}, 438, {
+        "front.csv": "14e64aabc0e37f9a269844d2ac5f87f6"
+                     "0e09fbb21adeb113276263c1e75cc5ac",
+        "speed.json": "1b174320bb04b6c58a68ca2bc29404bd"
+                      "44668b0d10c5dd667c34b780b03acfa3",
+        "front.svg": "c9c746f1202c21aec23db29db0310dd6"
+                     "61ef49311cd941eab0e033975a5a4989",
+        "profile.svg": "f01a03f901baa4301cfba2f027b47581"
+                       "f3bc51737f84d12fa814a0b4be5d3906",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAVE_PAYLOADS))
+def test_wave_payloads_keep_their_bytes(tmp_path, case):
+    overrides, samples, want = WAVE_PAYLOADS[case]
+    cfg, manifest = run(tmp_path, mode="wave", formats="csv,json,svg",
+                        **overrides)
+    speed = json.loads((Path(cfg.out_dir) / "speed.json").read_text())
+    assert speed["front_samples"] == samples
+    got = {o["path"]: o["sha256"] for o in manifest.outputs}
+    assert {name: got[name] for name in want} == want
+
+
+@pytest.mark.parametrize("fields", [1, 3, 64, 1000])
+def test_front_tracking_batches_by_bytes_and_keeps_the_payloads(
+        tmp_path, monkeypatch, fields):
+    # a field of 96 cells; the byte cap allows ``fields`` of them
+    overrides, samples, want = WAVE_PAYLOADS["front-leaves"]
+    monkeypatch.setattr(runner, "_TRACK_BYTES", fields * 96 * 8)
+    stacks = []
+    locate = runner.front_position
+
+    def spy(f, grid, *args):
+        stacks.append(f.shape[:f.ndim - grid.dims])
+        return locate(f, grid, *args)
+
+    monkeypatch.setattr(runner, "front_position", spy)
+    _, manifest = run(tmp_path, mode="wave", formats="csv,json,svg",
+                      **overrides)
+    got = {o["path"]: o["sha256"] for o in manifest.outputs}
+    assert {name: got[name] for name in want} == want
+    # full batches up to the one the front leaves in, which is redone one
+    # field at a time up to the first field without a front
+    size = min(fields, runner._TRACK_FIELDS)
+    full = samples // size
+    assert stacks == [(size,)] * (full + 1) + [()] * (samples % size + 1)
+
+
 def test_collapse_mode_run_json_uses_one_based_winner(tmp_path):
     cfg, manifest = run(tmp_path, **fast_collapse(), trajectory="true")
     out = Path(cfg.out_dir)

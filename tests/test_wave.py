@@ -499,6 +499,74 @@ def test_front_width_is_the_distance_of_two_front_positions(prof, lo, hi):
                             - front_position(prof, g, hi)))
 
 
+# stacks of fields: whole fields saturated, empty, falling ramps (one
+# crossing of every level) or free cells (plateaus, NaN, several crossings)
+_WHOLE_FIELDS = {
+    "cells": None,
+    "ones": lambda n: np.ones(n),
+    "zeros": lambda n: np.zeros(n),
+    "ramp": lambda n: np.linspace(1.0, 0.0, n),
+    "rising": lambda n: np.linspace(0.0, 1.0, n),
+}
+
+
+@st.composite
+def _front_stacks(draw):
+    """(grid, stack, axis, through): fields with leading batch axes."""
+    shape = tuple(draw(st.lists(st.integers(4, 6), min_size=1, max_size=3)))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3), (0,), (2, 0)]))
+    grid = Grid(tuple(0.25 * n for n in shape), 0.25)
+    stack = draw(arrays(np.float64, lead + shape, elements=_CELLS))
+    axis = draw(st.integers(0, grid.dims - 1))
+    # some stacks draw from fields that have fronts more often, so that
+    # many-field stacks with every crossing defined come up too
+    kinds = draw(st.sampled_from([sorted(_WHOLE_FIELDS), ["cells", "ramp"],
+                                  ["ramp"]]))
+    for field in stack.reshape((-1,) + shape):
+        make = _WHOLE_FIELDS[draw(st.sampled_from(kinds))]
+        if make:
+            line = make(shape[axis]).reshape(
+                [-1 if a == axis else 1 for a in range(grid.dims)])
+            field[...] = line
+    through = draw(st.none() | st.tuples(*(
+        st.integers(0, n - 1) for a, n in enumerate(shape) if a != axis)))
+    return grid, stack, axis, through
+
+
+def _outcome(call):
+    """The call's bytes, or the type and message of its error."""
+    try:
+        return np.asarray(call(), dtype=np.float64).tobytes()
+    except (FrontUndefinedError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_by_one(stack, grid, call):
+    """Single-field calls in C order, up to the first that raises."""
+    lead = stack.shape[:stack.ndim - grid.dims]
+    out = np.empty(lead)
+    for i in np.ndindex(lead):
+        got = call(stack[i])
+        assert type(got) is float
+        out[i] = got
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_front_stacks(), level=_LEVELS,
+       lo_hi=st.sampled_from([(0.1, 0.9), (0.25, 0.5), (0.5, 0.75)]))
+def test_a_stack_of_fields_equals_its_single_fields_bit_for_bit(
+        case, level, lo_hi):
+    grid, stack, axis, through = case
+    calls = [
+        lambda f: front_position(f, grid, level, axis, through),
+        lambda f: front_width(f, grid, *lo_hi, axis, through),
+    ]
+    for call in calls:
+        want = _outcome(lambda: _one_by_one(stack, grid, call))
+        assert _outcome(lambda: call(stack)) == want
+
+
 def test_front_speed_fit_recovers_a_line():
     t = np.linspace(0.0, 50.0, 200)
     x = 0.7 * t + 3.0
