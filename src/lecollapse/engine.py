@@ -273,22 +273,18 @@ def _slip_step(p, g, floor: float, live=None):
     return q, delta
 
 
-def variance_matched_rate_scale(
-    params: SlipParams, channels: int, f_ref: float = 0.4, f0_ref: float = 0.6
-) -> float:
+def variance_matched_rate_scale(params: SlipParams, channels: int) -> float:
     """rate_calibration that equates process and formula variances.
 
     The compound-Poisson walk has per-time variance proportional to
     (W f f0)^3 p^2 (...) while the quoted formula is linear in W f f0 and
     p(1 - p); the two agree at the uniform reference point p = 1/K with
-    fields (f_ref, f0_ref) when the rate carries the factor returned here,
-    8 K / (W^2 (f_ref f0_ref)^2).
+    fields f = 0.4, f0 = 0.6 when the rate carries the factor returned
+    here, 8 K / (W^2 (f f0)^2).
     """
     if channels < 2:
         raise ValueError("need at least two channels")
-    if not (0.0 < f_ref <= 1.0 and 0.0 < f0_ref <= 1.0):
-        raise ValueError("reference fractions must lie in (0, 1]")
-    return 8.0 * channels / (params.w**2 * (f_ref * f0_ref) ** 2)
+    return 8.0 * channels / (params.w**2 * (0.4 * 0.6) ** 2)
 
 
 @dataclass(frozen=True)

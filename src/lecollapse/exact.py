@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "le_occupation",
     "local_probabilities",
     "permutation_index_map",
-    "symmetrize",
 ]
 
 DEFAULT_BASIS_CAP = 1 << 20
@@ -83,7 +81,8 @@ class LatticeModel:
     and keeps both indices, which preserves the branch-sum identity for any
     number of channels; "none" drops the term entirely, the literal
     single-channel four-term rule, under which the identity only survives
-    for channels = 1.
+    for channels = 1. ``bosonic`` changes no amplitude: the uniform start
+    is symmetric and the generator commutes with atom permutations.
     """
 
     sites: int
@@ -141,15 +140,15 @@ class LatticeBasis:
 
     A configuration lists the N atom sites, a word the N le indices; the
     flat index is config_index * n_words + word_index with the first atom's
-    digit slowest in both factors. A basis larger than ``cap`` raises
-    BasisSizeError before any table is built.
+    digit slowest in both factors. A basis larger than DEFAULT_BASIS_CAP
+    raises BasisSizeError before any table is built.
     """
 
-    def __init__(self, model: LatticeModel, cap: int = DEFAULT_BASIS_CAP):
-        if model.basis_size > cap:
+    def __init__(self, model: LatticeModel):
+        if model.basis_size > DEFAULT_BASIS_CAP:
             raise BasisSizeError(
                 f"basis size {model.basis_size} (sites^atoms * "
-                f"(channels+1)^atoms) exceeds the cap {cap}"
+                f"(channels+1)^atoms) exceeds the cap {DEFAULT_BASIS_CAP}"
             )
         self.model = model
         n = model.atoms
@@ -195,31 +194,16 @@ class BranchState:
         self.amplitudes = amp
 
     @classmethod
-    def from_standard(
-        cls, basis: LatticeBasis, psi0: np.ndarray | None = None
-    ) -> "BranchState":
-        """Place a standard wavefunction in the all-zeros word sector.
+    def from_standard(cls, basis: LatticeBasis) -> "BranchState":
+        """The normalized uniform standard state in the all-zeros word sector.
 
-        ``psi0`` is a vector over configurations (defaults to the uniform,
-        automatically permutation-symmetric state). It is normalized, and
-        symmetrized first when the model is bosonic.
+        Every configuration has the same amplitude, so the state is already
+        symmetric under any permutation of the atoms, bosonic or not.
         """
-        if psi0 is None:
-            psi0 = np.full(basis.n_configs, 1.0, dtype=np.complex128)
-        psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (basis.n_configs,):
-            raise ValueError(f"psi0 must have shape ({basis.n_configs},)")
         amp = np.zeros(basis.n_basis, dtype=np.complex128)
-        zero_word = basis.word_index([0] * basis.model.atoms)
-        amp[zero_word :: basis.n_words] = psi0
-        state = cls(basis, amp)
-        if basis.model.bosonic:
-            state = symmetrize(state)
-        nrm = np.linalg.norm(state.amplitudes)
-        if nrm == 0.0:
-            raise ValueError("initial state has zero norm")
-        state.amplitudes /= nrm
-        return state
+        amp[:: basis.n_words] = 1.0  # the all-zeros word is word 0
+        amp /= np.linalg.norm(amp)
+        return cls(basis, amp)
 
 
 @dataclass
@@ -291,11 +275,7 @@ def _config_blocks(a: sparse.coo_matrix, n_words: int) -> np.ndarray:
     return blocks
 
 
-def build_branch_hamiltonian(
-    model: LatticeModel,
-    basis: LatticeBasis | None = None,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> BranchHamiltonian:
+def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     """Assemble the branch generator over the (configuration, word) basis.
 
     The kinetic term hops atoms between neighbouring sites and is diagonal
@@ -315,8 +295,7 @@ def build_branch_hamiltonian(
     """
     from scipy import sparse
 
-    if basis is None:
-        basis = LatticeBasis(model, cap=cap)
+    basis = LatticeBasis(model)
     n_w, n = basis.n_words, basis.n_basis
     cd, wd = basis.config_digits, basis.word_digits
     rad_w = basis.word_radix
@@ -408,7 +387,7 @@ def default_timestep(h: BranchHamiltonian) -> float:
 def evolve(
     state: BranchState,
     h: BranchHamiltonian,
-    dt: float | None = None,
+    dt: float,
     steps: int = 1,
 ) -> BranchState:
     """Advance a branch state by ``steps`` fixed RK4 steps of size ``dt``.
@@ -431,8 +410,6 @@ def evolve(
     or one that is not finite, raises DivergenceError naming the offending
     step.
     """
-    if dt is None:
-        dt = default_timestep(h)
     if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
     size, dim = state.amplitudes.size, h.generator.shape[1]
@@ -551,13 +528,3 @@ def permutation_index_map(basis: LatticeBasis, perm) -> np.ndarray:
     w_idx = basis.word_digits[:, perm] @ basis.word_radix
     return (c_idx[:, None] * basis.n_words + w_idx[None, :]).ravel()
 
-
-def symmetrize(state: BranchState) -> BranchState:
-    """Average over simultaneous permutations of atom positions and letters."""
-    n = state.basis.model.atoms
-    acc = np.zeros_like(state.amplitudes)
-    count = 0
-    for perm in permutations(range(n)):
-        acc += state.amplitudes[permutation_index_map(state.basis, perm)]
-        count += 1
-    return BranchState(state.basis, acc / count, state.time)

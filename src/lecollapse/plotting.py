@@ -97,8 +97,9 @@ def _data_range(values: np.ndarray) -> tuple[float, float]:
     if not finite.size:
         return 0.0, 1.0
     lo, hi = float(finite.min()), float(finite.max())
-    if hi <= lo:
-        return lo - 0.5, hi + 0.5
+    if hi <= lo:  # a constant: widen by 0.5, or by one ulp where that is more
+        pad = max(0.5, float(np.spacing(abs(lo))))
+        return lo - pad, hi + pad
     return lo, hi
 
 

@@ -264,12 +264,9 @@ def _run_wave(job: _Job) -> str:
     front_header = ["time", "position", "width", "speed_estimate"]
     job.csv("front.csv", front_header, rows)
 
-    coords = grid.axis_coords(0)
-    profile = f
-    if grid.dims > 1:
-        center = tuple(s // 2 for s in grid.shape[1:])
-        profile = f[(slice(None),) + center]
-    profile_rows = np.column_stack([coords, profile]).tolist()
+    # the line the fronts were tracked on
+    profile_rows = np.column_stack(
+        [grid.axis_coords(0), f[grid.front_line]]).tolist()
     job.csv("profile.csv", ["position", "f"], profile_rows)
 
     summary = {

@@ -139,6 +139,12 @@ class Grid:
         """Cell centres along one axis; read-only, built once per grid."""
         return self._coords[axis]
 
+    @functools.cached_property
+    def front_line(self) -> tuple:
+        """Index of the line fronts are tracked on: along axis 0, through
+        the middle cell of every other axis."""
+        return (slice(None), *(n // 2 for n in self.shape[1:]))
+
     def cfl_limit(self, params: KineticParams) -> float:
         """Largest stable explicit step for pure diffusion on this grid."""
         return self.spacing**2 / (2.0 * self.dims * params.d_coeff)
@@ -162,34 +168,26 @@ class Grid:
 
 
 def seed_field(grid: Grid, region, inside: float = 1.0) -> np.ndarray:
-    """Field that is ``inside`` within a region and 0 elsewhere.
+    """Field that is ``inside`` within a box and 0 elsewhere.
 
-    ``region`` is either a boolean mask over grid.shape or a box given as
-    one (lo, hi) pair per axis in physical coordinates; a 1d grid also
-    accepts a bare (lo, hi) pair. A region that covers no cell at all
-    raises SeedingError.
+    ``region`` is a box given as one (lo, hi) pair per axis in physical
+    coordinates; a 1d grid also accepts a bare (lo, hi) pair. A box that
+    covers no cell at all raises SeedingError.
     """
-    if isinstance(region, np.ndarray) and region.dtype == bool:
-        if region.shape != grid.shape:
-            raise SeedingError(
-                f"mask shape {region.shape} does not match grid {grid.shape}"
-            )
-        mask = region
-    else:
-        box = list(region)
-        if grid.dims == 1 and len(box) == 2 and np.isscalar(box[0]):
-            box = [tuple(box)]
-        if len(box) != grid.dims:
-            raise SeedingError(f"need one (lo, hi) pair per axis, got {box}")
-        mask = np.ones(grid.shape, dtype=bool)
-        for axis, (lo, hi) in enumerate(box):
-            if hi <= lo:
-                raise SeedingError(f"empty interval on axis {axis}: ({lo}, {hi})")
-            x = grid.axis_coords(axis)
-            sel = (x >= lo) & (x <= hi)
-            shape = [1] * grid.dims
-            shape[axis] = sel.size
-            mask = mask & sel.reshape(shape)
+    box = list(region)
+    if grid.dims == 1 and len(box) == 2 and np.isscalar(box[0]):
+        box = [tuple(box)]
+    if len(box) != grid.dims:
+        raise SeedingError(f"need one (lo, hi) pair per axis, got {box}")
+    mask = np.ones(grid.shape, dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        if hi <= lo:
+            raise SeedingError(f"empty interval on axis {axis}: ({lo}, {hi})")
+        x = grid.axis_coords(axis)
+        sel = (x >= lo) & (x <= hi)
+        shape = [1] * grid.dims
+        shape[axis] = sel.size
+        mask = mask & sel.reshape(shape)
     if not mask.any():
         raise SeedingError("seed region covers no grid cell")
     if not 0.0 <= inside <= 1.0:
@@ -367,24 +365,10 @@ def cell_averages(values: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
     return mean.reshape(lead + (cells,))
 
 
-def _line_profile(f: np.ndarray, grid: Grid, axis: int, through) -> np.ndarray:
+def _line_profile(f: np.ndarray, grid: Grid) -> np.ndarray:
     if f.shape[f.ndim - grid.dims:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    if not 0 <= axis < grid.dims:
-        raise ValueError(f"axis {axis} outside 0..{grid.dims - 1}")
-    others = [a for a in range(grid.dims) if a != axis]
-    if through is None:
-        through = tuple(grid.shape[a] // 2 for a in others)
-    elif len(through) != len(others) or not all(
-            0 <= pos < grid.shape[a] for pos, a in zip(through, others)):
-        raise ValueError(
-            f"through={tuple(through)} must give one index per axis other "
-            f"than {axis}, within {tuple(grid.shape[a] for a in others)}"
-        )
-    idx: list = [slice(None)] * grid.dims
-    for pos, a in zip(through, others):
-        idx[a] = int(pos)
-    return f[(Ellipsis, *idx)]
+    return f[(Ellipsis, *grid.front_line)]
 
 
 def _crossing(prof: np.ndarray, x: np.ndarray, levels: tuple) -> np.ndarray:
@@ -432,19 +416,15 @@ def _crossing(prof: np.ndarray, x: np.ndarray, levels: tuple) -> np.ndarray:
 
 
 def front_position(
-    f: np.ndarray,
-    grid: Grid,
-    level: float = 0.5,
-    axis: int = 0,
-    through=None,
+    f: np.ndarray, grid: Grid, level: float = 0.5
 ) -> float | np.ndarray:
-    """Outermost downward crossing of ``level`` along an axis.
+    """Outermost downward crossing of ``level`` along the grid's front line.
 
-    The last neighbour pair with prof[i] >= level > prof[i + 1] is taken
-    and the crossing linearly interpolated. Saturated and empty profiles,
-    and those with no downward crossing, raise FrontUndefinedError.
-    ``through`` holds the line's index on every other axis, in axis order
-    (default: the middle cell of each).
+    The line is ``grid.front_line``: axis 0, through the middle cell of
+    every other axis. The last neighbour pair with prof[i] >= level >
+    prof[i + 1] is taken and the crossing linearly interpolated.
+    Saturated and empty profiles, and those with no downward crossing,
+    raise FrontUndefinedError.
 
     ``f`` may carry leading batch axes, as in ``cell_averages``; a stack
     gives an array of positions over those axes, each with the bytes of
@@ -454,29 +434,24 @@ def front_position(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
-    prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    (pos,) = _crossing(prof, grid.axis_coords(axis), (level,))
+    prof = _line_profile(np.asarray(f, dtype=np.float64), grid)
+    (pos,) = _crossing(prof, grid.axis_coords(0), (level,))
     return pos if pos.ndim else float(pos)
 
 
 def front_width(
-    f: np.ndarray,
-    grid: Grid,
-    lo: float = 0.1,
-    hi: float = 0.9,
-    axis: int = 0,
-    through=None,
+    f: np.ndarray, grid: Grid, lo: float = 0.1, hi: float = 0.9
 ) -> float | np.ndarray:
     """Distance between the outer ``lo`` and ``hi`` level crossings.
 
-    Both come from one profile: abs(front_position(f, grid, lo, ...) -
-    front_position(f, grid, hi, ...)) bit for bit, errors included, for a
+    Both come from one profile: abs(front_position(f, grid, lo) -
+    front_position(f, grid, hi)) bit for bit, errors included, for a
     single field or a stack of them.
     """
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("need 0 < lo < hi < 1")
-    prof = _line_profile(np.asarray(f, dtype=np.float64), grid, axis, through)
-    x_lo, x_hi = _crossing(prof, grid.axis_coords(axis), (lo, hi))
+    prof = _line_profile(np.asarray(f, dtype=np.float64), grid)
+    x_lo, x_hi = _crossing(prof, grid.axis_coords(0), (lo, hi))
     width = np.abs(x_lo - x_hi)
     return width if width.ndim else float(width)
 
@@ -498,13 +473,12 @@ def front_speed(
     positions,
     params: KineticParams,
     transient: float | None = None,
-    min_span: float | None = None,
 ) -> FrontSpeedFit:
     """Fit position against time after discarding the early transient.
 
-    ``transient`` defaults to 10 tau and ``min_span`` to 20 tau; a history
-    whose usable part is shorter than ``min_span`` raises ValueError. The
-    fit residual is the root-mean-square deviation from the line.
+    ``transient`` defaults to 10 tau; a history whose usable part spans
+    less than 20 tau raises ValueError. The fit residual is the
+    root-mean-square deviation from the line.
     """
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(positions, dtype=np.float64)
@@ -512,8 +486,7 @@ def front_speed(
         raise ValueError("times and positions must be matching 1d arrays")
     if transient is None:
         transient = 10.0 * params.tau
-    if min_span is None:
-        min_span = 20.0 * params.tau
+    min_span = 20.0 * params.tau
     if t.size:  # an empty history goes straight to the length check
         keep = t >= t.min() + transient
         t, x = t[keep], x[keep]

@@ -1,4 +1,5 @@
-"""The repository's documents point only at files that are there."""
+"""The repository's documents point only at files that are there, and
+report the size of ``src/`` that is there."""
 
 import json
 import re
@@ -27,3 +28,14 @@ def test_every_bench_file_named_in_the_docs_exists_and_parses(name):
     path = ROOT / name
     assert path.is_file(), f"{name} is named in the docs but missing"
     json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_the_newest_src_line_count_in_changes_is_the_count_of_src():
+    # CHANGES.md reports each change's net count; the newest report, the
+    # last in the file, must be what ``wc -l src/lecollapse/*.py`` counts
+    text = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+    reports = re.findall(r"`src/` went from (\d+) to (\d+) lines", text)
+    assert reports, "CHANGES.md reports no src/ line count"
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in (ROOT / "src" / "lecollapse").glob("*.py"))
+    assert int(reports[-1][1]) == lines

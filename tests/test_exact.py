@@ -16,6 +16,7 @@ from scipy import sparse
 from scipy.linalg import block_diag, expm
 
 from lecollapse.exact import (
+    DEFAULT_BASIS_CAP,
     BasisSizeError,
     BranchState,
     DivergenceError,
@@ -358,7 +359,7 @@ def test_evolve_rejects_a_state_of_another_size(small, large):
     assert sorted(sizes) == [16, 36]
     for steps in (0, 1):
         with pytest.raises(ValueError, match=r"size %d, .* size %d" % sizes):
-            evolve(state, h, None, steps)
+            evolve(state, h, default_timestep(h), steps)
 
 
 def test_branch_sum_follows_exact_unitary_evolution():
@@ -444,7 +445,7 @@ def test_a_zero_generator_sets_no_default_dt():
     state = BranchState.from_standard(h.basis)
     with pytest.raises(ValueError, match="the generator is zero, so it "
                                          "sets no default dt: give dt"):
-        evolve(state, h)
+        default_timestep(h)
     out = evolve(state, h, 0.1, 5)
     assert out.amplitudes.tobytes() == state.amplitudes.tobytes()
 
@@ -494,8 +495,9 @@ def test_many_steps_in_one_call_equal_single_steps():
 
 def test_zero_steps_return_a_copy():
     h = build_branch_hamiltonian(small_model())
-    state = evolve(BranchState.from_standard(h.basis), h, None, 4)
-    same = evolve(state, h, None, 0)
+    dt = default_timestep(h)
+    state = evolve(BranchState.from_standard(h.basis), h, dt, 4)
+    same = evolve(state, h, dt, 0)
     assert same is not state
     assert not np.shares_memory(same.amplitudes, state.amplitudes)
     assert same.amplitudes.tobytes() == state.amplitudes.tobytes()
@@ -550,9 +552,10 @@ def test_local_probabilities_start_unentangled_and_sum_near_one():
 def test_local_probabilities_empty_cell_is_an_error():
     model = small_model(u_strength=0.0, v_strength=0.0, hop_amplitude=0.0)
     basis = LatticeBasis(model)
-    psi0 = np.zeros(basis.n_configs)
-    psi0[basis.config_index((0, 0))] = 1.0
-    state = BranchState.from_standard(basis, psi0)
+    # both atoms on site 0, unentangled
+    amp = np.zeros(basis.n_basis)
+    amp[basis.config_index((0, 0)) * basis.n_words] = 1.0
+    state = BranchState(basis, amp)
     with pytest.raises(UndefinedProbabilityError):
         local_probabilities(state, [2])
     with pytest.raises(ValueError):
@@ -568,19 +571,46 @@ def test_without_interactions_nothing_leaves_the_zero_sector():
     assert h.hermitian_defect == 0.0
 
 
+@pytest.mark.parametrize("bosonic", [True, False])
+@pytest.mark.parametrize("sites, atoms, channels", list(product(
+    (2, 3), (2, 3), (1, 2))))
+def test_the_standard_start_is_the_uniform_zero_word_state(
+        sites, atoms, channels, bosonic):
+    # every shape of the criterion 2/3 family: the uniform start needs no
+    # symmetrizing, bosonic or not
+    model = small_model(sites=sites, atoms=atoms, channels=channels,
+                        a_tracks=tuple((s,) for s in range(channels)),
+                        bosonic=bosonic)
+    basis = LatticeBasis(model)
+    want = np.zeros(basis.n_basis, dtype=np.complex128)
+    want[::basis.n_words] = 1.0
+    want /= np.linalg.norm(want)
+    state = BranchState.from_standard(basis)
+    assert state.amplitudes.tobytes() == want.tobytes()
+    assert state.time == 0.0
+    assert permutation_defect(state) == 0.0
+
+
 def test_bosonic_symmetry_survives_evolution():
     model = small_model(atoms=3, sites=3, v_strength=0.9)
     h = build_branch_hamiltonian(model)
     state = BranchState.from_standard(h.basis)
-    assert permutation_defect(state) < 1e-12
+    assert permutation_defect(state) == 0.0
     out = evolve(state, h, default_timestep(h), 150)
     assert permutation_defect(out) < 1e-9
 
 
 def test_basis_cap_is_enforced():
-    model = small_model(atoms=4, sites=6, channels=3, a_tracks=((0,), (1,), (2,)))
+    # 8^4 configurations times 4^4 words is the cap itself; 9^4 exceeds it
+    tracks = ((0,), (1,), (2,))
+    at_cap = small_model(atoms=4, sites=8, channels=3, a_tracks=tracks)
+    assert LatticeBasis(at_cap).n_basis == DEFAULT_BASIS_CAP == 2**20
+    model = small_model(atoms=4, sites=9, channels=3, a_tracks=tracks)
+    with pytest.raises(BasisSizeError, match="1679616 .* exceeds the cap "
+                                             "1048576"):
+        LatticeBasis(model)
     with pytest.raises(BasisSizeError):
-        LatticeBasis(model, cap=1000)
+        build_branch_hamiltonian(model)
 
 
 def test_model_validation():

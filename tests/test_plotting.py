@@ -164,6 +164,17 @@ def test_nan_sample_lifts_the_pen():
     assert d.count("M") == 2
 
 
+@pytest.mark.parametrize("value", [1e17, -1e17, 2.0**52, 1.5, 0.0])
+def test_a_constant_series_of_any_size_is_drawn_mid_height(value, recwarn):
+    # at 1e17 a widening of 0.5 rounds away and left a zero span
+    svg = emit_plot(["time", "position"], [[0.0, value], [1.0, value]],
+                    "front-trajectory")
+    assert not recwarn.list
+    assert "nan" not in svg and "inf" not in svg
+    (d,) = paths(svg)
+    assert [y for _, y in coords(d)] == [(Y0 + Y1) / 2] * 2
+
+
 # --- bytes pinned across random payloads ---
 
 _HEADERS = {

@@ -211,6 +211,61 @@ def test_front_tracking_batches_by_bytes_and_keeps_the_payloads(
     assert stacks == [(size,)] * (full + 1) + [()] * (samples % size + 1)
 
 
+
+@pytest.mark.parametrize("overrides", [
+    {"extent": "20,6", "seed_region": "0,2,0,4", "t_final": "10"},
+    {"extent": "12,2,3", "seed_region": "0,3,0,2,0.5,3", "t_final": "5"},
+], ids=["2d", "3d"])
+def test_the_profile_is_the_tracked_line(tmp_path, overrides):
+    # profile.csv and front.csv read one line of the final field: the one
+    # front_position tracks, not merely one with the same coordinates
+    cfg, _ = run(tmp_path, mode="wave", **overrides)
+    kin, grid, f, dt, n_steps = cfg.setup
+    final = wave.kpp_step(f, grid, kin, dt, steps=n_steps)
+    off_line = final.reshape(len(final), -1)
+    assert (off_line != off_line[:, :1]).any()  # the lines differ
+    out = Path(cfg.out_dir)
+    header, rows = parse_csv((out / "profile.csv").read_text())
+    assert header == ["position", "f"]
+    got = np.array([r[1] for r in rows])
+    assert got.tobytes() == wave._line_profile(final, grid).tobytes()
+    _, fronts = parse_csv((out / "front.csv").read_text())
+    assert len(fronts) == 1 + -(-n_steps // cfg.params["record_every"])
+    assert fronts[-1][1] == wave.front_position(final, grid)
+
+
+# sha256 of each exact payload as written while bosonic starts were still
+# averaged over atom permutations: the uniform start needs no averaging
+EXACT_PAYLOADS = {
+    "defaults": ({}, {
+        "scalars.csv": "21f2ca1520c12530fc4c351529bbf6db"
+                       "75ca8faad5c2781c10e82f45dc75b7d3",
+        "summary.json": "3c6aaa8165bd08264a825b39eb148c95"
+                        "5d40194b5f6fd1f65d8e877cea746941",
+    }),
+    "two-channels": ({"channels": "2", "track_1": "0", "track_2": "2"}, {
+        "scalars.csv": "8de668aeea5a5649c3e97d12c3ca370d"
+                       "23d638e1bfd01c03c81e7962b82fbf36",
+        "summary.json": "c622dceadf3dbc73e8b4c5623c815af3"
+                        "45d9abf90ed2d62558e3046862240645",
+    }),
+    # distinguishable atoms start and evolve as bosons do
+    "distinguishable": ({"bosonic": "false"}, {
+        "scalars.csv": "21f2ca1520c12530fc4c351529bbf6db"
+                       "75ca8faad5c2781c10e82f45dc75b7d3",
+        "summary.json": "3c6aaa8165bd08264a825b39eb148c95"
+                        "5d40194b5f6fd1f65d8e877cea746941",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_PAYLOADS))
+def test_exact_payloads_keep_their_bytes(tmp_path, case):
+    overrides, want = EXACT_PAYLOADS[case]
+    _, manifest = run(tmp_path, mode="exact", **overrides)
+    got = {o["path"]: o["sha256"] for o in manifest.outputs}
+    assert {name: got[name] for name in want} == want
+
 def test_collapse_mode_run_json_uses_one_based_winner(tmp_path):
     cfg, manifest = run(tmp_path, **fast_collapse(), trajectory="true")
     out = Path(cfg.out_dir)

@@ -65,9 +65,12 @@ def test_seed_field_boxes_and_masks():
     f = seed_field(g, (0.0, 2.0))
     assert f.shape == (32,)
     assert f[:8].min() == 1.0 and f[8:].max() == 0.0
+    assert seed_field(g, (0.5, 1.0), inside=0.5)[2:4].tolist() == [0.5, 0.5]
+    # a boolean mask is not a box
     mask = np.zeros(g.shape, dtype=bool)
     mask[3] = True
-    assert seed_field(g, mask, inside=0.5)[3] == 0.5
+    with pytest.raises(SeedingError, match="one \\(lo, hi\\) pair per axis"):
+        seed_field(g, mask)
     with pytest.raises(SeedingError):
         seed_field(g, (9.0, 10.0))
     with pytest.raises(SeedingError):
@@ -433,39 +436,27 @@ def test_front_position_equals_the_full_scan(prof, level):
 
 
 def test_front_position_along_a_line_of_a_2d_field():
+    # the line runs along axis 0 through the middle of the other axis
     g = Grid(extent=(6.0, 3.0), spacing=0.25)
+    assert g.front_line == (slice(None), 6)
     rng = np.random.default_rng(12)
     f = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0], g.shape)
-    for j in (0, 5, 11):
-        _same_front(lambda: front_position(f, g, through=(j,)),
-                    lambda: _scan_front(f[:, j], g.axis_coords(0), 0.5))
-    for i in (0, 23):
-        _same_front(lambda: front_position(f, g, 0.3, axis=1, through=(i,)),
-                    lambda: _scan_front(f[i], g.axis_coords(1), 0.3))
-    # the default line runs through the middle of the other axis
-    _same_front(lambda: front_position(f, g),
-                lambda: _scan_front(f[:, 6], g.axis_coords(0), 0.5))
-
-
-@pytest.mark.parametrize("through", [(16,), (-1, 16), (16, 99), (99, 99),
-                                     (16, 16, 0)])
-def test_a_line_off_the_grid_or_short_of_an_axis_is_refused(through):
-    g = Grid(extent=(8.0, 8.0, 8.0), spacing=0.25)
-    f = np.zeros(g.shape)
-    f[:12] = 1.0
-    assert front_position(f, g, through=(16, 16)) == 3.0
-    with pytest.raises(ValueError, match="through"):
-        front_position(f, g, through=through)
-    with pytest.raises(ValueError, match="through"):
-        front_width(f, g, through=through)
+    for level in (0.3, 0.5):
+        _same_front(lambda: front_position(f, g, level),
+                    lambda: _scan_front(f[:, 6], g.axis_coords(0), level))
+    g3 = Grid(extent=(8.0, 1.25, 1.0), spacing=0.25)
+    assert g3.front_line == (slice(None), 2, 2)
+    f3 = np.zeros(g3.shape)
+    f3[:12, 2, 2] = 1.0
+    f3[:20, :2] = 1.0  # off the line
+    assert front_position(f3, g3) == 3.0
 
 
 def test_a_1d_field_takes_no_line_index():
     g = Grid(extent=(8.0,), spacing=0.25)
+    assert g.front_line == (slice(None),)
     f = np.clip(2.0 - 0.5 * g.axis_coords(), 0.0, 1.0)
-    assert front_position(f, g, through=()) == front_position(f, g)
-    with pytest.raises(ValueError, match="through"):
-        front_position(f, g, through=(0,))
+    assert front_position(f, g) == _scan_front(f, g.axis_coords(), 0.5)
 
 
 def test_front_width_on_a_linear_ramp():
@@ -512,12 +503,11 @@ _WHOLE_FIELDS = {
 
 @st.composite
 def _front_stacks(draw):
-    """(grid, stack, axis, through): fields with leading batch axes."""
+    """(grid, stack): fields with leading batch axes."""
     shape = tuple(draw(st.lists(st.integers(4, 6), min_size=1, max_size=3)))
     lead = draw(st.sampled_from([(), (1,), (3,), (2, 3), (0,), (2, 0)]))
     grid = Grid(tuple(0.25 * n for n in shape), 0.25)
     stack = draw(arrays(np.float64, lead + shape, elements=_CELLS))
-    axis = draw(st.integers(0, grid.dims - 1))
     # some stacks draw from fields that have fronts more often, so that
     # many-field stacks with every crossing defined come up too
     kinds = draw(st.sampled_from([sorted(_WHOLE_FIELDS), ["cells", "ramp"],
@@ -525,12 +515,9 @@ def _front_stacks(draw):
     for field in stack.reshape((-1,) + shape):
         make = _WHOLE_FIELDS[draw(st.sampled_from(kinds))]
         if make:
-            line = make(shape[axis]).reshape(
-                [-1 if a == axis else 1 for a in range(grid.dims)])
+            line = make(shape[0]).reshape((-1,) + (1,) * (grid.dims - 1))
             field[...] = line
-    through = draw(st.none() | st.tuples(*(
-        st.integers(0, n - 1) for a, n in enumerate(shape) if a != axis)))
-    return grid, stack, axis, through
+    return grid, stack
 
 
 def _outcome(call):
@@ -557,10 +544,10 @@ def _one_by_one(stack, grid, call):
        lo_hi=st.sampled_from([(0.1, 0.9), (0.25, 0.5), (0.5, 0.75)]))
 def test_a_stack_of_fields_equals_its_single_fields_bit_for_bit(
         case, level, lo_hi):
-    grid, stack, axis, through = case
+    grid, stack = case
     calls = [
-        lambda f: front_position(f, grid, level, axis, through),
-        lambda f: front_width(f, grid, *lo_hi, axis, through),
+        lambda f: front_position(f, grid, level),
+        lambda f: front_width(f, grid, *lo_hi),
     ]
     for call in calls:
         want = _outcome(lambda: _one_by_one(stack, grid, call))
