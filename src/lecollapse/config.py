@@ -5,22 +5,25 @@ no sections and no nesting. The format stays this dumb on purpose: files
 diff cleanly, and the resolved configuration serializes to a canonical
 text whose hash identifies the experiment.
 
-Every mode has its own key table with defaults, so ``mode = collapse`` on
-its own is already a complete runnable config. Validation happens wholly
-at load time, and each check lives in one place. The domain constructors
-(KineticParams, SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel
-and the like) own every check on a single value; CollapseSetup, for one,
-caps the channels at engine.MAX_CHANNELS. A key's parser checks the range
-of a key only the run loops read, so the error names the line and key.
-Each mode has one builder, which first checks the rules that relate two
-or more keys and then builds every object and operator the run needs,
-once: exact's generator with its dt and step count, the wave step
-operator, the Fokker-Planck scheme. load_config turns the constructors'
-ValueErrors into ConfigErrors and keeps the objects on the config as
-``setup``; the run only steps and writes, so nothing is constructed twice
-or fails construction mid-run. Derived values (D = lam^2/(6*tau),
-N_c = n_a*lam^3) are never keys: the builder copies them from
-KineticParams and SlipParams into the canonical text.
+Each mode's key table holds every key the mode accepts with its default,
+the common ``out``, ``formats`` and ``seed`` (``seeds`` for sweep) and
+collapse's and sweep's ``trajectory`` included, so ``mode = collapse``
+alone is a complete runnable config. load_config parses every key in one
+loop over the table: an error names the line and key, and a key of another
+mode fails as unknown, with a hint. Validation happens at load time, and
+each check lives in one place. The domain constructors (KineticParams,
+SlipParams, Grid, CollapseSetup, SimplexGrid, LatticeModel and the like)
+own every check on a single value; CollapseSetup, for one, caps the
+channels at engine.MAX_CHANNELS. A key's parser checks the range of a key
+only the run loops read. Each mode has one builder, which first checks the
+rules that relate two or more keys and then builds every object and
+operator the run needs, once: exact's generator with its dt and step
+count, the wave step operator, the Fokker-Planck scheme. load_config turns
+the constructors' ValueErrors into ConfigErrors and keeps the objects on
+the config as ``setup``; the run only steps and writes, so nothing is
+constructed twice or fails construction mid-run. Derived values
+(D = lam^2/(6*tau), N_c = n_a*lam^3) are never keys: the builder copies
+them from KineticParams and SlipParams into the canonical text.
 """
 
 from __future__ import annotations
@@ -172,7 +175,13 @@ class _Key:
 
 
 # Key tables. Shared fragments first; each mode's table is the complete
-# set of parameter keys it accepts (common keys handled separately).
+# set of keys it accepts, the common ones included, with their defaults.
+
+_COMMON = {
+    "out": _Key(str, "runs"),
+    "formats": _Key(_formats, ("csv", "json")),
+    "seed": _Key(_seed, 0),
+}
 
 _KINETIC = {
     "lam": _Key(_float, 1.0),
@@ -188,6 +197,7 @@ _SLIPS = {
 }
 
 _EXACT_KEYS = {
+    **_COMMON,
     "sites": _Key(_int, 3),
     "atoms": _Key(_int, 2),
     "channels": _Key(_int, 1),
@@ -203,6 +213,7 @@ _EXACT_KEYS = {
 }
 
 _WAVE_KEYS = {
+    **_COMMON,
     **_KINETIC,
     "extent": _Key(_list(_float), (400.0,)),
     "spacing": _Key(_float, 0.125),
@@ -216,6 +227,7 @@ _WAVE_KEYS = {
 }
 
 _COLLAPSE_KEYS = {
+    **_COMMON,
     **_SLIPS,
     # desk-scale default: strong enough slip statistics to absorb well
     # inside the step budget; individual slips are aggregated, not resolved
@@ -231,9 +243,16 @@ _COLLAPSE_KEYS = {
     # stays frozen (growth would saturate f -> 1 and starve the slips)
     "advance_fields": _Key(_bool, None),
     "record_every": _Key(_int, 0),
+    "trajectory": _Key(_bool, False),
+}
+
+_SWEEP_KEYS = {
+    **{k: v for k, v in _COLLAPSE_KEYS.items() if k != "seed"},
+    "seeds": _Key(_seed_range, tuple(range(10))),
 }
 
 _FP_KEYS = {
+    **_COMMON,
     **_SLIPS,
     "channels": _Key(_int, 2),
     "resolution": _Key(_int, 100),
@@ -250,6 +269,7 @@ _FP_KEYS = {
 }
 
 _COMPARE_KEYS = {
+    **_COMMON,
     **_SLIPS,
     "extent": _Key(_list(_float), (16.0,)),
     "spacing": _Key(_float, 0.25),
@@ -268,6 +288,14 @@ _COMPARE_KEYS = {
     "boundary_cells": _Key(_count, 1),
 }
 
+# why a key of another mode is unknown in this one
+_HINTS = {
+    "seed": "; sweep takes a seed range (seeds = A..B), not a single seed",
+    "seeds": "; a seed range only makes sense for sweep; {mode} takes "
+             "seed = N",
+    "trajectory": "; trajectory logging applies to collapse and sweep, "
+                  "not {mode}",
+}
 
 
 @dataclass(frozen=True)
@@ -376,62 +404,12 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     for key, value in overrides.items():
         entries[key] = (str(value), "command line")
 
-    def take(key):
-        return entries.pop(key, (None, None))
-
-    mode_raw, mode_loc = take("mode")
-    if mode_raw is None:
+    mode, mode_loc = entries.pop("mode", (None, None))
+    if mode is None:
         raise ConfigError(f"mode is required ({', '.join(MODES[:-1])}, "
                           f"or {MODES[-1]})")
-    if mode_raw not in MODES:
-        raise ConfigError(f"{mode_loc}: unknown mode {mode_raw!r}")
-    mode = mode_raw
-
-    out_raw, _ = take("out")
-    out_dir = out_raw if out_raw is not None else "runs"
-
-    fmt_raw, fmt_loc = take("formats")
-    try:
-        formats = _formats(fmt_raw) if fmt_raw is not None else ("csv", "json")
-    except ValueError as exc:
-        raise ConfigError(f"{fmt_loc}: formats: {exc}") from None
-
-    seed_raw, seed_loc = take("seed")
-    seeds_raw, seeds_loc = take("seeds")
-    if mode == "sweep":
-        if seed_raw is not None:
-            raise ConfigError(
-                f"{seed_loc}: sweep takes a seed range "
-                "(seeds = A..B), not a single seed"
-            )
-        try:
-            seeds = _seed_range(seeds_raw) if seeds_raw is not None \
-                else tuple(range(10))
-        except ValueError as exc:
-            raise ConfigError(f"{seeds_loc}: seeds: {exc}") from None
-    else:
-        if seeds_raw is not None:
-            raise ConfigError(
-                f"{seeds_loc}: a seed range only makes sense for sweep; "
-                f"{mode} takes seed = N"
-            )
-        try:
-            seeds = (_seed(seed_raw),) if seed_raw is not None else (0,)
-        except ValueError as exc:
-            raise ConfigError(f"{seed_loc}: seed: {exc}") from None
-
-    trajectory_raw, traj_loc = take("trajectory")
-    trajectory = False
-    if trajectory_raw is not None:
-        if mode not in ("collapse", "sweep"):
-            raise ConfigError(
-                f"{traj_loc}: trajectory logging applies to collapse and "
-                f"sweep, not {mode}"
-            )
-        try:
-            trajectory = _bool(trajectory_raw)
-        except ValueError as exc:
-            raise ConfigError(f"{traj_loc}: trajectory: {exc}") from None
+    if mode not in MODES:
+        raise ConfigError(f"{mode_loc}: unknown mode {mode!r}")
 
     table, per_channel, build = _MODES[mode]
     params: dict = {}
@@ -441,7 +419,9 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         elif per_channel is not None and per_channel[0].fullmatch(key):
             parse = per_channel[1]
         else:
-            raise ConfigError(f"{loc}: unknown key {key!r} for mode {mode}")
+            hint = _HINTS.get(key, "").format(mode=mode)
+            raise ConfigError(
+                f"{loc}: unknown key {key!r} for mode {mode}{hint}")
         try:
             params[key] = parse(value)
         except ValueError as exc:
@@ -449,8 +429,12 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     for key, spec in table.items():
         params.setdefault(key, spec.default)
 
-    if trajectory:
-        params["record_every"] = max(1, params["record_every"])
+    # out, formats, seed(s) and trajectory leave params; the canonical
+    # text gives seeds and formats lines of their own
+    out_dir, formats = params.pop("out"), params.pop("formats")
+    seeds = params.pop("seeds") if mode == "sweep" else (params.pop("seed"),)
+    if params.pop("trajectory", False) and params["record_every"] == 0:
+        params["record_every"] = 1
 
     try:
         setup = build(params)
@@ -715,7 +699,7 @@ _MODES = {
     "wave": (_WAVE_KEYS, None, _wave_setup),
     "collapse": (_COLLAPSE_KEYS, _SEED_REGIONS, _collapse_setup),
     "fp": (_FP_KEYS, None, _fp_setup),
-    "sweep": (_COLLAPSE_KEYS, _SEED_REGIONS, _collapse_setup),
+    "sweep": (_SWEEP_KEYS, _SEED_REGIONS, _collapse_setup),
     "compare": (_COMPARE_KEYS, _SEED_REGIONS, _compare_setup),
 }
 MODES = tuple(_MODES)

@@ -534,6 +534,7 @@ class HistogramComparison:
     fp_boundary_mass: float
     mc_boundary_mass: float
     n_runs: int
+    histogram: np.ndarray  # the ensemble binned on the density's grid
 
 
 def _edge_mask(grid: SimplexGrid, cells: int) -> np.ndarray:
@@ -600,4 +601,5 @@ def compare_histogram(
         fp_boundary_mass=float(density.phi[edge].sum() * vol),
         mc_boundary_mass=float(hist[edge].sum() * vol),
         n_runs=int(mc.shape[0]),
+        histogram=hist,
     )

@@ -49,7 +49,6 @@ from lecollapse.fokker_planck import (
     boundary_current,
     compare_histogram,
     edge_mass,
-    ensemble_histogram,
     fp_step,
 )
 from lecollapse.plotting import emit_plot
@@ -437,14 +436,14 @@ def _run_compare(job: _Job) -> str:
     results = run_ensemble(setup, job.config.seed, p["n_runs"]).results
     job.clocks["ensemble"] = time.perf_counter() - started
 
-    probs = np.array([r.p_final for r in results])
     comparison = compare_histogram(
-        density, probs, boundary_cells=p["boundary_cells"]
+        density, np.array([r.p_final for r in results]),
+        boundary_cells=p["boundary_cells"]
     )
     absorbed = sum(1 for r in results if r.status == "collapsed")
 
-    hist = ensemble_histogram(probs, sgrid)
-    header, rows = _cell_table(sgrid, density=density.phi, histogram=hist)
+    header, rows = _cell_table(sgrid, density=density.phi,
+                               histogram=comparison.histogram)
     job.csv("histogram.csv", header, rows)
 
     job.json("comparison.json", {

@@ -98,9 +98,7 @@ class Grid:
     spacing: float
 
     def __post_init__(self):
-        ext = tuple(float(e) for e in (
-            (self.extent,) if np.isscalar(self.extent) else self.extent
-        ))
+        ext = tuple(float(e) for e in self.extent)
         object.__setattr__(self, "extent", ext)
         if not 1 <= len(ext) <= 3:
             raise ValueError("extent must have one, two or three axes")
@@ -464,8 +462,6 @@ class FrontSpeedFit:
     residual: float
     kpp_speed: float
     transport_speed: float
-    n_points: int
-    t_span: float
 
 
 def front_speed(
@@ -502,6 +498,4 @@ def front_speed(
         residual=resid,
         kpp_speed=params.kpp_speed,
         transport_speed=params.sound_speed,
-        n_points=int(t.size),
-        t_span=float(t.max() - t.min()),
     )

@@ -422,6 +422,16 @@ def test_region_covering_no_cell_is_rejected_at_load():
         )
 
 
+def test_trajectory_raises_only_a_zero_record_every():
+    cfg = load_config(overrides={"mode": "collapse", "trajectory": "true",
+                                 "record_every": "5"})
+    assert cfg.params["record_every"] == 5
+    for traj in ("true", "false"):
+        with pytest.raises(ConfigError, match="record_every"):
+            load_config(overrides={"mode": "collapse", "trajectory": traj,
+                                   "record_every": "-3"})
+
+
 def test_unparsable_trajectory_is_a_config_error():
     with pytest.raises(ConfigError, match="trajectory"):
         load_config(overrides={"mode": "collapse", "trajectory": "maybe"})
@@ -492,6 +502,16 @@ PINNED_HASHES = {
         "mode = fp\nchannels = 3\np0 = 0.2, 0.3, 0.5\n"
         "snapshot_every = 500\n",
         "49fa8834e70c69242b778ded1c6b708d71947c84e8663f3d701571c129661047"),
+    "collapse_seed_formats": (
+        "mode = collapse\nseed = 7\nformats = svg,json\n",
+        "0de1da32cfbc67bd16dd1f7034732f7cefceb81b111e1bea9eb1eff8bfcce849"),
+    # the output directory stays out of the hash: fp's default digest
+    "fp_out": (
+        "mode = fp\nout = elsewhere\n",
+        "65afff4e0271f9e2395b5eee5aace0a0f1f54820f8af588b5aa9dc0074d7ced2"),
+    "sweep_seeds": (
+        "mode = sweep\nseeds = 3..6\n",
+        "a7682467a1f292c6e73b5b8f655c678ee06793b11f8f9c06138d62c987f35d9c"),
 }
 
 

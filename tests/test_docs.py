@@ -1,11 +1,13 @@
-"""The repository's documents point only at files that are there, and
-report the size of ``src/`` that is there."""
+"""The repository's documents point only at files that are there, report
+the size of ``src/`` that is there, and list every config key."""
 
 import json
 import re
 from pathlib import Path
 
 import pytest
+
+from lecollapse.config import _MODES, MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "ROADMAP.md", "CHANGES.md")
@@ -39,3 +41,30 @@ def test_the_newest_src_line_count_in_changes_is_the_count_of_src():
     lines = sum(p.read_bytes().count(b"\n")
                 for p in (ROOT / "src" / "lecollapse").glob("*.py"))
     assert int(reports[-1][1]) == lines
+
+
+def _readme_keys():
+    """{mode: the keys the README's key table lists for it}."""
+    rows = [[c.strip() for c in ln.strip().strip("|").split("|")]
+            for ln in (ROOT / "README.md").read_text(encoding="utf-8")
+            .splitlines() if ln.startswith("| ")]
+    modes = next(r for r in rows if r[0] == "key")[2:]
+    listed = {mode: set() for mode in modes}
+    for row in rows:
+        key = re.fullmatch(r"`(\w+)`", row[0])
+        if key and len(row) == len(modes) + 2:
+            for mode, cell in zip(modes, row[2:]):
+                if cell != "–":
+                    listed[mode].add(key.group(1))
+    return listed
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_readme_lists_every_key_of_each_mode(mode):
+    # the mode's table, common keys included, plus its per-channel key
+    # written with k for the channel number
+    table, per_channel, _ = _MODES[mode]
+    want = set(table)
+    if per_channel is not None:
+        want.add(per_channel[0].pattern.replace(r"\d+", "k"))
+    assert _readme_keys()[mode] == want

@@ -266,6 +266,76 @@ def test_exact_payloads_keep_their_bytes(tmp_path, case):
     got = {o["path"]: o["sha256"] for o in manifest.outputs}
     assert {name: got[name] for name in want} == want
 
+
+# sha256 of every payload of the other modes at csv,json,svg, as written
+# while out, formats, seed, seeds and trajectory were parsed by hand
+MODE_PAYLOADS = {
+    "collapse": ({"mode": "collapse", "trajectory": "true"}, {
+        "run.json": "dd5c42d81dbef0ec1ba60684fbe265aa"
+                    "e470fdfd8ceece0e95b88bd0aeb9ed8b",
+        "trajectory.csv": "1efedd82cae0426ba2a68db41663c842"
+                          "2b59bff480aeeeae7e8f3184f809dded",
+        "trajectory.svg": "aa3f8f4c25072713f139c6a0e3479be1"
+                          "cfd647d5545fe56da096f45021ed3567",
+    }),
+    "fp": ({"mode": "fp"}, {
+        "current.csv": "a6fb2e9564b9bafe987afb21c066c401"
+                       "51ada24f25ec26bc0bfa4d5f92f64806",
+        "density.csv": "ceb1d0e64a30af704a21f8e08b24b8c7"
+                       "d40663ace0139f5092f6a8ea44f163bb",
+        "density.svg": "52af9303a82378184919251dcba42984"
+                       "37a56cbc93ad8bdf7e36f9e124245d99",
+        "summary.json": "6dbaf14d236e70fa3048056f6eca48b4"
+                        "c85aa86d3afd8525446092fe0437ec2a",
+    }),
+    # 2D: no density.svg, three snapshots
+    "fp-three-channels": ({"mode": "fp", "channels": "3",
+                           "p0": "0.2, 0.3, 0.5",
+                           "snapshot_every": "500"}, {
+        "current.csv": "febdcac8f2245b02c3b7c958581f8d1a"
+                       "7d6d6dca915bac1cdac52458321675ef",
+        "density.csv": "10b99fe1581e6c848305fd861deb36a6"
+                       "377bd9946e2263a206c01d4932e8fa59",
+        "density_000500.csv": "506d7612c12ab9183c25185fdced2823"
+                              "a243c86ea012a3d7e6d6bd4385f3ad4f",
+        "density_001000.csv": "8b50aa20c858bb774765a2300b5b3b0a"
+                              "6f80834893a243cfded2891db59c14f9",
+        "density_001500.csv": "093518dab277d27a29b90df26bbeb78c"
+                              "f13406d4e126574e7e27d327769e8637",
+        "summary.json": "178b11202e6ca0f68eb30c3e1b018d17"
+                        "c19db34389a01d2027ab4598194f1fd2",
+    }),
+    "compare": ({"mode": "compare"}, {
+        "comparison.json": "97b1f52263c0f2429bf76adca380bd49"
+                           "eefc5a444890ed9262fbdd3c99b6572e",
+        "histogram.csv": "c57fb2a583f2e55a6e293a2b2e879788"
+                         "f6d10f7a0c4da76f4a70d34d42a79822",
+        "histogram.svg": "128ab6684963578aba52c6d8f416f3aa"
+                         "79d5b3beca15167374a3c3b804f42e29",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_PAYLOADS))
+def test_mode_payloads_keep_their_bytes(tmp_path, case):
+    overrides, want = MODE_PAYLOADS[case]
+    _, manifest = run(tmp_path, formats="csv,json,svg", **overrides)
+    assert {o["path"]: o["sha256"] for o in manifest.outputs} == want
+
+
+def test_sweep_payloads_keep_their_bytes(tmp_path):
+    # seeds 0..9 with trajectories write 31 files: born.json is pinned on
+    # its own, every file through the sorted "path sha256" lines
+    _, manifest = run(tmp_path, mode="sweep", trajectory="true",
+                      formats="csv,json,svg")
+    outputs = sorted(manifest.outputs, key=lambda o: o["path"])
+    lines = "".join(f"{o['path']} {o['sha256']}\n" for o in outputs)
+    assert len(outputs) == 31
+    assert {o["path"]: o["sha256"] for o in outputs}["born.json"] == (
+        "451f6224a34689466c62411ff6f66077ea994d3200b5835aac7207394248ef62")
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "755be03647feae856de84130239440598d83b9e259999a679e4de0658e9ea66e")
+
 def test_collapse_mode_run_json_uses_one_based_winner(tmp_path):
     cfg, manifest = run(tmp_path, **fast_collapse(), trajectory="true")
     out = Path(cfg.out_dir)
