@@ -251,17 +251,23 @@ _SWEEP_KEYS = {
     "seeds": _Key(_seed_range, tuple(range(10))),
 }
 
-_FP_KEYS = {
+# the density side of fp and compare: a simplex grid started near p0 on
+# a uniform f_init background
+_DENSITY = {
     **_COMMON,
     **_SLIPS,
-    "channels": _Key(_int, 2),
-    "resolution": _Key(_int, 100),
     "p0": _Key(_interior, (0.5, 0.5)),
     "width_cells": _Key(_float, 2.0),
     "f_init": _Key(_open_unit, 0.4),
     "extent": _Key(_list(_float), (16.0,)),
     "spacing": _Key(_float, 0.25),
     "dt_fraction": _Key(_fraction, 0.5),
+    "resolution": _Key(_int, 100),
+}
+
+_FP_KEYS = {
+    **_DENSITY,
+    "channels": _Key(_int, 2),
     "n_steps": _Key(_steps, 2000),
     "snapshot_every": _Key(_checked(_int, lambda v: v >= 0,
                                     "must be nonnegative"), 0),
@@ -269,17 +275,9 @@ _FP_KEYS = {
 }
 
 _COMPARE_KEYS = {
-    **_COMMON,
-    **_SLIPS,
-    "extent": _Key(_list(_float), (16.0,)),
-    "spacing": _Key(_float, 0.25),
-    "p0": _Key(_interior, (0.5, 0.5)),
+    **_DENSITY,
     "dt": _Key(_float, 0.005),
-    "f_init": _Key(_open_unit, 0.4),
     "advance_fields": _Key(_bool, False),
-    "resolution": _Key(_int, 100),
-    "width_cells": _Key(_float, 2.0),
-    "dt_fraction": _Key(_fraction, 0.5),
     "t_final": _Key(_float, 5.0),
     "n_runs": _Key(_checked(_int, lambda v: 100 <= v <= MAX_RUNS,
                             f"must lie in 100..{MAX_RUNS}: compare needs at "
@@ -478,14 +476,24 @@ def _numbered_keys(params: dict, prefix: str) -> list[str]:
 
 
 def _box_pairs(key: str, box: tuple, extent: tuple) -> tuple:
-    """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box."""
+    """(lo, hi) per axis from the flat lo,hi,lo,hi,... of a seed box.
+
+    Each interval must lie inside its axis, 0 <= lo and hi <= extent.
+    """
     # pairing the numbers per axis would silently drop an unpaired one
     if len(box) != 2 * len(extent):
         raise ConfigError(
             f"{key} needs {2 * len(extent)} numbers "
             f"(lo,hi per extent axis), got {len(box)}"
         )
-    return tuple(zip(box[0::2], box[1::2]))
+    pairs = tuple(zip(box[0::2], box[1::2]))
+    for axis, (lo, hi) in enumerate(pairs):
+        if not (0.0 <= lo and hi <= extent[axis]):
+            raise ConfigError(
+                f"{key}: interval ({lo}, {hi}) does not fit in "
+                f"axis {axis} extent {extent[axis]}"
+            )
+    return pairs
 
 
 def _check_regions(params: dict) -> tuple | None:
@@ -513,16 +521,8 @@ def _check_regions(params: dict) -> tuple | None:
             f"need exactly seed_region_1..seed_region_{channels}, "
             f"got {', '.join(region_keys)}"
         )
-    extent, regions = params["extent"], []
-    for key in region_keys:
-        regions.append(_box_pairs(key, params[key], extent))
-        for axis, (lo, hi) in enumerate(regions[-1]):
-            if not (0.0 <= lo and hi <= extent[axis]):
-                raise ConfigError(
-                    f"{key}: interval ({lo}, {hi}) does not fit in "
-                    f"axis {axis} extent {extent[axis]}"
-                )
-    return tuple(regions)
+    return tuple(_box_pairs(key, params[key], params["extent"])
+                 for key in region_keys)
 
 
 def _check_steps(t_final: float, dt: float) -> None:

@@ -2,8 +2,10 @@
 
 Each mode writes its own set of payload files into the output directory,
 then ``manifest.json`` is written last as the commit marker: a manifest
-that exists names every payload with its size and sha256, so a directory
-whose manifest is missing or flagged partial is known to be incomplete.
+that exists names every payload with its size and sha256, taken from the
+bytes as they were written, so a directory whose manifest is missing or
+flagged partial is known to be incomplete. One clock per run starts with
+``wall_clock.total``; each driver laps it into its phases.
 
 Determinism contract: for a fixed (config, seed) the payload bytes are
 identical across runs and machines. Floats are written with ``repr``,
@@ -129,13 +131,21 @@ class _Job:
     def __init__(self, config: ExperimentConfig, out: Path):
         self.config = config
         self.out = out
-        self.files: list[Path] = []
+        self.outputs: dict[str, dict] = {}  # manifest entry per file name
         self.clocks: dict[str, float] = {}
+        self.started = self._lapped = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Add the seconds since the last lap, or the start, to ``phase``."""
+        now = time.perf_counter()
+        self.clocks[phase] = self.clocks.get(phase, 0.0) + now - self._lapped
+        self._lapped = now
 
     def _record(self, name: str, text: str) -> None:
-        path = self.out / name
-        path.write_text(text, encoding="utf-8")
-        self.files.append(path)
+        blob = text.encode("utf-8")
+        (self.out / name).write_bytes(blob)
+        self.outputs[name] = {"path": name, "bytes": len(blob),
+                              "sha256": hashlib.sha256(blob).hexdigest()}
 
     def csv(self, name: str, header, rows) -> None:
         if "csv" in self.config.formats:
@@ -168,7 +178,6 @@ def _run_exact(job: _Job) -> str:
         norm = float(np.linalg.norm(reconstruct_standard(s)))
         return [s.time, norm, h.hermitian_defect, *occ, cross]
 
-    started = time.perf_counter()
     rows = [row(state)]
     done = 0
     while done < n_steps:
@@ -176,8 +185,7 @@ def _run_exact(job: _Job) -> str:
         state = evolve(state, h, dt, steps=chunk)
         done += chunk
         rows.append(row(state))
-    mark = time.perf_counter()
-    job.clocks["solve"] = mark - started
+    job.lap("solve")
 
     job.csv("scalars.csv", header, rows)
     job.json("summary.json", {
@@ -195,7 +203,7 @@ def _run_exact(job: _Job) -> str:
         "occupations_final": rows[-1][3:3 + model.channels + 1],
         "cross_term_final": rows[-1][-1],
     })
-    job.clocks["write"] = time.perf_counter() - mark
+    job.lap("write")
     return "success"
 
 
@@ -219,18 +227,14 @@ def _run_wave(job: _Job) -> str:
     def track() -> bool:
         """Front rows of the batch's fields; False once the front is gone."""
         fields = batch[:len(steps)]
-        try:
-            found = zip(front_position(fields, grid).tolist(),
-                        front_width(fields, grid).tolist())
-            defined = True
-        except FrontUndefinedError:  # saturated or empty: redo one by one
-            found, defined = [], False
-            for g in fields:
-                try:
-                    found.append((front_position(g, grid),
-                                  front_width(g, grid)))
-                except FrontUndefinedError:
-                    break  # nothing left to track
+        while True:  # cut the stack before its first field without a front
+            try:
+                found = zip(front_position(fields, grid).tolist(),
+                            front_width(fields, grid).tolist())
+                break
+            except FrontUndefinedError as exc:
+                fields = fields[:exc.index]
+        defined = len(fields) == len(steps)
         for step, (pos, width) in zip(steps, found):
             t = step * dt
             speed = math.nan
@@ -247,7 +251,6 @@ def _run_wave(job: _Job) -> str:
         steps.append(step)
         return len(steps) < len(batch) or track()
 
-    started = time.perf_counter()
     tracking = sample(0)
     done = 0
     while done < n_steps:
@@ -257,8 +260,7 @@ def _run_wave(job: _Job) -> str:
         tracking = tracking and sample(done)
     if tracking and steps:
         track()
-    mark = time.perf_counter()
-    job.clocks["solve"] = mark - started
+    job.lap("solve")
 
     front_header = ["time", "position", "width", "speed_estimate"]
     job.csv("front.csv", front_header, rows)
@@ -297,7 +299,7 @@ def _run_wave(job: _Job) -> str:
 
     job.svg("front.svg", front_header, rows, "front-trajectory")
     job.svg("profile.svg", ["position", "f"], profile_rows, "field-profile")
-    job.clocks["write"] = time.perf_counter() - mark
+    job.lap("write")
     return "success"
 
 
@@ -324,29 +326,25 @@ def _write_run(job: _Job, result: RunResult, suffix: str = "") -> None:
 
 
 def _run_collapse(job: _Job) -> str:
-    started = time.perf_counter()
     result = run_collapse(job.config.setup, job.config.seed)
-    mark = time.perf_counter()
-    job.clocks["solve"] = mark - started
+    job.lap("solve")
     _write_run(job, result)
-    job.clocks["write"] = time.perf_counter() - mark
+    job.lap("write")
     return "success" if result.status == "collapsed" else "timeout"
 
 
 def _run_sweep(job: _Job) -> str:
     seeds = job.config.seeds
-    started = time.perf_counter()
     # one batch, one stream per seed: each run equals its collapse run
     results = run_ensemble(job.config.setup, seeds, len(seeds)).results
-    mark = time.perf_counter()
-    job.clocks["solve"] = mark - started
+    job.lap("solve")
     for seed, result in zip(seeds, results):
         _write_run(job, result, suffix=f"_{seed:05d}")
 
     stats = born_statistics(results)
     job.json("born.json", {**asdict(stats),
                            "n_timeout": stats.n_results - stats.n_resolved})
-    job.clocks["write"] = time.perf_counter() - mark
+    job.lap("write")
     return "timeout" if stats.n_resolved < stats.n_results else "success"
 
 
@@ -374,8 +372,6 @@ def _run_fp(job: _Job) -> str:
     def current_row(d):
         return [d.time, boundary_current(d, scheme), d.mass, d.clamped]
 
-    started = time.perf_counter()
-    writing = 0.0  # snapshot writes inside the loop count as "write"
     n_steps = p["n_steps"]
     every, snap = p["current_every"], p["snapshot_every"]
     currents = [current_row(density)]
@@ -390,12 +386,11 @@ def _run_fp(job: _Job) -> str:
         if step % every == 0 or step == n_steps:
             currents.append(current_row(density))
         if snap and step % snap == 0 and step != n_steps:
-            mark = time.perf_counter()
+            job.lap("solve")
             header, rows = _cell_table(grid, density=density.phi)
             job.csv(f"density_{step:06d}.csv", header, rows)
-            writing += time.perf_counter() - mark
-    mark = time.perf_counter()
-    job.clocks["solve"] = mark - started - writing
+            job.lap("write")
+    job.lap("solve")
 
     header, rows = _cell_table(grid, density=density.phi)
     job.csv("density.csv", header, rows)
@@ -420,7 +415,7 @@ def _run_fp(job: _Job) -> str:
     })
     if grid.dims == 1:
         job.svg("density.svg", header, rows, "histogram-vs-density")
-    job.clocks["write"] = writing + time.perf_counter() - mark
+    job.lap("write")
     return "success"
 
 
@@ -428,13 +423,10 @@ def _run_compare(job: _Job) -> str:
     p = job.config.params
     setup, sgrid, density, scheme, n_fp = job.config.setup
 
-    started = time.perf_counter()
     density = fp_step(density, scheme, steps=n_fp)
-    job.clocks["fp"] = time.perf_counter() - started
-
-    started = time.perf_counter()
+    job.lap("fp")
     results = run_ensemble(setup, job.config.seed, p["n_runs"]).results
-    job.clocks["ensemble"] = time.perf_counter() - started
+    job.lap("ensemble")
 
     comparison = compare_histogram(
         density, np.array([r.p_final for r in results]),
@@ -463,6 +455,7 @@ def _run_compare(job: _Job) -> str:
     })
     if sgrid.dims == 1:
         job.svg("histogram.svg", header, rows, "histogram-vs-density")
+    job.lap("write")
     return "success"
 
 
@@ -478,39 +471,20 @@ _DRIVERS = {
 
 # ------------------------------------------------------------- manifest
 
-def _inventory(out: Path, files) -> tuple[dict, ...]:
-    entries = []
-    for path in sorted(set(files)):
-        blob = path.read_bytes()
-        entries.append({
-            "path": path.relative_to(out).as_posix(),
-            "bytes": len(blob),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        })
-    return tuple(entries)
-
-
-def _finish(
-    config: ExperimentConfig,
-    out: Path,
-    job: _Job,
-    status: str,
-    error: str | None,
-    partial: bool,
-    total: float,
-) -> RunManifest:
+def _finish(job: _Job, status: str, error: str | None) -> RunManifest:
+    config = job.config
     manifest = RunManifest(
         config_hash=config.config_hash(),
         tool_version=lecollapse.__version__,
         mode=config.mode,
         seeds=config.seeds,
         status=status,
-        partial=partial,
+        partial=error is not None,
         error=error,
-        wall_clock={"total": total, **job.clocks},
-        outputs=_inventory(out, job.files),
+        wall_clock={"total": time.perf_counter() - job.started, **job.clocks},
+        outputs=tuple(job.outputs[name] for name in sorted(job.outputs)),
     )
-    write_json(out / "manifest.json", manifest.to_json())
+    write_json(job.out / "manifest.json", manifest.to_json())
     return manifest
 
 
@@ -519,27 +493,15 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     Payload files are written as the run progresses; ``manifest.json``
     lands last. A module failure still writes the manifest, flagged
-    partial with the error message, before the exception propagates.
+    partial with the error message and listing the payloads written so
+    far, before the exception propagates.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     job = _Job(config, out)
-    started = time.perf_counter()
     try:
         status = _DRIVERS[config.mode](job)
     except Exception as exc:
-        _finish(
-            config, out, job,
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-            partial=True,
-            total=time.perf_counter() - started,
-        )
+        _finish(job, "error", f"{type(exc).__name__}: {exc}")
         raise
-    return _finish(
-        config, out, job,
-        status=status,
-        error=None,
-        partial=False,
-        total=time.perf_counter() - started,
-    )
+    return _finish(job, status, None)

@@ -46,7 +46,14 @@ class StabilityError(RuntimeError):
 
 
 class FrontUndefinedError(RuntimeError):
-    """The requested level set does not cross the sampled profile."""
+    """The requested level set does not cross the sampled profile.
+
+    ``index``: in a stack, the C-order position of the first such field.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class SeedingError(ValueError):
@@ -379,7 +386,7 @@ def _crossing(prof: np.ndarray, x: np.ndarray, levels: tuple) -> np.ndarray:
     linearly. Every entry takes the same elementwise operations whatever
     profiles stand beside it, so it has the bytes of its profile alone.
     If a crossing is undefined, the first such profile in C order raises
-    for its first undefined level.
+    for its first undefined level, with its row as the error's index.
     """
     profs = prof.reshape(-1, prof.shape[-1])  # one profile per row
     n, rows = profs.shape[1], np.arange(len(profs))
@@ -406,7 +413,7 @@ def _crossing(prof: np.ndarray, x: np.ndarray, levels: tuple) -> np.ndarray:
         what = ("profile saturated above" if (one >= level).all() else
                 "profile everywhere below" if (one < level).all() else
                 "no downward crossing of")
-        raise FrontUndefinedError(f"{what} level {level}")
+        raise FrontUndefinedError(f"{what} level {level}", field)
     a, b = profs[rows, pair], profs[rows, pair + 1]
     frac = (a - np.array(levels)[:, None]) / (a - b)
     out = x[pair] + frac * (x[pair + 1] - x[pair])
@@ -428,7 +435,7 @@ def front_position(
     gives an array of positions over those axes, each with the bytes of
     its single-field call, and a single field a float. If any field's
     crossing is undefined, the stack raises the error of the first such
-    field in C order.
+    field in C order, whose position is the error's ``index``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")

@@ -239,6 +239,17 @@ def test_region_must_fit_inside_the_grid():
         )
 
 
+@pytest.mark.parametrize("mode,overrides", [
+    ("wave", {"seed_region": "-5,2"}),
+    ("wave", {"seed_region": "390,410"}),
+    ("sweep", {"seed_region_1": "-5,2", "seed_region_2": "28,32"}),
+])
+def test_every_seed_box_is_checked_against_the_extent(mode, overrides):
+    with pytest.raises(ConfigError, match=r"interval \(.*\) does not fit "
+                                          r"in axis 0 extent"):
+        load_config(overrides={"mode": mode, **overrides})
+
+
 def test_compare_rejects_seed_regions():
     with pytest.raises(ConfigError, match="f_init"):
         load_config(

@@ -186,9 +186,17 @@ def test_wave_payloads_keep_their_bytes(tmp_path, case):
     assert {name: got[name] for name in want} == want
 
 
-@pytest.mark.parametrize("fields", [1, 3, 64, 1000])
+# the front position is lost at sample 164, the width at sample 145: the
+# batch holding them is cut before the first such field, then before the
+# second, and tracking stops there
+@pytest.mark.parametrize("fields,cuts", [
+    (1, [(1,), (0,)]),
+    (3, [(3,), (1,)]),
+    (64, [(64,), (36,), (17,)]),
+    (1000, [(64,), (36,), (17,)]),
+], ids=["1", "3", "64", "1000"])
 def test_front_tracking_batches_by_bytes_and_keeps_the_payloads(
-        tmp_path, monkeypatch, fields):
+        tmp_path, monkeypatch, fields, cuts):
     # a field of 96 cells; the byte cap allows ``fields`` of them
     overrides, samples, want = WAVE_PAYLOADS["front-leaves"]
     monkeypatch.setattr(runner, "_TRACK_BYTES", fields * 96 * 8)
@@ -204,11 +212,9 @@ def test_front_tracking_batches_by_bytes_and_keeps_the_payloads(
                       **overrides)
     got = {o["path"]: o["sha256"] for o in manifest.outputs}
     assert {name: got[name] for name in want} == want
-    # full batches up to the one the front leaves in, which is redone one
-    # field at a time up to the first field without a front
+    # full batches up to the one the front leaves in, then its cuts
     size = min(fields, runner._TRACK_FIELDS)
-    full = samples // size
-    assert stacks == [(size,)] * (full + 1) + [()] * (samples % size + 1)
+    assert stacks == [(size,)] * (samples // size) + cuts
 
 
 
@@ -430,7 +436,7 @@ def test_uniform_background_overlap_does_not_depend_on_p0(tmp_path, channels,
     ("wave", {"t_final": "5.0"}, {"solve", "write"}),
     ("fp", {"n_steps": "50"}, {"solve", "write"}),
     ("compare", {"n_runs": "100", "t_final": "1.0", "resolution": "40"},
-     {"fp", "ensemble"}),
+     {"fp", "ensemble", "write"}),
     ("collapse", {"extent": "16.0"}, {"solve", "write"}),
     ("sweep", {"seeds": "0..2", "extent": "16.0"}, {"solve", "write"}),
 ])
@@ -459,12 +465,25 @@ def test_compare_mode_emits_comparison_json(tmp_path):
     assert manifest.status == "success"
 
 
-def test_manifest_inventory_matches_the_files(tmp_path):
-    cfg, manifest = run(tmp_path, mode="fp", n_steps="50")
+# every payload each mode writes, snapshots and trajectories included
+INVENTORY_RUNS = {
+    "exact": {"t_final": "0.5"},
+    "wave": {"t_final": "5.0"},
+    "fp": {"n_steps": "50", "snapshot_every": "20"},
+    "compare": {"n_runs": "100", "t_final": "1.0", "resolution": "40"},
+    "collapse": {"extent": "16.0", "trajectory": "true"},
+    "sweep": {"seeds": "0..2", "extent": "16.0", "trajectory": "true"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(INVENTORY_RUNS))
+def test_manifest_inventory_matches_the_files(tmp_path, mode):
+    cfg, manifest = run(tmp_path, mode=mode, formats="csv,json,svg",
+                        **INVENTORY_RUNS[mode])
     out = Path(cfg.out_dir)
-    listed = {entry["path"] for entry in manifest.outputs}
+    listed = [entry["path"] for entry in manifest.outputs]
     on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
-    assert listed == on_disk
+    assert listed == sorted(on_disk)
     for entry in manifest.outputs:
         blob = (out / entry["path"]).read_bytes()
         assert entry["bytes"] == len(blob)
@@ -689,3 +708,23 @@ def test_driver_crash_still_writes_partial_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "error"
     assert manifest["partial"] is True
     assert "synthetic failure" in manifest["error"]
+
+
+def test_a_crash_manifest_lists_the_payloads_written_before_it(
+        tmp_path, monkeypatch):
+    def half(job):
+        job.json("summary.json", {"written": True})
+        raise RuntimeError("after one payload")
+
+    monkeypatch.setitem(runner._DRIVERS, "fp", half)
+    cfg = load_config(overrides={"mode": "fp", "out": str(tmp_path / "x")})
+    with pytest.raises(RuntimeError, match="after one payload"):
+        run_experiment(cfg)
+    manifest = read_manifest(cfg.out_dir)
+    assert manifest["partial"] is True
+    blob = (Path(cfg.out_dir) / "summary.json").read_bytes()
+    assert manifest["outputs"] == [{
+        "path": "summary.json",
+        "bytes": len(blob),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }]

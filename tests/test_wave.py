@@ -521,19 +521,27 @@ def _front_stacks(draw):
 
 
 def _outcome(call):
-    """The call's bytes, or the type and message of its error."""
+    """The call's bytes, or the type, message and index of its error."""
     try:
         return np.asarray(call(), dtype=np.float64).tobytes()
     except (FrontUndefinedError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "index", None)
 
 
 def _one_by_one(stack, grid, call):
-    """Single-field calls in C order, up to the first that raises."""
+    """Single-field calls in C order, up to the first that raises.
+
+    That field's error gets its C-order position as its index.
+    """
     lead = stack.shape[:stack.ndim - grid.dims]
     out = np.empty(lead)
-    for i in np.ndindex(lead):
-        got = call(stack[i])
+    for n, i in enumerate(np.ndindex(lead)):
+        try:
+            got = call(stack[i])
+        except FrontUndefinedError as exc:
+            assert exc.index == 0  # a single field is a stack of one
+            exc.index = n
+            raise
         assert type(got) is float
         out[i] = got
     return out
