@@ -31,18 +31,14 @@ def main():
 
     sample_every = max(1, int(round(0.5 / dt)))
     n_steps = int(np.ceil(100.0 / dt))
-    times, fields = [], []
-    step = 0
-    while step < n_steps:
-        chunk = min(sample_every, n_steps - step)
-        f = kpp_step(f, grid, params, dt, steps=chunk)
-        step += chunk
-        if step % sample_every == 0:
-            times.append(step * dt)
-            fields.append(f)
-    fronts = front_position(np.stack(fields), grid)  # every sample at once
+    # one call steps every sample, one more the steps past the last
+    fields = kpp_step(f, grid, params, dt, sample_every, out=np.empty(
+        (n_steps // sample_every,) + grid.shape))
+    times = np.arange(sample_every, n_steps + 1, sample_every) * dt
+    fronts = front_position(fields, grid)  # every sample at once
 
     fit = front_speed(times, fronts, params)
+    f = kpp_step(fields[-1], grid, params, dt, n_steps % sample_every)
     width = front_width(f, grid)
 
     print(f"grid: {grid.extent[0]:.0f} lam long, spacing {grid.spacing}, "

@@ -222,7 +222,8 @@ def _run_wave(job: _Job) -> str:
     samples = 1 + -(-n_steps // p["record_every"])
     batch = np.empty((min(samples, _TRACK_FIELDS,
                           max(1, _TRACK_BYTES // f.nbytes)),) + f.shape)
-    steps = []  # the step of each field held in batch
+    batch[0] = f
+    steps = [0]  # the step of each field held in batch
 
     def track() -> bool:
         """Front rows of the batch's fields; False once the front is gone."""
@@ -245,21 +246,19 @@ def _run_wave(job: _Job) -> str:
         steps.clear()
         return defined
 
-    def sample(step: int) -> bool:
-        """Hold the field for tracking; False once the front is gone."""
-        batch[len(steps)] = f
-        steps.append(step)
-        return len(steps) < len(batch) or track()
-
-    tracking = sample(0)
-    done = 0
-    while done < n_steps:
+    # fill each batch in one call of whole record_every chunks, and one
+    # more for a short last chunk; once the front is gone, step to the end
+    tracking, done = len(batch) > 1 or track(), 0
+    while tracking and done < n_steps:
         chunk = min(p["record_every"], n_steps - done)
-        f = kpp_step(f, grid, kin, dt, steps=chunk)
-        done += chunk
-        tracking = tracking and sample(done)
-    if tracking and steps:
-        track()
+        held = len(steps)
+        m = min(len(batch) - held, (n_steps - done) // chunk)
+        f = kpp_step(f, grid, kin, dt, chunk, out=batch[held:held + m])[-1]
+        steps += range(done + chunk, done + m * chunk + 1, chunk)
+        done += m * chunk
+        tracking = len(steps) < len(batch) and done < n_steps or track()
+    if done < n_steps:
+        f = kpp_step(f, grid, kin, dt, n_steps - done)
     job.lap("solve")
 
     front_header = ["time", "position", "width", "speed_estimate"]
@@ -337,11 +336,10 @@ def _run_sweep(job: _Job) -> str:
     seeds = job.config.seeds
     # one batch, one stream per seed: each run equals its collapse run
     results = run_ensemble(job.config.setup, seeds, len(seeds)).results
+    stats = born_statistics(results)
     job.lap("solve")
     for seed, result in zip(seeds, results):
         _write_run(job, result, suffix=f"_{seed:05d}")
-
-    stats = born_statistics(results)
     job.json("born.json", {**asdict(stats),
                            "n_timeout": stats.n_results - stats.n_resolved})
     job.lap("write")
@@ -426,13 +424,12 @@ def _run_compare(job: _Job) -> str:
     density = fp_step(density, scheme, steps=n_fp)
     job.lap("fp")
     results = run_ensemble(setup, job.config.seed, p["n_runs"]).results
-    job.lap("ensemble")
-
     comparison = compare_histogram(
         density, np.array([r.p_final for r in results]),
         boundary_cells=p["boundary_cells"]
     )
     absorbed = sum(1 for r in results if r.status == "collapsed")
+    job.lap("ensemble")
 
     header, rows = _cell_table(sgrid, density=density.phi,
                                histogram=comparison.histogram)

@@ -285,6 +285,7 @@ def kpp_step(
     params: KineticParams,
     dt: float,
     steps: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``steps`` explicit steps of the single-field probability wave.
 
@@ -294,7 +295,12 @@ def kpp_step(
     rate 1/tau, is checked once per call, and so is the field: a value
     outside [0, 1], or NaN, raises ValueError. One call with ``steps = n``
     equals n calls with ``steps = 1`` bit for bit; ``steps = 0`` returns a
-    copy. The caller's array is never modified.
+    copy. Nothing but ``out`` is written to.
+
+    ``out``, a float64 stack of shape (m,) + grid.shape, gets the field
+    after each of m chunks of ``steps`` steps and is returned: row i has
+    the bytes of the i-th of m successive single calls. ``f`` is read
+    before any row is written, so ``out`` may hold it.
     """
     limit = grid.monotone_limit(params)
     if dt > limit * (1.0 + 1e-12):
@@ -311,14 +317,19 @@ def kpp_step(
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN fails both
         raise ValueError("field values must lie in [0, 1]")
+    stack = np.empty((1,) + f.shape) if out is None else out
+    if stack.shape[1:] != f.shape or stack.dtype != f.dtype:
+        raise ValueError(f"out must be a float64 stack of {f.shape} fields")
     matvec = bind_dia_matvec(step_operator(grid, params, dt))
     rate = np.array(dt / params.tau)
     g, y = f.ravel().copy(), np.empty(f.size)
-    for _ in range(steps):
-        np.subtract(_ONE, g, out=y)
-        reaction_diffusion(g, y, rate, matvec, y)
-        g, y = y, g
-    return g.reshape(f.shape)
+    for row in stack:
+        for _ in range(steps):
+            np.subtract(_ONE, g, out=y)
+            reaction_diffusion(g, y, rate, matvec, y)
+            g, y = y, g
+        row[...] = g.reshape(f.shape)
+    return stack[0] if out is None else out
 
 
 def cell_counts(grid: Grid, lam: float) -> tuple[int, ...]:

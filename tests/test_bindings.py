@@ -10,7 +10,6 @@ silently untraced ``--trace 1`` run, or as a failing star import.
 import ast
 import importlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from perfbench.tracing import PATCHES, Tracer  # noqa: E402
 
 from lecollapse.config import load_config  # noqa: E402
 from lecollapse.engine import CollapseSetup, SlipParams, run_collapse  # noqa: E402
+from lecollapse import runner  # noqa: E402
 from lecollapse.runner import run_experiment  # noqa: E402
 from lecollapse.wave import Grid, KineticParams  # noqa: E402
 
@@ -150,7 +150,10 @@ def test_traced_sweep_is_one_engine_run_over_every_seed(tmp_path):
     assert runs[0].extra["trajectories"] == 4
 
 
-def test_traced_wave_steps_once_per_record_interval(tmp_path):
+def test_traced_wave_steps_once_per_tracking_batch(tmp_path):
+    # the runner fills each tracking batch with whole record_every chunks
+    # in one kpp_step call, the first batch after the initial field, and
+    # takes one more call for the short last chunk
     config = load_config(overrides={"mode": "wave", "extent": "20",
                                     "t_final": "5", "record_every": "7",
                                     "out": str(tmp_path / "wave")})
@@ -160,8 +163,10 @@ def test_traced_wave_steps_once_per_record_interval(tmp_path):
     n_steps = json.loads((tmp_path / "wave" / "speed.json").read_text())[
         "n_steps"]
     assert n_steps % 7  # the last chunk is a short one
+    whole, batch = n_steps // 7, runner._TRACK_FIELDS
+    assert whole > batch  # the whole chunks fill more than one batch
     names = [s.name for s in tracer.spans]
-    assert names.count("wave.kpp_step") == math.ceil(n_steps / 7)
+    assert names.count("wave.kpp_step") == whole // batch + 1 + 1
 
 
 # __init__.py imports only to re-export, so it is left out

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,29 @@ def test_manifest_records_phase_timers(tmp_path, mode, overrides, phases):
     assert set(clocks) == {"total"} | phases
     assert all(v >= 0.0 for v in clocks.values())
     assert sum(clocks[p] for p in phases) <= clocks["total"]
+
+
+@pytest.mark.parametrize("mode,overrides,reduction,phase", [
+    ("sweep", {"seeds": "0..2", "extent": "16.0"}, "born_statistics",
+     "solve"),
+    ("compare", {"n_runs": "100", "t_final": "0.5", "resolution": "20"},
+     "compare_histogram", "ensemble"),
+])
+def test_the_reduction_is_timed_with_the_solve_not_the_write(
+        tmp_path, monkeypatch, mode, overrides, reduction, phase):
+    # wall_clock.write holds only file output: a slow reduction of the
+    # runs lands in the phase that made them
+    reduce = getattr(runner, reduction)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(runner, reduction, slow)
+    cfg, _ = run(tmp_path, mode=mode, **overrides)
+    clocks = read_manifest(cfg.out_dir)["wall_clock"]
+    assert clocks[phase] >= 0.2
+    assert clocks["write"] < 0.2
 
 
 def test_compare_mode_emits_comparison_json(tmp_path):

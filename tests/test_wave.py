@@ -294,6 +294,44 @@ def test_zero_steps_copy_and_negative_steps_fail():
         kpp_step(f, g, UNIT, dt, steps=-1)
 
 
+@pytest.mark.parametrize("extent", [(6.0,), (3.0, 2.5), (1.5, 1.25, 1.0)])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_stacked_call_equals_successive_single_calls(extent, steps, m):
+    g = Grid(extent=extent, spacing=0.25)
+    dt = 0.9 * g.monotone_limit(UNIT)
+    f = np.random.default_rng(len(extent)).uniform(0.0, 1.0, g.shape)
+    before = f.copy()
+    want, field = [], f
+    for _ in range(m):
+        field = kpp_step(field, g, UNIT, dt, steps)
+        want.append(field.tobytes())
+    stack = np.full((m,) + g.shape, np.nan)
+    assert kpp_step(f, g, UNIT, dt, steps, out=stack) is stack
+    assert [row.tobytes() for row in stack] == want
+    assert f.tobytes() == before.tobytes()
+    # f is read before any row is written, so the stack may hold it
+    stack = np.full((m,) + g.shape, np.nan)
+    stack[0] = f
+    kpp_step(stack[0], g, UNIT, dt, steps, out=stack)
+    assert [row.tobytes() for row in stack] == want
+
+
+def test_a_stack_of_the_wrong_shape_or_dtype_fails_before_a_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr("lecollapse.wave.reaction_diffusion",
+                        lambda *args: calls.append(args))
+    g = Grid(extent=(3.0, 2.5), spacing=0.25)
+    f = seed_field(g, [(0.0, 1.0), (0.0, 2.5)])
+    dt = g.monotone_limit(UNIT)
+    for bad in (np.empty(g.shape), np.empty((2, 12, 9)),
+                np.empty((2, 1) + g.shape), np.empty((2, 12)),
+                np.empty((2,) + g.shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            kpp_step(f, g, UNIT, dt, 3, out=bad)
+    assert calls == []
+
+
 def test_axis_coords_are_built_once_and_read_only():
     g = Grid(extent=(4.0, 2.0), spacing=0.25)
     x = g.axis_coords(1)
