@@ -208,7 +208,7 @@ _EXACT_KEYS = {
     "bosonic": _Key(_bool, True),
     "t_final": _Key(_positive, 20.0),
     "dt": _Key(_positive, None),
-    "record_every": _Key(_count, 10),
+    "record_every": _Key(_count, 1),
     "cell": _Key(_list(_int), None),
 }
 
@@ -546,10 +546,15 @@ def _kinetics_grid(params: dict) -> tuple[KineticParams, Grid]:
 def _exact_setup(p: dict):
     """(branch generator, dt, step count) for exact.
 
-    The default dt is STEP_FACTOR over the generator's own row-sum norm,
-    so the step cap sees the steps the run takes. The build goes through
-    the module attribute, where the benchmark's tracer counts it.
+    A given dt takes n = ceil(t_final / dt) steps of dt. Without one, n
+    counts default steps of the generator's own row-sum norm, which the
+    step cap sees, and the run takes n steps of t_final / n, ending on
+    t_final. The build goes through the module attribute, where the
+    benchmark's tracer counts it.
     """
+    _require(p["channels"] == 1 or p["cross_channel_coupling"] == "diagonal",
+             "cross_channel_coupling = none breaks the branch-sum identity "
+             "for channels >= 2; use diagonal")
     track_keys = _numbered_keys(p, "track")
     expected = [f"track_{k}" for k in range(1, p["channels"] + 1)]
     if not track_keys and p["channels"] == 1:
@@ -575,7 +580,8 @@ def _exact_setup(p: dict):
     ))
     dt = p["dt"] if p["dt"] is not None else exact.default_timestep(h)
     _check_steps(p["t_final"], dt)
-    return h, dt, max(1, math.ceil(p["t_final"] / dt))
+    n = max(1, math.ceil(p["t_final"] / dt))
+    return h, (dt if p["dt"] is not None else p["t_final"] / n), n
 
 
 def _wave_setup(p: dict):

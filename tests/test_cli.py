@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lecollapse.config import MAX_STEPS, load_config
+from lecollapse.exact import default_timestep
 from lecollapse.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -195,21 +196,20 @@ def test_step_counts_past_the_cap_exit_2(tmp_path, capsys, mode, text, key):
 
 def test_the_exact_cap_counts_the_steps_of_the_dt_the_run_uses(tmp_path,
                                                                capsys):
-    # the default dt comes from the built generator, so exactly MAX_STEPS
-    # of the dt a run writes to its summary loads, and one float more of
-    # t_final does not
-    short = tmp_path / "short.cfg"
-    short.write_text("t_final = 0.01\n")
-    rc = main(["exact", "--config", str(short), "--out", str(tmp_path / "r")])
-    assert rc == EXIT_SUCCESS
-    dt = json.loads((tmp_path / "r" / "summary.json").read_text())["dt"]
-    t_final = MAX_STEPS * dt
-    assert t_final / dt == MAX_STEPS
+    # the default step comes from the built generator and the run takes
+    # ceil(t_final / step) steps, so the largest t_final with t_final / step
+    # <= MAX_STEPS loads, and one float more of t_final does not
+    step = default_timestep(load_config(overrides={"mode": "exact"}).setup[0])
+    t_final = MAX_STEPS * step
+    while t_final / step > MAX_STEPS:
+        t_final = math.nextafter(t_final, 0.0)
+    while math.nextafter(t_final, math.inf) / step <= MAX_STEPS:
+        t_final = math.nextafter(t_final, math.inf)
     edge = load_config(overrides={"mode": "exact", "t_final": repr(t_final)})
-    assert edge.setup[2] == MAX_STEPS
+    assert edge.setup[1:] == (t_final / MAX_STEPS, MAX_STEPS)
     over = math.nextafter(t_final, math.inf)
     err = config_error(tmp_path, capsys, "exact", f"t_final = {over!r}\n")
-    assert f"t_final = {over!r}" in err and f"dt = {dt!r}" in err
+    assert f"t_final = {over!r}" in err and f"dt = {step!r}" in err
 
 
 def test_snapshot_counts_past_the_cap_exit_2(tmp_path, capsys):

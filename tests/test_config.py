@@ -1,5 +1,6 @@
 """Config parsing, validation, derived quantities and hashing."""
 
+import math
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from lecollapse.config import (
     load_config,
 )
 from lecollapse.engine import SlipParams
+from lecollapse.exact import default_timestep
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -179,6 +181,34 @@ def test_exact_multi_channel_requires_explicit_tracks():
         overrides={"mode": "exact", "channels": "2", "track_1": "0", "track_2": "1"}
     )
     assert cfg.params["track_2"] == (1,)
+
+
+@pytest.mark.parametrize("t_final", ["0.01", "2", "7.3", "20"])
+def test_the_default_exact_step_lands_on_t_final(t_final):
+    # n steps of t_final / n, n as many default steps as t_final needs: the
+    # last step ends on t_final instead of up to one step past it
+    h, dt, n = load_config(overrides={"mode": "exact",
+                                      "t_final": t_final}).setup
+    step = default_timestep(h)
+    assert n == math.ceil(float(t_final) / step)
+    assert dt == float(t_final) / n <= step
+
+
+def test_a_given_exact_dt_keeps_its_size():
+    _, dt, n = load_config(overrides={"mode": "exact", "t_final": "2",
+                                      "dt": "0.3"}).setup
+    assert (dt, n) == (0.3, 7)
+
+
+def test_exact_none_coupling_is_refused_from_two_channels():
+    # it drops the cross-channel term the branch-sum identity needs at
+    # K >= 2, so the run would only stop at the norm watchdog
+    base = {"mode": "exact", "cross_channel_coupling": "none"}
+    with pytest.raises(ConfigError, match="cross_channel_coupling = none "
+                                          ".* channels >= 2"):
+        load_config(overrides={**base, "channels": "2", "track_1": "0",
+                               "track_2": "2"})
+    assert load_config(overrides=base).params["channels"] == 1
 
 
 def test_collapse_p0_must_be_a_distribution():
@@ -483,7 +513,7 @@ def test_defaulted_and_explicit_values_hash_alike():
 PINNED_HASHES = {
     "exact": (
         "mode = exact\n",
-        "0fd6c674b683cca0595c2a5bab1b2fdbd1bee46c176e03a0905da1c1a9404a54"),
+        "2d96ea765065c3a5ee1f872d825617458f4da6dd8b9bb1497ae68044d13eefe8"),
     "wave": (
         "mode = wave\n",
         "705ad80d8893882bcdb8c98151163ae777b61b4466430b0fc22312e254b75cf5"),
@@ -508,7 +538,7 @@ PINNED_HASHES = {
         "463d814bf144ec40c9a20e011a42ecb315b79a6569f8d4ef1f2f3cdc2da4e51c"),
     "exact_two_channels": (
         "mode = exact\nchannels = 2\ntrack_1 = 0\ntrack_2 = 2\n",
-        "65727fda2ba34bd76b1614351242bc5a2638a8d9d64ceb01d95466f3c17175ea"),
+        "d23056afdef582cb64d2e56d77c9139b3dfa981a5285aa5883286bacee1002fe"),
     "fp_three_channels": (
         "mode = fp\nchannels = 3\np0 = 0.2, 0.3, 0.5\n"
         "snapshot_every = 500\n",

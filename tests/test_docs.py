@@ -43,19 +43,32 @@ def test_the_newest_src_line_count_in_changes_is_the_count_of_src():
     assert int(reports[-1][1]) == lines
 
 
-def _readme_keys():
-    """{mode: the keys the README's key table lists for it}."""
+# key-table cells that state a default in words: the default is derived,
+# or the key is a per-channel key with no default of its own
+DERIVED_DEFAULTS = {
+    "dt": "exact's comes from t_final and the generator's row-sum norm",
+    "track_k": "site 0 at K = 1, else required",
+    "cell": "all sites of the lattice",
+    "f_init": "0.4 in collapse and sweep only without seed regions",
+    "advance_fields": "in collapse and sweep, on exactly with seed regions",
+    "transient": "10 tau of the run's kinetics",
+    "seed_region_k": "none unless given; compare refuses it",
+}
+
+
+def _readme_cells():
+    """{mode: {key: cell}} for each key the README's key table lists."""
     rows = [[c.strip() for c in ln.strip().strip("|").split("|")]
             for ln in (ROOT / "README.md").read_text(encoding="utf-8")
             .splitlines() if ln.startswith("| ")]
     modes = next(r for r in rows if r[0] == "key")[2:]
-    listed = {mode: set() for mode in modes}
+    listed = {mode: {} for mode in modes}
     for row in rows:
         key = re.fullmatch(r"`(\w+)`", row[0])
         if key and len(row) == len(modes) + 2:
             for mode, cell in zip(modes, row[2:]):
                 if cell != "–":
-                    listed[mode].add(key.group(1))
+                    listed[mode][key.group(1)] = cell
     return listed
 
 
@@ -67,4 +80,16 @@ def test_the_readme_lists_every_key_of_each_mode(mode):
     want = set(table)
     if per_channel is not None:
         want.add(per_channel[0].pattern.replace(r"\d+", "k"))
-    assert _readme_keys()[mode] == want
+    assert set(_readme_cells()[mode]) == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_literal_default_in_the_readme_is_the_mode_default(mode):
+    # parsed with the key's own parser; a derived default is exempt where
+    # the mode's table holds no value for it
+    table = _MODES[mode][0]
+    for key, cell in _readme_cells()[mode].items():
+        if key in DERIVED_DEFAULTS and (key not in table
+                                        or table[key].default is None):
+            continue
+        assert table[key].parse(cell) == table[key].default, (key, cell)

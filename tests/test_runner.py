@@ -14,7 +14,7 @@ import lecollapse.exact as exact
 import lecollapse.fokker_planck as fokker_planck
 import lecollapse.runner as runner
 import lecollapse.wave as wave
-from lecollapse.config import load_config
+from lecollapse.config import ConfigError, load_config
 from lecollapse.fokker_planck import boundary_current, edge_mass, fp_step
 from lecollapse.runner import format_csv, run_experiment
 
@@ -110,6 +110,26 @@ def test_exact_mode_writes_scalars_and_summary(tmp_path):
     assert single["t_final"] == summary["t_final"]
     _, single_rows = parse_csv((out / "scalars.csv").read_text())
     assert {r[0] for r in rows} <= {r[0] for r in single_rows}
+
+
+@pytest.mark.parametrize("coupling", ["diagonal", "none"])
+@pytest.mark.parametrize("atoms", ["2", "3"])
+@pytest.mark.parametrize("tracks", [("0", "2"), ("1", "1"), ("0,1", "2")])
+def test_a_two_channel_exact_config_runs_to_t_final_or_is_refused(
+        tmp_path, coupling, atoms, tracks):
+    # at the default dt and t_final: only the coupling that breaks the
+    # branch-sum identity is refused, and it is refused at load
+    overrides = {"mode": "exact", "channels": "2", "atoms": atoms,
+                 "track_1": tracks[0], "track_2": tracks[1],
+                 "cross_channel_coupling": coupling}
+    try:
+        cfg, manifest = run(tmp_path, **overrides)
+    except ConfigError as err:
+        assert coupling == "none" and "cross_channel_coupling" in str(err)
+        return
+    assert manifest.status == "success"
+    summary = json.loads((Path(cfg.out_dir) / "summary.json").read_text())
+    assert summary["t_final"] == pytest.approx(cfg.params["t_final"])
 
 
 def test_wave_mode_writes_front_and_speed(tmp_path):
@@ -241,27 +261,27 @@ def test_the_profile_is_the_tracked_line(tmp_path, overrides):
     assert fronts[-1][1] == wave.front_position(final, grid)
 
 
-# sha256 of each exact payload as written while bosonic starts were still
-# averaged over atom permutations: the uniform start needs no averaging
+# sha256 of each exact payload as written since a step became one
+# degree-10 Taylor step at a tenth of the old step count, sampled every step
 EXACT_PAYLOADS = {
     "defaults": ({}, {
-        "scalars.csv": "21f2ca1520c12530fc4c351529bbf6db"
-                       "75ca8faad5c2781c10e82f45dc75b7d3",
-        "summary.json": "3c6aaa8165bd08264a825b39eb148c95"
-                        "5d40194b5f6fd1f65d8e877cea746941",
+        "scalars.csv": "e2e7dfd147e9f5c7664f35c9a4d5574c"
+                       "bda730fb06fe07fffc6de163e0338b19",
+        "summary.json": "7d83224fb1e343e5d9a79188b46732de"
+                        "e13471622f990ce65c9ecca96b1cb66c",
     }),
     "two-channels": ({"channels": "2", "track_1": "0", "track_2": "2"}, {
-        "scalars.csv": "8de668aeea5a5649c3e97d12c3ca370d"
-                       "23d638e1bfd01c03c81e7962b82fbf36",
-        "summary.json": "c622dceadf3dbc73e8b4c5623c815af3"
-                        "45d9abf90ed2d62558e3046862240645",
+        "scalars.csv": "1ee3a1783c1ffb059750157f76db955a"
+                       "f8a691e9d29d7cbd0aab397b30df63ba",
+        "summary.json": "1dd61a887e2672ed0f011b79aed9a677"
+                        "94448a5c6781f47ea6a5ae5e6912a71a",
     }),
     # distinguishable atoms start and evolve as bosons do
     "distinguishable": ({"bosonic": "false"}, {
-        "scalars.csv": "21f2ca1520c12530fc4c351529bbf6db"
-                       "75ca8faad5c2781c10e82f45dc75b7d3",
-        "summary.json": "3c6aaa8165bd08264a825b39eb148c95"
-                        "5d40194b5f6fd1f65d8e877cea746941",
+        "scalars.csv": "e2e7dfd147e9f5c7664f35c9a4d5574c"
+                       "bda730fb06fe07fffc6de163e0338b19",
+        "summary.json": "7d83224fb1e343e5d9a79188b46732de"
+                        "e13471622f990ce65c9ecca96b1cb66c",
     }),
 }
 
