@@ -1,12 +1,14 @@
-"""SciPy's sparse matrix-vector kernels, called without the operator dispatch.
+"""SciPy's sparse kernels, called without the operator dispatch.
 
 ``bind_matvec`` binds the CSR kernel that ``fp_step`` and ``exact.evolve``
 use; ``bind_dia_matvec`` binds the banded (DIA) kernel that steps the
 wave's stencil, for one field or for every run and channel of an engine
-batch at once. The kernels are imported inside the binders, not with this
-module, so importing lecollapse loads numpy alone; ``scipy.sparse`` loads at the first
-operator build, which only the ``wave``, ``fp``, ``exact`` and ``compare``
-modes and seeded (advancing-field) ``collapse`` and ``sweep`` runs do.
+batch at once. ``csr_from_triplets`` runs the kernels of a COO to CSR
+conversion for ``exact``'s generator. The kernels are imported inside the
+functions, not with this module, so importing lecollapse loads numpy
+alone; ``scipy.sparse`` loads at the first operator build, which only the
+``wave``, ``fp``, ``exact`` and ``compare`` modes and seeded
+(advancing-field) ``collapse`` and ``sweep`` runs do.
 """
 
 from functools import partial
@@ -53,3 +55,20 @@ def bind_dia_matvec(a, blocks=1):
                                 x, y)
 
     return matvec
+
+
+def csr_from_triplets(rows, cols, vals, n):
+    """(indptr, indices, data) of the n x n matrix summing the triplets, by
+    the kernel calls of ``coo_matrix((vals, (rows, cols))).tocsr()``: equal
+    (row, col) entries add in the same order, to the same bytes."""
+    from scipy.sparse import _sparsetools
+
+    idx = np.int32 if max(vals.size, n) < 2**31 else np.int64
+    indptr, indices = np.empty(n + 1, idx), np.empty(vals.size, idx)
+    data = np.empty_like(vals)
+    _sparsetools.coo_tocsr(n, n, vals.size, rows.astype(idx), cols.astype(idx),
+                           vals, indptr, indices, data)
+    if not _sparsetools.csr_has_sorted_indices(n, indptr, indices):
+        _sparsetools.csr_sort_indices(n, indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lecollapse._csr import bind_matvec
+from lecollapse._csr import bind_matvec, csr_from_triplets
 
 __all__ = [
     "DEFAULT_BASIS_CAP",
@@ -165,12 +165,24 @@ class LatticeBasis:
         self.word_radix = (
             (model.channels + 1) ** np.arange(n - 1, -1, -1)
         ).astype(np.int64)
+        self._cell_counts: dict = {}
 
     @functools.cached_property
     def letter_counts(self) -> tuple[np.ndarray, ...]:
         """Per le index r, how many letters of each word equal r."""
         return tuple((self.word_digits == r).sum(axis=1).astype(float)
                      for r in range(self.model.channels + 1))
+
+    def cell_counts(self, sites: tuple) -> tuple:
+        """Per configuration, how many atoms sit on ``sites``, and per le
+        index r the (configurations, words) count of index-r atoms there;
+        formed once per cell."""
+        if sites not in self._cell_counts:
+            in_cell = np.isin(self.config_digits, sites).astype(np.float64)
+            self._cell_counts[sites] = (in_cell.sum(axis=1), tuple(
+                in_cell @ (self.word_digits == r).astype(np.float64).T
+                for r in range(self.model.channels + 1)))
+        return self._cell_counts[sites]
 
     def config_index(self, config) -> int:
         return int(np.dot(np.asarray(config, dtype=np.int64), self.config_radix))
@@ -219,14 +231,21 @@ class BranchHamiltonian:
     _stages: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
-    @property
+    @functools.cached_property
     def row_sum_norm(self) -> float:
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        """Largest row sum of |H|, formed once: every row stores its diagonal,
+        so scipy's ``sum(axis=1)`` is this one reduceat over the rows."""
+        m = self.matrix
+        return float(np.add.reduceat(np.abs(m.data), m.indptr[:-1]).max())
 
     @functools.cached_property
     def generator(self) -> sparse.csr_matrix:
-        """-i H, the right-hand side of d psi / dt, formed once."""
-        return -1j * self.matrix
+        """-i H, the right-hand side of d psi / dt, formed once on H's indices."""
+        from scipy import sparse
+
+        m = self.matrix
+        return sparse.csr_matrix((m.data * -1j, m.indices, m.indptr),
+                                 shape=m.shape)
 
     def stages(self, dt: float) -> tuple:
         """A/m, ..., A/2, A for A = dt G, m = TAYLOR_DEGREE, on the CSR kernel,
@@ -248,35 +267,6 @@ def _track_count(model: LatticeModel, basis: LatticeBasis) -> np.ndarray:
     return count[basis.config_digits]
 
 
-def _hop_matrix(model: LatticeModel, basis: LatticeBasis) -> sparse.coo_matrix:
-    """Nearest-neighbour hopping over configurations, one atom at a time."""
-    from scipy import sparse
-
-    cd, rad_c = basis.config_digits, basis.config_radix
-    rows, cols = [], []
-    for i in range(model.atoms):
-        for step in (1, -1):
-            ok = np.nonzero((cd[:, i] + step >= 0) & (cd[:, i] + step < model.sites))[0]
-            cols.append(ok)
-            rows.append(ok + step * rad_c[i])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sparse.coo_matrix(
-        (np.full(rows.size, -model.hop_amplitude), (rows, cols)),
-        shape=(basis.n_configs, basis.n_configs),
-    )
-
-
-def _config_blocks(a: sparse.coo_matrix, n_words: int) -> np.ndarray:
-    """Word-by-word blocks of ``a``, one per configuration; off-block entries raise."""
-    cfg, row = np.divmod(a.row, n_words)
-    cfg_col, col = np.divmod(a.col, n_words)
-    if (cfg != cfg_col).any():
-        raise ValueError("matrix couples distinct configurations")
-    blocks = np.zeros((a.shape[0] // n_words, n_words, n_words))
-    blocks[cfg, row, col] = a.data
-    return blocks
-
-
 def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     """Assemble the branch generator over the (configuration, word) basis.
 
@@ -290,6 +280,13 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     amplitude v_strength. Word indices never decrease, so the matrix is
     block triangular in the entanglement order.
 
+    Each term is a (row, col, value) triplet, a hop once per word, summed
+    into CSR arrays as ``coo_matrix.tocsr()`` sums them
+    (``_csr.csr_from_triplets``). H - H^T is block diagonal, as hopping is
+    symmetric and contagion stays in one configuration: the defect is the
+    largest singular value of B - B^T over the word-by-word blocks B of H,
+    from one batched SVD, or from a sparse SVD past 2048^2 block entries.
+
     Returns
     -------
     BranchHamiltonian
@@ -300,46 +297,37 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     basis = LatticeBasis(model)
     n_w, n = basis.n_words, basis.n_basis
     cd, wd = basis.config_digits, basis.word_digits
-    rad_w = basis.word_radix
-    n_atoms = model.atoms
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    rad_c, rad_w = basis.config_radix, basis.word_radix
+    rows, cols, vals = [], [], []  # triplets, one array per term
 
-    # kinetic: hop matrix over configurations, identity over words
-    kinetic = sparse.kron(_hop_matrix(model, basis),
-                          sparse.identity(n_w, format="coo"), format="coo")
-    rows.append(kinetic.row)
-    cols.append(kinetic.col)
-    vals.append(kinetic.data)
+    # kinetic: one atom hops to a neighbouring site, the word unchanged
+    words = np.arange(n_w)
+    for i in range(model.atoms):
+        for step in (1, -1):
+            ok = np.nonzero(cd[:, i] != (model.sites - 1 if step > 0 else 0))[0]
+            rows.append(((ok + step * rad_c[i])[:, None] * n_w + words).ravel())
+            cols.append((ok[:, None] * n_w + words).ravel())
+            vals.append(np.full(ok.size * n_w, -model.hop_amplitude))
 
     # diagonal track coupling: u per (atom on a track site, nonzero index)
     t_count = _track_count(model, basis)
-    entangled = (wd >= 1).astype(np.float64)
-    diag = model.u_strength * (t_count.astype(np.float64) @ entangled.T)
+    diag = model.u_strength * (t_count.astype(np.float64)
+                               @ (wd >= 1).astype(np.float64).T)
 
     # track contagion: 0 -> k for atoms sitting on channel-k track sites
-    for i in range(n_atoms):
+    for i in range(model.atoms):
         w0 = np.nonzero(wd[:, i] == 0)[0]
-        if w0.size == 0:
-            continue
         for k in range(1, model.channels + 1):
-            track = np.zeros(model.sites, dtype=bool)
-            track[list(model.a_tracks[k - 1])] = True
-            cs = np.nonzero(track[cd[:, i]])[0]
-            if cs.size == 0:
-                continue
+            cs = np.nonzero(np.isin(cd[:, i], model.a_tracks[k - 1]))[0]
             w_dst = w0 + k * rad_w[i]
             rows.append((cs[:, None] * n_w + w_dst[None, :]).ravel())
             cols.append((cs[:, None] * n_w + w0[None, :]).ravel())
             vals.append(np.full(cs.size * w0.size, model.u_strength))
 
     # same-site contact: diagonal pieces and collision contagion
-    for i in range(n_atoms):
-        for j in range(i + 1, n_atoms):
+    for i in range(model.atoms):
+        for j in range(i + 1, model.atoms):
             cpair = np.nonzero(cd[:, i] == cd[:, j])[0]
-            if cpair.size == 0:
-                continue
             wi, wj = wd[:, i], wd[:, j]
             if model.cross_channel_coupling == "diagonal":
                 w_diag = ((wi == 0) & (wj == 0)) | ((wi >= 1) & (wj >= 1))
@@ -348,8 +336,6 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
             diag[cpair[:, None], np.nonzero(w_diag)[0][None, :]] += model.v_strength
             for raised, donor in ((i, j), (j, i)):
                 sel = np.nonzero((wd[:, raised] == 0) & (wd[:, donor] >= 1))[0]
-                if sel.size == 0:
-                    continue
                 w_dst = sel + wd[sel, donor] * rad_w[raised]
                 rows.append((cpair[:, None] * n_w + w_dst[None, :]).ravel())
                 cols.append((cpair[:, None] * n_w + sel[None, :]).ravel())
@@ -359,21 +345,22 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     cols.append(np.arange(n))
     vals.append(diag.ravel())
 
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    # hopping is symmetric and contagion acts inside one configuration, so
-    # H - H^T is block diagonal: one batched SVD within a 2048^2 dense budget
-    diff = (matrix - matrix.T).tocoo()
-    if diff.nnz == 0:
-        defect = 0.0
-    elif n * n_w <= 2048 * 2048:
-        blocks = _config_blocks(diff, n_w)
-        defect = float(np.linalg.svd(blocks, compute_uv=False).max())
-    else:
+    indptr, indices, data = csr_from_triplets(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    if n * n_w > 2048 * 2048:
+        diff = (matrix - matrix.T).tocsc()
         defect = float(sparse.linalg.svds(
-            diff.tocsc(), k=1, return_singular_vectors=False)[0])
+            diff, k=1, return_singular_vectors=False)[0]) if diff.nnz else 0.0
+    else:
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        inside = row // n_w == indices // n_w
+        blocks = np.zeros((basis.n_configs, n_w, n_w))
+        blocks[row[inside] // n_w, row[inside] % n_w,
+               indices[inside] % n_w] = data[inside]
+        blocks -= blocks.transpose(0, 2, 1)
+        defect = (float(np.linalg.svd(blocks, compute_uv=False).max())
+                  if blocks.any() else 0.0)
     return BranchHamiltonian(basis=basis, matrix=matrix, hermitian_defect=defect)
 
 
@@ -494,28 +481,22 @@ def local_probabilities(
         weight of those cross terms; it is reported, never thresholded.
     """
     basis = state.basis
-    sites = np.asarray(sorted(set(int(s) for s in cell)), dtype=np.int64)
-    if sites.size == 0:
+    sites = tuple(sorted(set(int(s) for s in cell)))
+    if not sites:
         raise ValueError("cell must contain at least one site")
-    if sites.min() < 0 or sites.max() >= basis.model.sites:
+    if sites[0] < 0 or sites[-1] >= basis.model.sites:
         raise ValueError("cell contains sites outside the lattice")
-    mask = np.zeros(basis.model.sites, dtype=bool)
-    mask[sites] = True
-    in_cell = mask[basis.config_digits]
+    cell_count, counts = basis.cell_counts(sites)
 
     psi_std = reconstruct_standard(state)
-    cell_count = in_cell.sum(axis=1).astype(np.float64)
     denom = float((np.abs(psi_std) ** 2) @ cell_count)
     if denom <= 1e-12 * basis.model.atoms:
         raise UndefinedProbabilityError(
             "no expected occupancy in the requested cell"
         )
     w2 = (np.abs(state.amplitudes) ** 2).reshape(basis.n_configs, basis.n_words)
-    in_cell_f = in_cell.astype(np.float64)
     fractions = np.empty(basis.model.channels + 1)
-    for r in range(basis.model.channels + 1):
-        letter = (basis.word_digits == r).astype(np.float64)
-        count_cw = in_cell_f @ letter.T
+    for r, count_cw in enumerate(counts):
         fractions[r] = float(np.einsum("cw,cw->", w2, count_cw)) / denom
     diagnostic = abs(float(fractions.sum()) - 1.0)
     return fractions, diagnostic

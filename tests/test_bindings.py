@@ -67,12 +67,15 @@ def bound_kernels() -> set[str]:
 
 
 def test_every_bound_sparse_kernel_resolves():
-    # the binders in lecollapse._csr skip scipy's operator dispatch and
-    # call private kernels, which a scipy release may rename or drop
+    # the binders and the CSR assembly in lecollapse._csr skip scipy's
+    # operator dispatch and call private kernels, which a scipy release
+    # may rename or drop
     from scipy.sparse import _sparsetools
 
     kernels = bound_kernels()
-    assert kernels == {"csr_matvec", "dia_matvec"}
+    assert kernels == {"csr_matvec", "dia_matvec", "coo_tocsr",
+                       "csr_has_sorted_indices", "csr_sort_indices",
+                       "csr_sum_duplicates"}
     for name in kernels:
         assert callable(getattr(_sparsetools, name))
 

@@ -24,8 +24,6 @@ from lecollapse.exact import (
     LatticeBasis,
     LatticeModel,
     UndefinedProbabilityError,
-    _config_blocks,
-    _hop_matrix,
     _track_count,
     build_branch_hamiltonian,
     default_timestep,
@@ -58,16 +56,104 @@ def dense_standard_oracle(model):
     return h
 
 
+def hop_matrix(model, basis):
+    """Nearest-neighbour hopping over configurations, one atom at a time,
+    as a COO matrix in the package's hop order."""
+    cd, rad_c = basis.config_digits, basis.config_radix
+    rows, cols = [], []
+    for i in range(model.atoms):
+        for step in (1, -1):
+            ok = np.nonzero((cd[:, i] + step >= 0) & (cd[:, i] + step < model.sites))[0]
+            cols.append(ok)
+            rows.append(ok + step * rad_c[i])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sparse.coo_matrix(
+        (np.full(rows.size, -model.hop_amplitude), (rows, cols)),
+        shape=(basis.n_configs, basis.n_configs),
+    )
+
+
+def config_blocks(a, n_words):
+    """Word-by-word blocks of the COO matrix ``a``, one per configuration;
+    an entry across configurations raises."""
+    cfg, row = np.divmod(a.row, n_words)
+    cfg_col, col = np.divmod(a.col, n_words)
+    if (cfg != cfg_col).any():
+        raise ValueError("matrix couples distinct configurations")
+    blocks = np.zeros((a.shape[0] // n_words, n_words, n_words))
+    blocks[cfg, row, col] = a.data
+    return blocks
+
+
+def scipy_branch_build(model):
+    """The branch generator through scipy.sparse objects: the kinetic term
+    as ``kron`` with the identity, the triplets through ``coo_matrix``'s
+    ``tocsr``, the defect from ``H - H.T``, the row-sum norm from
+    ``abs(H).sum(axis=1)`` and the generator as ``-1j * H``.
+
+    Returns (matrix, row_sum_norm, generator, hermitian_defect) for a basis
+    within the 2048^2 dense block budget.
+    """
+    basis = LatticeBasis(model)
+    n_w, n = basis.n_words, basis.n_basis
+    cd, wd, rad_w = basis.config_digits, basis.word_digits, basis.word_radix
+    kinetic = sparse.kron(hop_matrix(model, basis),
+                          sparse.identity(n_w, format="coo"), format="coo")
+    rows, cols, vals = [kinetic.row], [kinetic.col], [kinetic.data]
+    t_count = _track_count(model, basis)
+    diag = model.u_strength * (t_count.astype(np.float64)
+                               @ (wd >= 1).astype(np.float64).T)
+    for i in range(model.atoms):
+        w0 = np.nonzero(wd[:, i] == 0)[0]
+        for k in range(1, model.channels + 1):
+            track = np.zeros(model.sites, dtype=bool)
+            track[list(model.a_tracks[k - 1])] = True
+            cs = np.nonzero(track[cd[:, i]])[0]
+            w_dst = w0 + k * rad_w[i]
+            rows.append((cs[:, None] * n_w + w_dst[None, :]).ravel())
+            cols.append((cs[:, None] * n_w + w0[None, :]).ravel())
+            vals.append(np.full(cs.size * w0.size, model.u_strength))
+    for i in range(model.atoms):
+        for j in range(i + 1, model.atoms):
+            cpair = np.nonzero(cd[:, i] == cd[:, j])[0]
+            wi, wj = wd[:, i], wd[:, j]
+            if model.cross_channel_coupling == "diagonal":
+                w_diag = ((wi == 0) & (wj == 0)) | ((wi >= 1) & (wj >= 1))
+            else:
+                w_diag = wi == wj
+            diag[cpair[:, None], np.nonzero(w_diag)[0][None, :]] += model.v_strength
+            for raised, donor in ((i, j), (j, i)):
+                sel = np.nonzero((wd[:, raised] == 0) & (wd[:, donor] >= 1))[0]
+                w_dst = sel + wd[sel, donor] * rad_w[raised]
+                rows.append((cpair[:, None] * n_w + w_dst[None, :]).ravel())
+                cols.append((cpair[:, None] * n_w + sel[None, :]).ravel())
+                vals.append(np.full(cpair.size * sel.size, model.v_strength))
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag.ravel())
+    matrix = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    assert n * n_w <= 2048 * 2048
+    diff = (matrix - matrix.T).tocoo()
+    defect = (float(np.linalg.svd(config_blocks(diff, n_w),
+                                  compute_uv=False).max())
+              if diff.nnz else 0.0)
+    row_sum_norm = float(np.abs(matrix).sum(axis=1).max())
+    return matrix, row_sum_norm, -1j * matrix, defect
+
+
 def standard_hamiltonian(model):
-    """Plain Hamiltonian over configurations from the package's hop and
-    track tables: hopping + track u + contact v."""
+    """Plain Hamiltonian over configurations from the hop and track
+    tables: hopping + track u + contact v."""
     basis = LatticeBasis(model)
     cd = basis.config_digits
     diag = model.u_strength * _track_count(model, basis).sum(axis=1).astype(np.float64)
     for i in range(model.atoms):
         for j in range(i + 1, model.atoms):
             diag += model.v_strength * (cd[:, i] == cd[:, j])
-    return (_hop_matrix(model, basis) + sparse.diags(diag)).tocsr()
+    return (hop_matrix(model, basis) + sparse.diags(diag)).tocsr()
 
 
 def permutation_defect(state):
@@ -250,7 +336,7 @@ def test_defect_blocks_reassemble_the_antisymmetric_part():
             rows, cols = np.nonzero(anti)
             assert rows.size > 0
             assert np.array_equal(rows // n_w, cols // n_w)
-            blocks = _config_blocks(sparse.coo_matrix(anti), n_w)
+            blocks = config_blocks(sparse.coo_matrix(anti), n_w)
             assert np.array_equal(block_diag(*blocks), anti)
             assert h.hermitian_defect == pytest.approx(
                 np.linalg.norm(anti, 2), rel=1e-12
@@ -264,15 +350,60 @@ def test_defect_of_a_large_basis_comes_from_svds_and_matches_the_blocks():
     h = build_branch_hamiltonian(model)
     n_w = h.basis.n_words
     assert h.basis.n_basis * n_w > 2048 * 2048
-    blocks = _config_blocks((h.matrix - h.matrix.T).tocoo(), n_w)
+    blocks = config_blocks((h.matrix - h.matrix.T).tocoo(), n_w)
     want = np.linalg.svd(blocks, compute_uv=False).max()
     assert h.hermitian_defect == pytest.approx(want, rel=1e-10)
+
+
+def assert_same_build(h, model):
+    # the CSR arrays, row-sum norm, generator and defect carry the bytes
+    # of the scipy.sparse construction
+    matrix, row_sum_norm, generator, defect = scipy_branch_build(model)
+    for got, want in ((h.matrix, matrix), (h.generator, generator)):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert np.float64(h.row_sum_norm).tobytes() == np.float64(row_sum_norm).tobytes()
+    assert np.float64(h.hermitian_defect).tobytes() == np.float64(defect).tobytes()
+
+
+@pytest.mark.parametrize("coupling", ["diagonal", "none"])
+@pytest.mark.parametrize(
+    "sites, atoms, channels",
+    [(s, a, c) for s in (2, 3) for a in (2, 3) for c in (1, 2)],
+)
+def test_build_has_the_bytes_of_the_scipy_sparse_construction(
+    sites, atoms, channels, coupling
+):
+    # the eight criterion 2/3 family shapes, three seeds each
+    for seed in range(3):
+        rng = np.random.default_rng([seed, sites, atoms, channels])
+        model = random_model(rng, sites, atoms, channels,
+                             cross_channel_coupling=coupling)
+        assert_same_build(build_branch_hamiltonian(model), model)
+
+
+def test_three_equal_triplets_add_in_the_scipy_order():
+    # three atoms on one track site: raising atom 0 from word (0,1,1) to
+    # (1,1,1) is the track term u plus one collision v per donor, three
+    # triplets on one (row, col); (u + v) + v and u + (v + v) differ here
+    u, v = 0.7, 0.2
+    assert (u + v) + v != u + (v + v)
+    model = LatticeModel(sites=2, atoms=3, channels=1, hop_amplitude=0.9,
+                         u_strength=u, v_strength=v, a_tracks=((0,),))
+    h = build_branch_hamiltonian(model)
+    basis = h.basis
+    cfg = basis.config_index((0, 0, 0)) * basis.n_words
+    row, col = (cfg + basis.word_index((1, 1, 1)),
+                cfg + basis.word_index((0, 1, 1)))
+    assert h.matrix[row, col] == (u + v) + v
+    assert_same_build(h, model)
 
 
 def test_defect_blocks_reject_an_entry_across_configurations():
     a = sparse.coo_matrix(([1.0, -1.0], ([0, 2], [2, 0])), shape=(4, 4))
     with pytest.raises(ValueError, match="configurations"):
-        _config_blocks(a, 2)
+        config_blocks(a, 2)
 
 
 def test_reconstruct_standard_matches_the_dense_word_sum_map():
@@ -574,6 +705,31 @@ def test_local_probabilities_start_unentangled_and_sum_near_one():
     assert (f >= -1e-12).all()
     assert f[1] > 1e-4
     assert np.isfinite(diag)
+
+
+def test_local_probabilities_match_a_loop_oracle_and_reuse_the_cell_tables():
+    rng = np.random.default_rng(9)
+    model = random_model(rng, 3, 3, 2)
+    basis = LatticeBasis(model)
+    amp = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    state = BranchState(basis, amp)
+    f, diag = local_probabilities(state, [2, 0, 2])
+    w2 = (np.abs(amp) ** 2).reshape(basis.n_configs, basis.n_words)
+    std = np.abs(reconstruct_standard(state)) ** 2
+    num, den = np.zeros(model.channels + 1), 0.0
+    for c, config in enumerate(basis.config_digits):
+        in_cell = [i for i, s in enumerate(config) if s in (0, 2)]
+        den += std[c] * len(in_cell)
+        for w, word in enumerate(basis.word_digits):
+            for i in in_cell:
+                num[word[i]] += w2[c, w]
+    assert np.allclose(f, num / den, rtol=1e-12, atol=0.0)
+    assert diag == pytest.approx(abs(f.sum() - 1.0), abs=1e-15)
+    # one cached table per cell, however the cell is written
+    tables = basis.cell_counts((0, 2))
+    again, _ = local_probabilities(state, (0, 2))
+    assert basis.cell_counts((0, 2)) is tables
+    assert again.tobytes() == f.tobytes()
 
 
 def test_local_probabilities_empty_cell_is_an_error():
