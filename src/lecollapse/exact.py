@@ -42,7 +42,6 @@ __all__ = [
     "reconstruct_standard",
     "le_occupation",
     "local_probabilities",
-    "permutation_index_map",
 ]
 
 DEFAULT_BASIS_CAP = 1 << 20
@@ -285,7 +284,7 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     (``_csr.csr_from_triplets``). H - H^T is block diagonal, as hopping is
     symmetric and contagion stays in one configuration: the defect is the
     largest singular value of B - B^T over the word-by-word blocks B of H,
-    from one batched SVD, or from a sparse SVD past 2048^2 block entries.
+    from one batched SVD, or a seeded sparse SVD past 2048^2 block entries.
 
     Returns
     -------
@@ -315,10 +314,13 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
                                @ (wd >= 1).astype(np.float64).T)
 
     # track contagion: 0 -> k for atoms sitting on channel-k track sites
+    on_track = np.zeros((model.channels, model.sites), dtype=bool)
+    for k, track in enumerate(model.a_tracks):
+        on_track[k, list(track)] = True
     for i in range(model.atoms):
         w0 = np.nonzero(wd[:, i] == 0)[0]
         for k in range(1, model.channels + 1):
-            cs = np.nonzero(np.isin(cd[:, i], model.a_tracks[k - 1]))[0]
+            cs = np.nonzero(on_track[k - 1, cd[:, i]])[0]
             w_dst = w0 + k * rad_w[i]
             rows.append((cs[:, None] * n_w + w_dst[None, :]).ravel())
             cols.append((cs[:, None] * n_w + w0[None, :]).ravel())
@@ -350,8 +352,8 @@ def build_branch_hamiltonian(model: LatticeModel) -> BranchHamiltonian:
     matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     if n * n_w > 2048 * 2048:
         diff = (matrix - matrix.T).tocsc()
-        defect = float(sparse.linalg.svds(
-            diff, k=1, return_singular_vectors=False)[0]) if diff.nnz else 0.0
+        defect = float(sparse.linalg.svds(diff, k=1, random_state=0,
+                       return_singular_vectors=False)[0]) if diff.nnz else 0.0
     else:
         row = np.repeat(np.arange(n), np.diff(indptr))
         inside = row // n_w == indices // n_w
@@ -500,12 +502,4 @@ def local_probabilities(
         fractions[r] = float(np.einsum("cw,cw->", w2, count_cw)) / denom
     diagnostic = abs(float(fractions.sum()) - 1.0)
     return fractions, diagnostic
-
-
-def permutation_index_map(basis: LatticeBasis, perm) -> np.ndarray:
-    """Flat-index map of the simultaneous atom/word-letter permutation."""
-    perm = list(perm)
-    c_idx = basis.config_digits[:, perm] @ basis.config_radix
-    w_idx = basis.word_digits[:, perm] @ basis.word_radix
-    return (c_idx[:, None] * basis.n_words + w_idx[None, :]).ravel()
 

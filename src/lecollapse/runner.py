@@ -9,9 +9,10 @@ flagged partial is known to be incomplete. One clock per run starts with
 
 Determinism contract: for a fixed (config, seed) the payload bytes are
 identical across runs and machines. Floats are written with ``repr``,
-which round-trips exactly and never exceeds 17 significant digits; JSON
-is sorted and indented the same way everywhere; the only nondeterministic
-manifest entries are the wall-clock fields.
+which round-trips exactly and never exceeds 17 significant digits; a
+float64 table formats each distinct float once per column, to the same
+text; JSON is sorted and indented the same way everywhere; the only
+nondeterministic manifest entries are the wall-clock fields.
 
 File conventions: channels are numbered 1..K in every output (columns
 p_1..p_K, winner 1..K or null), matching the math's subscripts rather
@@ -103,14 +104,19 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    # one repr per bit pattern: -0.0 stays apart from 0.0, every NaN is nan
+    bits, at = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([*map(float.__repr__, bits.view(np.float64).tolist())],
+                    dtype=object)[at].tolist()
+
+
 def format_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        try:  # a row of floats, the common case, joins without _cell
-            lines.append(",".join(map(float.__repr__, row)))
-        except TypeError:
-            lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        lines = map(",".join, zip(*map(_reprs, rows.T)))  # by column
+    else:  # cell by cell: ints, bools, ragged rows
+        lines = (",".join(map(_cell, row)) for row in rows)
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -187,7 +193,7 @@ def _run_exact(job: _Job) -> str:
         rows.append(row(state))
     job.lap("solve")
 
-    job.csv("scalars.csv", header, rows)
+    job.csv("scalars.csv", header, np.array(rows))
     job.json("summary.json", {
         "sites": model.sites,
         "atoms": model.atoms,
@@ -262,11 +268,11 @@ def _run_wave(job: _Job) -> str:
     job.lap("solve")
 
     front_header = ["time", "position", "width", "speed_estimate"]
-    job.csv("front.csv", front_header, rows)
+    front_rows = np.array(rows).reshape(-1, 4)  # (0, 4) without a front
+    job.csv("front.csv", front_header, front_rows)
 
     # the line the fronts were tracked on
-    profile_rows = np.column_stack(
-        [grid.axis_coords(0), f[grid.front_line]]).tolist()
+    profile_rows = np.column_stack([grid.axis_coords(0), f[grid.front_line]])
     job.csv("profile.csv", ["position", "f"], profile_rows)
 
     summary = {
@@ -296,7 +302,7 @@ def _run_wave(job: _Job) -> str:
         summary["fit_note"] = str(exc)
     job.json("speed.json", summary)
 
-    job.svg("front.svg", front_header, rows, "front-trajectory")
+    job.svg("front.svg", front_header, front_rows, "front-trajectory")
     job.svg("profile.svg", ["position", "f"], profile_rows, "field-profile")
     job.lap("write")
     return "success"
@@ -319,7 +325,7 @@ def _write_run(job: _Job, result: RunResult, suffix: str = "") -> None:
     if result.trajectory is not None:
         channels = len(result.p0)
         header = ["time"] + [f"p_{k}" for k in range(1, channels + 1)]
-        rows = result.trajectory.tolist()
+        rows = result.trajectory
         job.csv(f"trajectory{suffix}.csv", header, rows)
         job.svg(f"trajectory{suffix}.svg", header, rows, "p-trajectory")
 
@@ -360,7 +366,7 @@ def _cell_table(grid, **values):
         coords = [x[i], x[j]]
         values = {name: v[i, j] for name, v in values.items()}
     header = [f"p_{k}" for k in range(1, grid.dims + 1)] + list(values)
-    return header, np.column_stack(coords + list(values.values())).tolist()
+    return header, np.column_stack(coords + list(values.values()))
 
 
 def _run_fp(job: _Job) -> str:
@@ -392,11 +398,8 @@ def _run_fp(job: _Job) -> str:
 
     header, rows = _cell_table(grid, density=density.phi)
     job.csv("density.csv", header, rows)
-    job.csv(
-        "current.csv",
-        ["time", "boundary_current", "mass", "clamped"],
-        currents,
-    )
+    job.csv("current.csv", ["time", "boundary_current", "mass", "clamped"],
+            np.array(currents))
     edge = edge_mass(density)
     job.json("summary.json", {
         "channels": grid.channels,

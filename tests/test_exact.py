@@ -30,7 +30,6 @@ from lecollapse.exact import (
     evolve,
     le_occupation,
     local_probabilities,
-    permutation_index_map,
     reconstruct_standard,
 )
 
@@ -154,6 +153,14 @@ def standard_hamiltonian(model):
         for j in range(i + 1, model.atoms):
             diag += model.v_strength * (cd[:, i] == cd[:, j])
     return (hop_matrix(model, basis) + sparse.diags(diag)).tocsr()
+
+
+def permutation_index_map(basis, perm):
+    """Flat-index map of the simultaneous atom/word-letter permutation."""
+    perm = list(perm)
+    c_idx = basis.config_digits[:, perm] @ basis.config_radix
+    w_idx = basis.word_digits[:, perm] @ basis.word_radix
+    return (c_idx[:, None] * basis.n_words + w_idx[None, :]).ravel()
 
 
 def permutation_defect(state):
@@ -345,14 +352,19 @@ def test_defect_blocks_reassemble_the_antisymmetric_part():
 
 def test_defect_of_a_large_basis_comes_from_svds_and_matches_the_blocks():
     # past a 2048^2 dense budget the defect comes from sparse svds; the
-    # batched SVD of the per-configuration blocks must give the same norm
+    # batched SVD of the per-configuration blocks must give the same norm,
+    # and the svds start vector is fixed, so four builds of one model in
+    # one process give the same bytes
     model = small_model(atoms=4, channels=3, a_tracks=((0,), (1,), (2,)))
-    h = build_branch_hamiltonian(model)
+    h, *rebuilds = [build_branch_hamiltonian(model) for _ in range(4)]
     n_w = h.basis.n_words
     assert h.basis.n_basis * n_w > 2048 * 2048
     blocks = config_blocks((h.matrix - h.matrix.T).tocoo(), n_w)
     want = np.linalg.svd(blocks, compute_uv=False).max()
     assert h.hermitian_defect == pytest.approx(want, rel=1e-10)
+    for again in rebuilds:
+        assert (np.float64(again.hermitian_defect).tobytes()
+                == np.float64(h.hermitian_defect).tobytes())
 
 
 def assert_same_build(h, model):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lecollapse.exact as exact
 import lecollapse.fokker_planck as fokker_planck
@@ -74,8 +76,8 @@ def test_csv_cells_for_ints_and_bools():
 
 
 def test_csv_rows_match_the_cell_by_cell_path():
-    # rows of plain floats take a joined fast path; every row must read
-    # as the per-cell formatting makes it
+    # list rows go cell by cell: ints and bools as such, floats as repr,
+    # numpy scalars as their Python values, ragged rows as they come
     rows = [
         [0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2],
         [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), 2.5],
@@ -88,6 +90,59 @@ def test_csv_rows_match_the_cell_by_cell_path():
         ["h"] + [",".join(runner._cell(v) for v in row) for row in rows]
     ) + "\n"
     assert format_csv(["h"], rows) == want
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+# a float64 as its bit pattern: any non-NaN (+-0.0, +-inf, subnormals),
+# or a NaN of either sign with any payload
+_FLOAT_BITS = st.one_of(
+    st.floats(width=64, allow_nan=False).map(_bits),
+    st.sampled_from([_bits(v) for v in (0.0, -0.0, math.inf, -math.inf,
+                                        5e-324, -2.2e-308)]),
+    st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+              st.integers(0, 1), st.integers(1, 2**52 - 1)),
+)
+
+
+@st.composite
+def float_tables(draw):
+    """Float64 tables of 0-12 rows and 1-4 columns drawn from a pool of a
+    few values, so values repeat, with neighbours one ulp apart."""
+    pool = draw(st.lists(_FLOAT_BITS, min_size=1, max_size=8))
+    for x in draw(st.lists(st.floats(width=64, allow_nan=False,
+                                     allow_infinity=False), max_size=2)):
+        pool += [_bits(x), _bits(np.nextafter(x, 0.0))]
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=rows * cols, max_size=rows * cols))
+    table = np.array(pool, dtype=np.uint64)[np.array(picks, dtype=np.intp)]
+    return table.reshape(rows, cols).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(float_tables())
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]))
+@example(np.array([0x7FF8 << 48, 0xFFF8 << 48 | 7, 0x7FF0 << 48 | 1],
+                  dtype=np.uint64).view(np.float64).reshape(3, 1))
+@example(np.empty((0, 3)))
+def test_float_tables_format_by_column_as_cell_by_cell(table):
+    # a float64 table formats each distinct float once per column; the
+    # text must be the list path's and read back bit for bit, NaN payloads
+    # aside (every NaN prints nan)
+    header = [f"c{k}" for k in range(table.shape[1])]
+    text = format_csv(header, table)
+    assert text == format_csv(header, table.tolist())
+    lines = text.splitlines()
+    assert lines[0].split(",") == header
+    back = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]],
+                    dtype=np.float64).reshape(table.shape)
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.uint64)[~nan],
+                          table.view(np.uint64)[~nan])
 
 
 # --- per-mode smoke, files and manifest inventory ---
